@@ -237,9 +237,6 @@ class LemmaResult:
     margin: float
     detail: str = ""
 
-    def row(self):
-        return [self.lemma, self.n, f"{self.a:.6g}", int(self.ok), f"{self.margin:.6e}", self.detail]
-
 
 def _check(lemma, n, a, ok, margin, detail="") -> LemmaResult:
     return LemmaResult(lemma, n, a, bool(ok), float(margin), detail)

@@ -7,7 +7,3 @@ class PreconditionError(ValueError):
 
 class GuardError(RuntimeError):
     """An enumeration would exceed the configured state-space guard."""
-
-
-class ConfigError(ValueError):
-    """An experiment configuration file is invalid or incomplete."""

@@ -10,7 +10,7 @@ box (free boundary).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Set
 
 import numpy as np
 
@@ -186,10 +186,6 @@ def connected_components(form: FormZn) -> List[FormZn]:
     return [form.restrict(g) for g in _component_sets(form.support)]
 
 
-def component_count(form: FormZn) -> int:
-    return len(_component_sets(form.support))
-
-
 def omega_E(form: FormZn, edges: Set[OrientedCell]) -> FormZn:
     """Sum of components having a plaquette whose boundary meets the edge set.
 
@@ -242,20 +238,6 @@ def random_form(box: LatticeBox, n: int, density: float, seed: int) -> FormZn:
         raise PreconditionError(f"density must lie in [0, 1], got {density}")
     rng = np.random.Generator(np.random.Philox(seed))
     plaqs = list(box.cells(2))
-    u = rng.random(len(plaqs))
-    vals = rng.integers(1, n, size=len(plaqs)) if n > 2 else np.ones(len(plaqs), dtype=int)
-    out = FormZn(2, n)
-    for p, ui, vi in zip(plaqs, u, vals):
-        if ui < density:
-            out.set(p, int(vi))
-    return out
-
-
-def random_form_on(plaqs: Sequence[OrientedCell], n: int, density: float, seed: int) -> FormZn:
-    """Like random_form but sprinkling only over an explicit plaquette list."""
-    if not 0.0 <= density <= 1.0:
-        raise PreconditionError(f"density must lie in [0, 1], got {density}")
-    rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(len(plaqs))
     vals = rng.integers(1, n, size=len(plaqs)) if n > 2 else np.ones(len(plaqs), dtype=int)
     out = FormZn(2, n)

@@ -1,4 +1,4 @@
-"""Brute-force exact expectations on small boxes.
+"""Brute-force exact expectations on small boxes, and the box's incidence index.
 
 Three enumerations, each a ground truth for the others:
 
@@ -9,22 +9,25 @@ Three enumerations, each a ground truth for the others:
 Configurations are enumerated as mixed-radix integers over the positive
 cells in canonical order, in chunks; chunk sums are reduced with
 compensated (fsum) accumulation so results are deterministic.
+
+:class:`BoxIndex` numbers the cells of a box and holds the signed
+incidence tables; :func:`incidence` is the one product mod n built on
+them (d of 0- and 1-forms, delta of 2-forms), shared with the sampler.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import time
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .cells import LatticeBox, OrientedCell, boundary
+from .cells import LatticeBox, OrientedCell, vertex
 from .couplings import ModelParams, phi, rho
-from .errors import GuardError
-from .forms import FormZn, delta
+from .errors import GuardError, PreconditionError
+from .forms import FormZn, d, delta
 from .paths import LatticePath
 
 STATE_GUARD = 1 << 26
@@ -32,38 +35,106 @@ _CHUNK = 1 << 16
 
 
 class BoxIndex:
-    """Canonical enumeration of a box's cells plus integer incidence tables."""
+    """Canonical enumeration of a box's cells plus signed incidence tables.
+
+    A k-cell sits in the slot (grid point of its base, its direction set);
+    the slot holds a cell of the box iff base + extent stays in the grid.
+    Ranking the occupied slots in row-major order gives the canonical
+    ``LatticeBox.cells`` order, and every table follows from the rank
+    arrays by stride arithmetic on the flat grid index.
+
+    Each (table, sign) pair is one operator for :func:`incidence`:
+
+    * ``edge_verts``/``edge_vert_signs`` (E, 2): tail -1, head +1 (d on 0-forms);
+    * ``plaq_edges``/``plaq_signs`` (P, 4): the boundary
+      (b;i) - (b;j) - (b+e_j;i) + (b+e_i;j), i < j (d on 1-forms);
+    * ``edge_plaqs``/``edge_plaq_signs`` (E, 2(m-1)): its transpose, padded
+      with sign 0 where an edge lies in fewer plaquettes (delta on 2-forms).
+
+    ``plaq_base`` (P, m) and ``plaq_axes`` (P, 2, 0-based i < j) locate each
+    plaquette.  The cell label lists ``vertices``, ``edges``, ``plaqs`` are
+    ``LatticeBox.cells`` in the same order.
+    """
 
     def __init__(self, box: LatticeBox):
         self.box = box
         self.vertices: List[OrientedCell] = list(box.cells(0))
         self.edges: List[OrientedCell] = list(box.cells(1))
         self.plaqs: List[OrientedCell] = list(box.cells(2))
-        self.vertex_id = {c: i for i, c in enumerate(self.vertices)}
-        self.edge_id = {c: i for i, c in enumerate(self.edges)}
-        self.plaq_id = {c: i for i, c in enumerate(self.plaqs)}
-        tails, heads = [], []
-        for e in self.edges:
-            b = boundary(e)
-            for v, s in b.coeffs.items():
-                (tails if s < 0 else heads).append(self.vertex_id[v])
-        self.edge_tail = np.array(tails, dtype=np.int32)
-        self.edge_head = np.array(heads, dtype=np.int32)
-        pe, ps = [], []
-        for p in self.plaqs:
-            items = sorted(boundary(p).coeffs.items())
-            pe.append([self.edge_id[e] for e, _ in items])
-            ps.append([s for _, s in items])
-        self.plaq_edges = np.array(pe, dtype=np.int32).reshape(len(self.plaqs), 4)
-        self.plaq_signs = np.array(ps, dtype=np.int8).reshape(len(self.plaqs), 4)
+        m = box.m
+        self._lo = np.array(box.lo)
+        self._shape = np.array(box.hi) - self._lo + 1
+        self._strides = np.cumprod(np.r_[1, self._shape[:0:-1]])[::-1]
+        grid = np.indices(self._shape).reshape(m, -1).T  # row-major, like itertools.product
+        # direction sets in itertools.combinations order (1-based, as in OrientedCell.dirs)
+        self._dirs = [list(itertools.combinations(range(1, m + 1), k)) for k in range(3)]
+        self._rank = []  # per k: (grid points, direction sets) -> rank, -1 if not in the box
+        for dirs in self._dirs:
+            ext = np.array([[a in ds for a in range(1, m + 1)] for ds in dirs], dtype=int).reshape(-1, m)
+            inside = (grid[:, None, :] + ext[None] < self._shape).all(axis=2)
+            rank = np.cumsum(inside.ravel()).reshape(inside.shape) - 1
+            rank[~inside] = -1
+            self._rank.append(rank)
+        vert, edge, s = self._rank[0][:, 0], self._rank[1], self._strides
+
+        f, a = np.nonzero(edge >= 0)
+        self.edge_verts = np.stack([vert[f], vert[f + s[a]]], axis=1)
+        self.edge_vert_signs = np.tile(np.array([-1, 1], dtype=np.int8), (len(f), 1))
+        self.edge_tail, self.edge_head = self.edge_verts.T
+
+        f, c = np.nonzero(self._rank[2] >= 0)
+        self.plaq_axes = np.array(self._dirs[2], dtype=int).reshape(-1, 2)[c] - 1
+        self.plaq_base = grid[f] + self._lo
+        i, j = self.plaq_axes.T
+        self.plaq_edges = np.stack([edge[f, i], edge[f, j], edge[f + s[j], i], edge[f + s[i], j]], axis=1)
+        self.plaq_signs = np.tile(np.array([1, -1, -1, 1], dtype=np.int8), (len(f), 1))
+
+        # transpose: group the (plaquette, column) entries by edge, in plaquette order
+        flat = self.plaq_edges.ravel()
+        order = np.argsort(flat, kind="stable")
+        E = len(self.edge_verts)
+        counts = np.bincount(flat, minlength=E)
+        col = np.arange(len(flat)) - (np.cumsum(counts) - counts)[flat[order]]
+        width = int(counts.max(initial=0))
+        self.edge_plaqs = np.zeros((E, width), dtype=np.intp)
+        self.edge_plaq_signs = np.zeros((E, width), dtype=np.int8)
+        self.edge_plaqs[flat[order], col] = order // 4
+        self.edge_plaq_signs[flat[order], col] = self.plaq_signs.ravel()[order]
+
+    def ids(self, cells: Iterable[OrientedCell]) -> np.ndarray:
+        """Canonical ranks of cells of one dimension (of c^+ for a negative c).
+
+        Raises PreconditionError if any cell is not in the box.
+        """
+        cells = list(cells)
+        k = cells[0].dim
+        g = np.array([c.base for c in cells]) - self._lo
+        if ((g >= 0) & (g < self._shape)).all():
+            r = self._rank[k][g @ self._strides, [self._dirs[k].index(c.dirs) for c in cells]]
+            if (r >= 0).all():
+                return r
+        bad = next(c for c in cells if not self.box.contains(c))
+        raise PreconditionError(f"cell {bad} outside {self.box}")
 
     def gamma_coeffs(self, gamma: LatticePath) -> np.ndarray:
         out = np.zeros(len(self.edges), dtype=np.int8)
-        for e, v in gamma.chain.coeffs.items():
-            if e not in self.edge_id:
-                raise GuardError(f"path edge {e} outside box")
-            out[self.edge_id[e]] = v
+        out[self.ids(gamma.chain.coeffs)] = list(gamma.chain.coeffs.values())
         return out
+
+
+def incidence(x: np.ndarray, table: np.ndarray, sign: np.ndarray, n: int) -> np.ndarray:
+    """out[..., r] = sum_j sign[r, j] * x[..., table[r, j]] mod n, as int16.
+
+    With a (table, sign) pair of :class:`BoxIndex` this is d of a 0- or
+    1-form, or delta of a 2-form, for every row of ``x`` at once.
+    """
+    # a column gather from the last axis comes out column-major; accumulating
+    # in the same layout keeps every pass, and the caller's lookups, contiguous
+    out = np.zeros(x.shape[:-1] + (len(table),), dtype=np.int16, order="F")
+    for j in range(table.shape[1]):
+        out += sign[:, j].astype(np.int16) * x[..., table[:, j]]
+    out %= n
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -72,49 +143,25 @@ def box_index(m: int, N: int) -> BoxIndex:
 
 
 # ---------------------------------------------------------------------------
-# Field configurations and the action
+# The action of field configurations (dict reference route)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GaugeConfig:
-    """Z_n gauge field: one residue per positive edge (sigma(-e) = -sigma(e))."""
+def action(sigma: FormZn, higgs: FormZn, params: ModelParams) -> float:
+    """beta * S_W + kappa * S_H, summed over both orientations (hence real).
 
-    n: int
-    values: Dict[OrientedCell, int]
-
-    def __call__(self, e: OrientedCell) -> int:
-        if e.is_positive:
-            return self.values.get(e, 0) % self.n
-        return (-self.values.get(-e, 0)) % self.n
-
-
-@dataclass
-class HiggsConfig:
-    """Z_n Higgs field: one residue per positive vertex."""
-
-    n: int
-    values: Dict[OrientedCell, int]
-
-    def __call__(self, v: OrientedCell) -> int:
-        if v.is_positive:
-            return self.values.get(v, 0) % self.n
-        return (-self.values.get(-v, 0)) % self.n
-
-
-def action(sigma: GaugeConfig, higgs: HiggsConfig, params: ModelParams) -> float:
-    """beta * S_W + kappa * S_H, summed over both orientations (hence real)."""
+    ``sigma`` is the gauge 1-form and ``higgs`` the Higgs 0-form; both
+    derivatives come from ``forms.d``, independent of :func:`incidence`.
+    """
     idx = box_index(params.m, params.N)
     n = params.n
+    dsig, dphi = d(sigma, idx.box), d(higgs, idx.box)
     sw = 0.0 + 0.0j
     for p in idx.plaqs:
-        dsig = sum(s * sigma(e) for e, s in boundary(p).coeffs.items()) % n
-        sw += rho(dsig, n) + rho(-dsig, n)
+        sw += rho(dsig(p), n) + rho(-dsig(p), n)
     sh = 0.0 + 0.0j
     for e in idx.edges:
-        b = boundary(e)
-        dphi = sum(s * higgs(v) for v, s in b.coeffs.items()) % n
-        val = (sigma(e) - dphi) % n
+        val = (sigma(e) - dphi(e)) % n
         sh += rho(val, n) + rho(-val, n)
     total = -(params.beta * sw + params.kappa * sh)
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
@@ -122,40 +169,9 @@ def action(sigma: GaugeConfig, higgs: HiggsConfig, params: ModelParams) -> float
     return total.real
 
 
-def gauge_transform(sigma: GaugeConfig, higgs: HiggsConfig, eta: HiggsConfig, box: LatticeBox):
-    """sigma(e) -> -eta(x) + sigma(e) + eta(y); phi(x) -> phi(x) + eta(x).
-
-    Applied over all box edges: an edge holding 0 may become nonzero.
-    """
-    n = sigma.n
-    new_s: Dict[OrientedCell, int] = {}
-    for e in box.cells(1):
-        x = y = None
-        for v, s in boundary(e).coeffs.items():
-            if s > 0:
-                y = v
-            else:
-                x = v
-        val = (-eta(x) + sigma(e) + eta(y)) % n
-        if val:
-            new_s[e] = val
-    new_h: Dict[OrientedCell, int] = {}
-    for v in box.cells(0):
-        val = (higgs(v) + eta(v)) % n
-        if val:
-            new_h[v] = val
-    return GaugeConfig(n, new_s), HiggsConfig(n, new_h)
-
-
-def wilson_line_value(sigma: GaugeConfig, higgs: HiggsConfig, gamma: LatticePath) -> complex:
-    n = sigma.n
-    s = sum(v * sigma(e) for e, v in gamma.chain.coeffs.items())
-    if gamma.kind == "open":
-        x1, x2 = gamma.endpoints
-        from .cells import vertex
-
-        s -= higgs(vertex(x2)) - higgs(vertex(x1))
-    return rho(s % n, n)
+def gauge_transform(sigma: FormZn, higgs: FormZn, eta: FormZn, box: LatticeBox):
+    """sigma -> sigma + d eta, phi -> phi + eta, for a 0-form eta on the box."""
+    return sigma + d(eta, box), higgs + eta
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +214,37 @@ class _WilsonSpec:
     """Per-box arrays describing a Wilson line observable."""
 
     def __init__(self, idx: BoxIndex, gamma: LatticePath):
-        self.gamma = gamma
         self.coeffs = idx.gamma_coeffs(gamma).astype(np.int64)
         if gamma.kind == "open":
-            from .cells import vertex
-
-            x1, x2 = gamma.endpoints
-            self.v1 = idx.vertex_id[vertex(x1)]
-            self.v2 = idx.vertex_id[vertex(x2)]
+            self.v1, self.v2 = idx.ids(vertex(x) for x in gamma.endpoints)
         else:
             self.v1 = self.v2 = None
+
+
+def _wilson_spec(idx: BoxIndex, observable) -> Optional[_WilsonSpec]:
+    if observable is None:
+        return None
+    if not isinstance(observable, LatticePath):
+        raise TypeError("observable must be None or a LatticePath")
+    return _WilsonSpec(idx, observable)
 
 
 def expect_unitary(observable, params: ModelParams) -> float:
     """Expectation under the unitary-gauge measure by full enumeration of sigma.
 
-    ``observable`` is a LatticePath (Wilson line/loop), a callable on
-    GaugeConfig, or None for the constant 1.
+    ``observable`` is a LatticePath (Wilson line/loop) or None for the constant 1.
     """
     idx = box_index(params.m, params.N)
     E = len(idx.edges)
     if params.n**E > STATE_GUARD:
         raise GuardError(f"unitary enumeration needs {params.n}^{E} states")
-    if callable(observable):
-        return _expect_unitary_slow(observable, params, idx)
-    gam = _WilsonSpec(idx, observable) if observable is not None else None
+    gam = _wilson_spec(idx, observable)
     cos_t, sin_t = _cos_table(params.n), _sin_table(params.n)
     num_re, num_im, den = [], [], []
     for _, sig in _digit_chunks(params.n, E):
-        w = _unitary_weights(sig, idx, params, cos_t)
+        # sum over positive plaquettes and edges of Re rho; both orientations double it
+        a_w = cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, params.n)].sum(axis=1)
+        w = np.exp(2 * params.beta * a_w + 2 * params.kappa * cos_t[sig].sum(axis=1))
         if gam is None:
             obs_re = np.ones(len(sig))
             obs_im = np.zeros(len(sig))
@@ -241,52 +259,23 @@ def expect_unitary(observable, params: ModelParams) -> float:
     return nr / dn
 
 
-def _unitary_weights(sig: np.ndarray, idx: BoxIndex, params: ModelParams, cos_t) -> np.ndarray:
-    n = params.n
-    dsig = np.zeros((len(sig), len(idx.plaqs)), dtype=np.int16)
-    for j in range(4):
-        dsig += idx.plaq_signs[:, j][None, :] * sig[:, idx.plaq_edges[:, j]].astype(np.int16)
-    dsig %= n
-    a_w = cos_t[dsig].sum(axis=1)  # sum over positive plaquettes of Re rho(d sigma)
-    a_h = cos_t[sig].sum(axis=1)
-    # both orientations double the real part
-    return np.exp(2 * params.beta * a_w + 2 * params.kappa * a_h)
-
-
-def _expect_unitary_slow(f: Callable, params: ModelParams, idx: BoxIndex) -> float:
-    n, E = params.n, len(idx.edges)
-    if n**E > 1 << 20:
-        raise GuardError("slow-path unitary enumeration limited to 2^20 states")
-    cos_t = _cos_table(n)
-    num, den = [], []
-    for _, sig in _digit_chunks(n, E):
-        w = _unitary_weights(sig, idx, params, cos_t)
-        vals = np.array(
-            [f(GaugeConfig(n, {e: int(v) for e, v in zip(idx.edges, row) if v})) for row in sig]
-        )
-        num.append(float(w @ vals))
-        den.append(float(w.sum()))
-    return math.fsum(num) / math.fsum(den)
-
-
 def expect_full(observable, params: ModelParams) -> float:
     """Expectation under the two-field measure; enumerates sigma x phi."""
     idx = box_index(params.m, params.N)
     E, V, n = len(idx.edges), len(idx.vertices), params.n
     if n ** (E + V) > STATE_GUARD:
         raise GuardError(f"two-field enumeration needs {n}^{E + V} states")
-    gam = _WilsonSpec(idx, observable) if isinstance(observable, LatticePath) else None
-    if observable is not None and gam is None:
-        raise TypeError("observable must be None or a LatticePath")
+    gam = _wilson_spec(idx, observable)
     cos_t, sin_t = _cos_table(n), _sin_table(n)
 
     sig_blocks = list(_digit_chunks(n, E, chunk=min(_CHUNK, n**E)))
     phi_chunk = max(1, (1 << 22) // (n**E))
     num_re, num_im, den = [], [], []
     for _, phi_blk in _digit_chunks(n, V, chunk=phi_chunk):
-        dphi = (phi_blk[:, idx.edge_head].astype(np.int16) - phi_blk[:, idx.edge_tail]) % n
+        dphi = incidence(phi_blk, idx.edge_verts, idx.edge_vert_signs, n)
         for _, sig in sig_blocks:
-            w_gauge = _unitary_gauge_plaquette_weight(sig, idx, params, cos_t)
+            dsig = incidence(sig, idx.plaq_edges, idx.plaq_signs, n)
+            w_gauge = np.exp(2 * params.beta * cos_t[dsig].sum(axis=1))
             # Higgs energy accumulated edge by edge to avoid a 3-d array
             h = np.zeros((len(sig), len(phi_blk)))
             for j in range(E):
@@ -310,35 +299,17 @@ def expect_full(observable, params: ModelParams) -> float:
     return nr / dn
 
 
-def _unitary_gauge_plaquette_weight(sig, idx, params, cos_t):
-    n = params.n
-    dsig = np.zeros((len(sig), len(idx.plaqs)), dtype=np.int16)
-    for j in range(4):
-        dsig += idx.plaq_signs[:, j][None, :] * sig[:, idx.plaq_edges[:, j]].astype(np.int16)
-    dsig %= n
-    return np.exp(2 * params.beta * cos_t[dsig].sum(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # The 2-form measure
 # ---------------------------------------------------------------------------
-
-
-def _delta_digits(omega: np.ndarray, idx: BoxIndex, n: int) -> np.ndarray:
-    out = np.zeros((len(omega), len(idx.edges)), dtype=np.int16)
-    for p in range(len(idx.plaqs)):
-        for j in range(4):
-            out[:, idx.plaq_edges[p, j]] += idx.plaq_signs[p, j] * omega[:, p].astype(np.int16)
-    out %= n
-    return out
 
 
 def expect_form(observable, params: ModelParams) -> float:
     """Expectation under the 2-form measure.
 
     ``observable``: a LatticePath evaluates the high-temperature Wilson
-    observable (via the uncancelled product, valid also at kappa = 0),
-    a callable on FormZn is evaluated per configuration, None gives 1.
+    observable (via the uncancelled product, valid also at kappa = 0);
+    None gives 1.
     """
     idx = box_index(params.m, params.N)
     P, n = len(idx.plaqs), params.n
@@ -346,29 +317,20 @@ def expect_form(observable, params: ModelParams) -> float:
         raise GuardError(f"form enumeration needs {n}^{P} states")
     phi_b = _phi_table(params.beta, n)
     phi_k = _phi_table(params.kappa, n)
-    tilt = idx.gamma_coeffs(observable).astype(np.int16) % n if isinstance(observable, LatticePath) else None
-    slow = callable(observable)
+    gam = _wilson_spec(idx, observable)
+    tilt = gam.coeffs.astype(np.int16) % n if gam is not None else None
     num, den = [], []
     for _, om in _digit_chunks(n, P):
-        dw = _delta_digits(om, idx, n)
+        dw = incidence(om, idx.edge_plaqs, idx.edge_plaq_signs, n)
         w = phi_k[dw].prod(axis=1) * phi_b[om].prod(axis=1)
-        if observable is None:
+        if tilt is None:
             vals_num = w
-        elif tilt is not None:
+        else:
             shifted = (dw + tilt[None, :]) % n
             vals_num = phi_k[shifted].prod(axis=1) * phi_b[om].prod(axis=1)
-        elif slow:
-            obs = np.array([observable(_row_to_form(row, idx, n)) for row in om], dtype=float)
-            vals_num = w * obs
-        else:
-            raise TypeError("observable must be None, a LatticePath, or callable")
         num.append(float(vals_num.sum()))
         den.append(float(w.sum()))
     return math.fsum(num) / math.fsum(den)
-
-
-def _row_to_form(row: np.ndarray, idx: BoxIndex, n: int) -> FormZn:
-    return FormZn(2, n, {p: int(v) for p, v in zip(idx.plaqs, row) if v})
 
 
 def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):
@@ -383,7 +345,7 @@ def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):
     phi_b = _phi_table(params.beta, n)
     phi_k = _phi_table(params.kappa, n)
     rows = next(_digit_chunks(n, P, chunk=n**P))[1]
-    dw = _delta_digits(rows, idx, n)
+    dw = incidence(rows, idx.edge_plaqs, idx.edge_plaq_signs, n)
     if tilt is not None:
         shift = idx.gamma_coeffs(tilt).astype(np.int16) % n
         dw = (dw + shift[None, :]) % n
@@ -417,34 +379,6 @@ def wilson_hat(form: FormZn, gamma: LatticePath, kappa: float) -> float:
     dw = delta(form)
     total = 1.0
     for e, c in gamma.chain.coeffs.items():
-        d = dw(e)
-        total *= phi(kappa, (d + c) % n, n) / phi(kappa, d, n)
+        de = dw(e)
+        total *= phi(kappa, (de + c) % n, n) / phi(kappa, de, n)
     return total
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def result_row(params: ModelParams, observable_id: str, value: float, states: int, wall: float):
-    return [
-        params.m,
-        params.n,
-        params.N,
-        repr(params.beta),
-        repr(params.kappa),
-        observable_id,
-        repr(value),
-        states,
-        f"{wall:.3f}",
-    ]
-
-
-CSV_HEADER = ["m", "n", "N", "beta", "kappa", "observable", "value", "states", "wall_time_s"]
-
-
-def timed(fn, *args, **kwargs) -> Tuple[float, float]:
-    t0 = time.perf_counter()
-    val = fn(*args, **kwargs)
-    return val, time.perf_counter() - t0

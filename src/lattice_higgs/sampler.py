@@ -2,11 +2,13 @@
 
 Each update resamples one plaquette value from its exact conditional given
 the rest; the coderivative is cached on edges and updated incrementally.
-For m = 2 the plaquettes split into two classes (checkerboard on base
-parity) whose members share no edges, so a class is updated as one
-vectorized block; the scan order (class 0 in raster order, then class 1)
-is fixed and deterministic.  Randomness comes from per-chain Philox
-counter streams, so trajectories are reproducible bit for bit.
+The plaquettes split into 2 C(m, 2) classes, (plane {i, j}, (b_i + b_j)
+mod 2), whose members share no edges, so a class is updated as one exact
+vectorized block (for m = 2 this is the checkerboard on base parity); the
+scan order (planes in canonical order, parity 0 before 1, members in
+canonical order) is fixed and deterministic.  Randomness comes from
+per-chain Philox counter streams, so trajectories are reproducible bit for
+bit.
 
 The Wilson estimator samples only the O(1) normalized observable
 prod_e phi_kappa(delta omega + gamma) / (phi_kappa(delta omega) phi_kappa(1));
@@ -18,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .couplings import ModelParams, phi
+from .couplings import ModelParams
 from .errors import PreconditionError
 from .forms import FormZn
-from .oracle import BoxIndex, box_index, _phi_table
+from .oracle import BoxIndex, _phi_table, box_index, incidence
 from .paths import LatticePath
 
 
@@ -56,17 +58,15 @@ class EstimatorResult:
 def _plaquette_classes(idx: BoxIndex) -> List[np.ndarray]:
     """Groups of plaquettes with pairwise disjoint boundary edges.
 
-    For m = 2, base-coordinate parity gives two such classes.  In higher
-    dimension every plaquette is its own class (sequential raster scan).
+    Class (plane {i, j}, (b_i + b_j) mod 2): two plaquettes of one plane that
+    share an edge are neighbours in it, so their b_i + b_j differ by one.
+    Classes come plane by plane in canonical order, parity 0 first.
     """
-    m = idx.box.m
-    if m == 2:
-        colors = [(sum(p.base)) % 2 for p in idx.plaqs]
-        return [
-            np.array([i for i, c in enumerate(colors) if c == 0], dtype=np.int64),
-            np.array([i for i, c in enumerate(colors) if c == 1], dtype=np.int64),
-        ]
-    return [np.array([i], dtype=np.int64) for i in range(len(idx.plaqs))]
+    rows = np.arange(len(idx.plaq_axes))
+    i, j = idx.plaq_axes.T
+    parity = (idx.plaq_base[rows, i] + idx.plaq_base[rows, j]) % 2
+    color = 2 * (i * idx.box.m + j) + parity
+    return [np.flatnonzero(color == c) for c in np.unique(color)]
 
 
 class ChainEnsemble:
@@ -143,8 +143,7 @@ class ChainEnsemble:
         new = (cum < r[:, :, None]).sum(axis=2).astype(np.int16)
         self.omega[:, cls] = new
         upd = (d_other + new[:, :, None] * signs[None, :, :]) % n
-        for k in range(self.k):
-            self.delta[k, e_ids.ravel()] = upd[k].ravel()
+        self.delta[:, e_ids.ravel()] = upd.reshape(self.k, -1)
 
     def run(self, sweeps: int):
         for _ in range(sweeps):
@@ -154,8 +153,9 @@ class ChainEnsemble:
 
     def normalized_wilson(self, gamma: LatticePath) -> np.ndarray:
         """The O(1) Wilson observable per chain (see module docstring)."""
-        g_ids = np.array([self.idx.edge_id[e] for e in gamma.support], dtype=np.int64)
-        g_coef = np.array([gamma.chain.coeffs[e] for e in gamma.support], dtype=np.int16)
+        support = list(gamma.support)
+        g_ids = self.idx.ids(support)
+        g_coef = np.array([gamma.chain.coeffs[e] for e in support], dtype=np.int16)
         d = self.delta[:, g_ids]
         num = self.phi_k[(d + g_coef[None, :]) % self.n]
         den = self.phi_k[d] * self.phi_k[1]
@@ -177,13 +177,7 @@ class ChainEnsemble:
         return out
 
     def recompute_delta(self) -> np.ndarray:
-        fresh = np.zeros_like(self.delta)
-        for p in range(self.omega.shape[1]):
-            for j in range(4):
-                fresh[:, self.idx.plaq_edges[p, j]] += (
-                    self.idx.plaq_signs[p, j] * self.omega[:, p]
-                )
-        return fresh % self.n
+        return incidence(self.omega, self.idx.edge_plaqs, self.idx.edge_plaq_signs, self.n)
 
     def validate_cache(self) -> bool:
         return bool(np.array_equal(self.recompute_delta(), self.delta))
@@ -207,8 +201,6 @@ def estimate_wilson(
     seed: int = 0,
     chains: int = 4,
     batches_per_chain: int = 16,
-    trace: Optional[list] = None,
-    trace_every: int = 0,
 ) -> EstimatorResult:
     """Batch-means estimate of E[L-hat_gamma] / phi_kappa(1)^{|gamma|}.
 
@@ -230,10 +222,7 @@ def estimate_wilson(
     for t in range(sweeps):
         ens.sweep()
         if t >= burn_in:
-            vals = ens.normalized_wilson(gamma)
-            samples[:, t - burn_in] = vals
-            if trace is not None and trace_every and (t - burn_in) % trace_every == 0:
-                trace.append((t, float(vals.mean())))
+            samples[:, t - burn_in] = ens.normalized_wilson(gamma)
     mean = float(samples.mean())
     bs = keep // batches_per_chain
     trimmed = samples[:, : bs * batches_per_chain]

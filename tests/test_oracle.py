@@ -8,8 +8,6 @@ from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi
 from lattice_higgs.errors import GuardError
 from lattice_higgs.forms import FormZn, connected_components, lhd, random_form, zero_form
 from lattice_higgs.oracle import (
-    GaugeConfig,
-    HiggsConfig,
     action,
     activity,
     box_index,
@@ -33,17 +31,17 @@ def params(beta, kappa, n=2, m=2, N=1):
 
 
 def random_gauge(rng, idx, n):
-    return GaugeConfig(n, {e: int(rng.integers(n)) for e in idx.edges})
+    return FormZn(1, n, {e: int(rng.integers(n)) for e in idx.edges})
 
 
 def random_higgs(rng, idx, n):
-    return HiggsConfig(n, {v: int(rng.integers(n)) for v in idx.vertices})
+    return FormZn(0, n, {v: int(rng.integers(n)) for v in idx.vertices})
 
 
 def test_action_at_zero_configuration():
     p = params(0.37, 0.21)
-    sigma = GaugeConfig(2, {})
-    higgs = HiggsConfig(2, {})
+    sigma = FormZn(1, 2)
+    higgs = FormZn(0, 2)
     # 8 oriented plaquettes and 24 oriented edges in B_1, all with rho(0) = 1
     assert action(sigma, higgs, p) == pytest.approx(-0.37 * 8 - 0.21 * 24, rel=1e-14)
 
@@ -123,6 +121,13 @@ def test_perimeter_law_on_grid():
                 p = params(beta, kappa, n=n)
                 bound = eta(kappa, n) ** len(LOOP)
                 assert expect_unitary(LOOP, p) >= bound - 1e-12
+
+
+def test_callable_observable_rejected():
+    p = params(0.2, 0.3)
+    for expect in (expect_unitary, expect_full, expect_form):
+        with pytest.raises(TypeError):
+            expect(lambda config: 1.0, p)
 
 
 def test_state_space_guard():

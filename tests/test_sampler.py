@@ -9,7 +9,7 @@ from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import delta, random_form
 from lattice_higgs.oracle import box_index, expect_form, form_distribution
 from lattice_higgs.paths import RectDescriptor, rectangle_loop
-from lattice_higgs.sampler import ChainEnsemble, estimate_wilson, sample_tilted_snapshots
+from lattice_higgs.sampler import ChainEnsemble, _plaquette_classes, estimate_wilson, sample_tilted_snapshots
 
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
 LOOP = rectangle_loop(RECT)
@@ -81,11 +81,43 @@ def test_cache_coherence_after_sweeps():
         ens = ChainEnsemble(p, seed=5, chains=2)
         ens.run(50)
         assert ens.validate_cache()
-        # m = 3 exercises the sequential scan path
+        # m = 3: six classes (three planes x two parities); classes of different planes share edges
         p3 = ModelParams(m=3, n=n, N=1, beta=0.3, kappa=0.4)
         ens3 = ChainEnsemble(p3, seed=6)
         ens3.run(10)
         assert ens3.validate_cache()
+    # the R2 box, tilted by a 2x2 loop, at R2's couplings and at ones where omega fills in
+    tilt = rectangle_loop(RectDescriptor(corner=(0, -1, 0, -1), axes=(2, 4), lengths=(2, 2)))
+    for beta, kappa in ((1e-5, 0.25), (0.3, 0.4)):
+        ens4 = ChainEnsemble(ModelParams(m=4, n=2, N=3, beta=beta, kappa=kappa), tilt=tilt, seed=8, chains=4)
+        ens4.run(5)
+        assert ens4.validate_cache()
+    assert ens4.omega.any()
+
+
+@pytest.mark.parametrize("m, N", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 1), (4, 3)])
+def test_plaquette_classes_are_edge_disjoint_partition(m, N):
+    idx = box_index(m, N)
+    classes = _plaquette_classes(idx)
+    assert len(classes) == m * (m - 1)
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(len(idx.plaqs)))
+    for cls in classes:
+        assert len(np.unique(idx.plaq_edges[cls])) == 4 * len(cls)
+    if m == 2:  # the checkerboard on base parity, in canonical order
+        for c, cls in enumerate(classes):
+            assert cls.tolist() == [i for i, p in enumerate(idx.plaqs) if sum(p.base) % 2 == c]
+
+
+def test_path_outside_box_is_rejected():
+    outside = rectangle_loop(RectDescriptor(corner=(3, 3), axes=(1, 2), lengths=(1, 1)))
+    p = params(0.3, 0.4)
+    ens = ChainEnsemble(p, seed=0)
+    with pytest.raises(PreconditionError):
+        ens.normalized_wilson(outside)
+    with pytest.raises(PreconditionError):
+        ChainEnsemble(p, tilt=outside)
+    with pytest.raises(PreconditionError):
+        expect_form(outside, p)
 
 
 def test_stationarity_smoke_chi_square():
