@@ -25,6 +25,13 @@ def _pow(base: float, k: float) -> float:
     return math.exp(k * math.log(base))
 
 
+def _geo(q: float, a: int, b: int) -> float:
+    """The truncated geometric series sum_{k=a}^{b-1} q^k for 0 < q < 1 (0 if b <= a)."""
+    if b <= a:
+        return 0.0
+    return _pow(q, a) * -math.expm1((b - a) * math.log(q)) / (1 - q)
+
+
 def _pow1p(x: float, k: float) -> float:
     """(1 + x)^k via log1p, stable for tiny x and large k."""
     return math.exp(k * math.log1p(x))
@@ -230,6 +237,22 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     The defining multiple sums are truncated to K terms in each geometric
     direction; the closed forms must dominate the numeric values whenever
     the assumptions hold.
+
+    Both geometric directions are summed exactly by the truncated series
+    geo(q, a, b) = sum_{k=a}^{b-1} q^k, so K keeps its meaning (K terms
+    each way) at O(Pc L) cost.  With r = (16m)^2 zeta_beta, x = xi_kappa
+    and G = geo(x, 0, K), the inner sum over k' is x^(L + lo - 2j) G, and
+
+    * b1, k from k0 = j - i + 1 to k0 + K, threshold t = 2j - 3i: below t
+      (lo = 3j - 3i - k) it is G x^(L + j - 3i) geo(r/x, k0, min(t, k0 + K)),
+      from t on (lo = j) G x^(L - j) geo(r, max(t, k0), k0 + K);
+    * b2, one term per (i, j): r^(j - i) x^(L + lo - 2j) G;
+    * b3, kh from j + 2 to j + 2 + K, threshold t = j + 6: below t
+      G x^(L + 3j + 6) geo(r/x, j + 2, t), from t on
+      G x^(L + 2j) geo(r, t, j + 2 + K).
+
+    0 < r < x < 1 by the preconditions below; at beta = 0 every sum and
+    bound is exactly 0.
     """
     if K < 50:
         raise PreconditionError("truncation K must be >= 50")
@@ -238,17 +261,16 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     xk = xi(params.kappa, n)
     L, Pc = stats.length, stats.p_gamma_c
     M = (16 * m) ** 2
+    if zb == 0.0:
+        return [(0.0, 0.0)] * 3
     if xk == 0.0:
-        if zb == 0.0:
-            return [(0.0, 0.0)] * 3
         raise PreconditionError("xi_kappa = 0 with zeta_beta > 0: sums undefined")
-    if M * zb >= 1 or M * zb / xk >= 1:
+    if M * zb / xk >= 1 or xk >= 1:
         raise PreconditionError("geometric ratio >= 1; sums do not converge")
 
-    xL = _pow(xk, L)
-
-    def xpow(k: float) -> float:
-        return _pow(xk, k)
+    r, x = M * zb, xk
+    G = _geo(x, 0, K)
+    xL = _pow(x, L)
 
     b1 = 0.0
     for i in range(Pc + 1):
@@ -256,22 +278,17 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
             pref = math.comb(L, j - 2 * i) * math.comb(Pc, i)
             if pref == 0:
                 continue
-            inner = 0.0
-            for k in range(j - i + 1, j - i + 1 + K):
-                mk = (M * zb) ** k
-                if mk == 0.0:
-                    break
-                lo = max(j, 3 * j - 3 * i - k)
-                s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
-                inner += mk * s
-            b1 += pref * inner
+            k0, t = j - i + 1, 2 * j - 3 * i
+            inner = _pow(x, L + j - 3 * i) * _geo(r / x, k0, min(t, k0 + K))
+            inner += _pow(x, L - j) * _geo(r, max(t, k0), k0 + K)
+            b1 += pref * G * inner
 
     b1_bound = (
         M * zb / xk * xL / ((1 - xk) * (1 - M * zb / xk))
         * (_pow1p(M * zb / xk**2, Pc) * _pow1p(M * zb, L) - 1)
         + M * zb * xL / ((1 - xk) * (1 - M * zb))
         * (_pow1p(M * zb / xk**2, Pc) * _pow1p(M**2 * zb**2 / xk, L) - 1)
-    ) if xk > 0 else 0.0
+    )
 
     b2 = 0.0
     for i in range(Pc + 1):
@@ -279,36 +296,29 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
             pref = (j - 1) * math.comb(L, j - 2 * i - 1) * math.comb(Pc, i)
             if pref == 0:
                 continue
-            mk = (M * zb) ** (j - i)
             lo = max(j, 2 * j - 2 * i)
-            s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
-            b2 += pref * mk * s
+            b2 += pref * _pow(r, j - i) * _pow(x, L + lo - 2 * j) * G
 
     b2_bound = (
         xL * M**2 * zb / (1 - xk)
         * (L * zb + 2 * Pc * zb / xk**2)
         * _pow1p(M * zb / xk**2, Pc)
         * _pow1p(M * zb, L)
-    ) if xk > 0 else 0.0
+    )
 
     b3 = 0.0
     for j in range(L + 1):
         pref = math.comb(L, j + 1) * (j + 1)
         if pref == 0:
             continue
-        inner = 0.0
-        for kh in range(j + 2, j + 2 + K):
-            mk = (M * zb) ** kh
-            if mk == 0.0:
-                break
-            lo = 4 * j + max(0, j + 6 - kh)
-            s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
-            inner += mk * s
-        b3 += pref * inner
+        t = j + 6
+        inner = _pow(x, L + 3 * j + 6) * _geo(r / x, j + 2, t)
+        inner += _pow(x, L + 2 * j) * _geo(r, t, j + 2 + K)
+        b3 += pref * G * inner
 
     b3_bound = (
         xL * M**2 * zb**2 * L * _pow1p(M * zb * xk**2, L) / (1 - xk)
         * (xk**4 / (1 - M * zb / xk) + M**4 * zb**4 / (1 - M * zb))
-    ) if xk > 0 else 0.0
+    )
 
     return [(b1, b1_bound), (b2, b2_bound), (b3, b3_bound)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -53,14 +53,12 @@ class BoxIndex:
 
     ``plaq_base`` (P, m) and ``plaq_axes`` (P, 2, 0-based i < j) locate each
     plaquette.  The cell label lists ``vertices``, ``edges``, ``plaqs`` are
-    ``LatticeBox.cells`` in the same order.
+    ``LatticeBox.cells`` in the same order, built on first read; the cell
+    counts are the table lengths.
     """
 
     def __init__(self, box: LatticeBox):
         self.box = box
-        self.vertices: List[OrientedCell] = list(box.cells(0))
-        self.edges: List[OrientedCell] = list(box.cells(1))
-        self.plaqs: List[OrientedCell] = list(box.cells(2))
         m = box.m
         self._lo = np.array(box.lo)
         self._shape = np.array(box.hi) - self._lo + 1
@@ -101,6 +99,18 @@ class BoxIndex:
         self.edge_plaqs[flat[order], col] = order // 4
         self.edge_plaq_signs[flat[order], col] = self.plaq_signs.ravel()[order]
 
+    @cached_property
+    def vertices(self) -> List[OrientedCell]:
+        return list(self.box.cells(0))
+
+    @cached_property
+    def edges(self) -> List[OrientedCell]:
+        return list(self.box.cells(1))
+
+    @cached_property
+    def plaqs(self) -> List[OrientedCell]:
+        return list(self.box.cells(2))
+
     def ids(self, cells: Iterable[OrientedCell]) -> np.ndarray:
         """Canonical ranks of cells of one dimension (of c^+ for a negative c).
 
@@ -117,7 +127,7 @@ class BoxIndex:
         raise PreconditionError(f"cell {bad} outside {self.box}")
 
     def gamma_coeffs(self, gamma: LatticePath) -> np.ndarray:
-        out = np.zeros(len(self.edges), dtype=np.int8)
+        out = np.zeros(len(self.edge_verts), dtype=np.int8)
         out[self.ids(gamma.chain.coeffs)] = list(gamma.chain.coeffs.values())
         return out
 
@@ -235,7 +245,7 @@ def expect_unitary(observable, params: ModelParams) -> float:
     ``observable`` is a LatticePath (Wilson line/loop) or None for the constant 1.
     """
     idx = box_index(params.m, params.N)
-    E = len(idx.edges)
+    E = len(idx.edge_verts)
     if params.n**E > STATE_GUARD:
         raise GuardError(f"unitary enumeration needs {params.n}^{E} states")
     gam = _wilson_spec(idx, observable)
@@ -262,7 +272,7 @@ def expect_unitary(observable, params: ModelParams) -> float:
 def expect_full(observable, params: ModelParams) -> float:
     """Expectation under the two-field measure; enumerates sigma x phi."""
     idx = box_index(params.m, params.N)
-    E, V, n = len(idx.edges), len(idx.vertices), params.n
+    E, V, n = len(idx.edge_verts), len(idx._rank[0]), params.n
     if n ** (E + V) > STATE_GUARD:
         raise GuardError(f"two-field enumeration needs {n}^{E + V} states")
     gam = _wilson_spec(idx, observable)
@@ -312,7 +322,7 @@ def expect_form(observable, params: ModelParams) -> float:
     None gives 1.
     """
     idx = box_index(params.m, params.N)
-    P, n = len(idx.plaqs), params.n
+    P, n = len(idx.plaq_edges), params.n
     if n**P > STATE_GUARD:
         raise GuardError(f"form enumeration needs {n}^{P} states")
     phi_b = _phi_table(params.beta, n)
@@ -339,7 +349,7 @@ def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):
     Returns (list of value-rows, probability vector); guarded to tiny boxes.
     """
     idx = box_index(params.m, params.N)
-    P, n = len(idx.plaqs), params.n
+    P, n = len(idx.plaq_edges), params.n
     if n**P > 1 << 16:
         raise GuardError("exact distribution limited to 2^16 configurations")
     phi_b = _phi_table(params.beta, n)

@@ -88,7 +88,7 @@ class ChainEnsemble:
         self.n = params.n
         self.k = chains
         self.seed = seed
-        P, E = len(self.idx.plaqs), len(self.idx.edges)
+        P, E = len(self.idx.plaq_edges), len(self.idx.edge_verts)
         self.omega = np.zeros((chains, P), dtype=np.int16)
         self.delta = np.zeros((chains, E), dtype=np.int16)
         self.sweeps = 0
@@ -151,11 +151,19 @@ class ChainEnsemble:
 
     # -- observables and state access ----------------------------------------
 
-    def normalized_wilson(self, gamma: LatticePath) -> np.ndarray:
-        """The O(1) Wilson observable per chain (see module docstring)."""
+    def wilson_support(self, gamma: LatticePath) -> Tuple[np.ndarray, np.ndarray]:
+        """(edge ranks, coefficients) of gamma's support, for :meth:`normalized_wilson`."""
         support = list(gamma.support)
-        g_ids = self.idx.ids(support)
-        g_coef = np.array([gamma.chain.coeffs[e] for e in support], dtype=np.int16)
+        coef = np.array([gamma.chain.coeffs[e] for e in support], dtype=np.int16)
+        return self.idx.ids(support), coef
+
+    def normalized_wilson(self, gamma) -> np.ndarray:
+        """The O(1) Wilson observable per chain (see module docstring).
+
+        ``gamma`` is a LatticePath or its :meth:`wilson_support` pair; a
+        caller that evaluates one path every sweep passes the pair.
+        """
+        g_ids, g_coef = self.wilson_support(gamma) if isinstance(gamma, LatticePath) else gamma
         d = self.delta[:, g_ids]
         num = self.phi_k[(d + g_coef[None, :]) % self.n]
         den = self.phi_k[d] * self.phi_k[1]
@@ -218,11 +226,12 @@ def estimate_wilson(
     if chains * batches_per_chain < 32:
         raise PreconditionError("need at least 32 batches in total")
     ens = ChainEnsemble(params, tilt=None, seed=seed, chains=chains)
+    support = ens.wilson_support(gamma)
     samples = np.empty((chains, keep))
     for t in range(sweeps):
         ens.sweep()
         if t >= burn_in:
-            samples[:, t - burn_in] = ens.normalized_wilson(gamma)
+            samples[:, t - burn_in] = ens.normalized_wilson(support)
     mean = float(samples.mean())
     bs = keep // batches_per_chain
     trimmed = samples[:, : bs * batches_per_chain]

@@ -166,6 +166,87 @@ def test_perimeter_bound_below_oracle():
             assert perimeter_bound(p, len(loop)) <= expect_unitary(loop, p) + 1e-12
 
 
+# -- the appendix sums term by term, the reference for the closed forms ----
+
+
+def appendix_sums_term_by_term(p: ModelParams, st: GammaStats, K: int = 60):
+    """The three truncated tail sums of ``appendix_sums``, one term at a time."""
+    zb, xk = zeta(p.beta, p.n), xi(p.kappa, p.n)
+    L, Pc = st.length, st.p_gamma_c
+    M = (16 * p.m) ** 2
+
+    def xpow(k):
+        return math.exp(k * math.log(xk))
+
+    b1 = 0.0
+    for i in range(Pc + 1):
+        for j in range(max(1, 2 * i), L + 1):
+            pref = math.comb(L, j - 2 * i) * math.comb(Pc, i)
+            if pref == 0:
+                continue
+            inner = 0.0
+            for k in range(j - i + 1, j - i + 1 + K):
+                mk = (M * zb) ** k
+                if mk == 0.0:
+                    break
+                lo = max(j, 3 * j - 3 * i - k)
+                s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
+                inner += mk * s
+            b1 += pref * inner
+
+    b2 = 0.0
+    for i in range(Pc + 1):
+        for j in range(max(2 * i + 1, 2), L + 1):
+            pref = (j - 1) * math.comb(L, j - 2 * i - 1) * math.comb(Pc, i)
+            if pref == 0:
+                continue
+            mk = (M * zb) ** (j - i)
+            lo = max(j, 2 * j - 2 * i)
+            s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
+            b2 += pref * mk * s
+
+    b3 = 0.0
+    for j in range(L + 1):
+        pref = math.comb(L, j + 1) * (j + 1)
+        if pref == 0:
+            continue
+        inner = 0.0
+        for kh in range(j + 2, j + 2 + K):
+            mk = (M * zb) ** kh
+            if mk == 0.0:
+                break
+            lo = 4 * j + max(0, j + 6 - kh)
+            s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
+            inner += mk * s
+        b3 += pref * inner
+
+    return [b1, b2, b3]
+
+
+def edge_point(kappa: float) -> ModelParams:
+    """m = 2, n = 2 with (16m)^2 zeta_beta / xi_kappa = 0.999."""
+    beta = 0.5 * math.atanh(0.999 * math.tanh(2 * kappa) / 1024)
+    return ModelParams(m=2, n=2, N=16, beta=beta, kappa=kappa)
+
+
+def test_appendix_sums_match_term_by_term():
+    points = [DESK, *admissible_points()[::4]]
+    points += [
+        ModelParams(m=2, n=3, N=16, beta=1e-5, kappa=0.25),
+        ModelParams(m=4, n=2, N=16, beta=1e-6, kappa=0.25),
+        ModelParams(m=2, n=2, N=16, beta=1e-300, kappa=0.25),
+        edge_point(0.25),
+        # xi_kappa = 0.947 and (16m)^2 zeta_beta = 0.946: the K-th terms
+        # of both geometric directions are a few percent, so K shows
+        edge_point(0.9),
+    ]
+    for p in points:
+        got = [num for num, _ in appendix_sums(p, DESK_STATS, K=60)]
+        want = appendix_sums_term_by_term(p, DESK_STATS, K=60)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * abs(b), (p, a, b)
+
+
 def test_appendix_sums_dominated_and_stable():
     for p in admissible_points():
         pairs60 = appendix_sums(p, DESK_STATS, K=60)
@@ -196,6 +277,9 @@ def test_appendix_bounds_match_c1_parts():
 def test_truncation_precondition():
     with pytest.raises(PreconditionError):
         appendix_sums(DESK, DESK_STATS, K=10)
+    # xi_kappa rounds to 1, so the x-direction series has ratio 1
+    with pytest.raises(PreconditionError):
+        appendix_sums(ModelParams(m=2, n=2, N=16, beta=1e-5, kappa=20.0), DESK_STATS)
 
 
 def test_monotone_sanity_radius_and_alpha():

@@ -171,10 +171,13 @@ def test_normalized_observable_lower_bound():
     p = params(0.45, 0.3)
     ens = ChainEnsemble(p, seed=29, chains=2)
     lo = (eta(p.kappa, p.n) / xi(p.kappa, p.n)) ** len(LOOP) - 1e-12
+    support = ens.wilson_support(LOOP)
     ens.run(100)
     for _ in range(200):
         ens.sweep()
-        assert (ens.normalized_wilson(LOOP) >= lo).all()
+        vals = ens.normalized_wilson(LOOP)
+        assert (vals >= lo).all()
+        assert np.array_equal(ens.normalized_wilson(support), vals)
 
 
 def test_margin_precondition():
