@@ -6,9 +6,22 @@ The plaquettes split into 2 C(m, 2) classes, (plane {i, j}, (b_i + b_j)
 mod 2), whose members share no edges, so a class is updated as one exact
 vectorized block (for m = 2 this is the checkerboard on base parity); the
 scan order (planes in canonical order, parity 0 before 1, members in
-canonical order) is fixed and deterministic.  Randomness comes from
-per-chain Philox counter streams, so trajectories are reproducible bit for
-bit.
+canonical order) is fixed and deterministic.
+
+A plaquette's conditional depends only on its own value and the residues
+(delta + tilt) mod n on its 4 boundary edges, so it is read from one
+table built per ensemble: row ``own * n^4 + sum_k a_k n^k`` of the
+(n^5, n) array of unnormalized cumulative weights (see
+:func:`_conditional_table`).  The new value is the number of entries
+below u times the row total, for one uniform u.  The weights are those of
+the per-site formula of :meth:`ChainEnsemble.conditional_weights`,
+product for product, and are never divided through, so the table samples
+exactly as a per-site loop would.  The table holds n^6 floats, which
+bounds n to n^6 <= ``oracle.STATE_GUARD``, i.e. n <= 20.
+
+Randomness comes from per-chain Philox counter streams: each sweep draws
+``rng.random(P)`` once per chain and uses the draws class by class in
+scan order, so trajectories are reproducible bit for bit.
 
 The Wilson estimator samples only the O(1) normalized observable
 prod_e phi_kappa(delta omega + gamma) / (phi_kappa(delta omega) phi_kappa(1));
@@ -27,8 +40,11 @@ import numpy as np
 from .couplings import ModelParams
 from .errors import PreconditionError
 from .forms import FormZn
-from .oracle import BoxIndex, _phi_table, box_index, incidence
+from .oracle import STATE_GUARD, BoxIndex, _phi_table, box_index, incidence
 from .paths import LatticePath
+
+# every plaquette's boundary signs, the columns of BoxIndex.plaq_signs
+_SIGNS = np.array([1, -1, -1, 1], dtype=np.int16)
 
 
 @dataclass(frozen=True)
@@ -69,11 +85,45 @@ def _plaquette_classes(idx: BoxIndex) -> List[np.ndarray]:
     return [np.flatnonzero(color == c) for c in np.unique(color)]
 
 
+def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarray:
+    """Cumulative heat-bath weights of one plaquette, for every neighbourhood.
+
+    Row ``own * n^4 + sum_k a_k n^k`` (k = 0..3 over the boundary columns of
+    ``BoxIndex.plaq_edges``), column g, holds
+    sum_{h <= g} phi_beta(h) prod_k phi_kappa((a_k + (h - own) s_k) mod n),
+    where a_k is the tilted coderivative (delta + tilt) mod n on edge k with
+    the plaquette's current value ``own`` included, and s = _SIGNS.  Rows
+    are not normalized: sampling compares against u * row[-1].
+    """
+    row = np.arange(n**5)
+    own = row // n**4
+    a = (row[:, None] // n ** np.arange(4)) % n
+    w = np.empty((n**5, n))
+    for g in range(n):
+        resid = (a + (g - own)[:, None] * _SIGNS) % n
+        w[:, g] = phi_b[g] * phi_k[resid].prod(axis=1)
+    return w.cumsum(axis=1)
+
+
+def _wrap(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n in place, for int16 x in [0, 2n): read as unsigned, x - n
+    wraps round to a large value exactly when x < n."""
+    v = x.view(np.uint16)
+    np.minimum(v, v - np.uint16(n), out=v)
+    return x
+
+
 class ChainEnsemble:
     """K independent heat-bath chains advanced in lock step.
 
-    Chain i draws from Philox(SeedSequence(seed).spawn()[i]); state arrays
-    carry a leading chain axis.  A single chain is the K = 1 case.
+    Chain i draws from Philox(SeedSequence(seed).spawn()[i]); the state
+    arrays ``omega`` (K, P) and ``delta`` (K, E) carry a leading chain axis
+    and are kept C-contiguous.  A single chain is the K = 1 case.
+
+    The constructor builds the (n^5, n) conditional table of the module
+    docstring.  It raises ``PreconditionError`` for fewer than one chain,
+    and, before allocating anything, for n^6 > ``oracle.STATE_GUARD``
+    (n >= 21).  Each sweep draws ``rng.random(P)`` once per chain.
     """
 
     def __init__(
@@ -83,9 +133,14 @@ class ChainEnsemble:
         seed: int = 0,
         chains: int = 1,
     ):
+        n = params.n
+        if chains < 1:
+            raise PreconditionError(f"need at least one chain, got {chains}")
+        if n**6 > STATE_GUARD:
+            raise PreconditionError(f"the conditional table needs {n}^6 entries; n <= 20 only")
         self.params = params
         self.idx = box_index(params.m, params.N)
-        self.n = params.n
+        self.n = n
         self.k = chains
         self.seed = seed
         P, E = len(self.idx.plaq_edges), len(self.idx.edge_verts)
@@ -94,17 +149,25 @@ class ChainEnsemble:
         self.sweeps = 0
         ss = np.random.SeedSequence(seed)
         self.rngs = [np.random.Generator(np.random.Philox(c)) for c in ss.spawn(chains)]
-        self.phi_b = _phi_table(params.beta, params.n)
-        self.phi_k = _phi_table(params.kappa, params.n)
+        self.phi_b = _phi_table(params.beta, n)
+        self.phi_k = _phi_table(params.kappa, n)
         self.tilt = (
-            (self.idx.gamma_coeffs(tilt).astype(np.int16) % self.n)
+            (self.idx.gamma_coeffs(tilt).astype(np.int16) % n)
             if tilt is not None
             else np.zeros(E, dtype=np.int16)
         )
-        self._classes = _plaquette_classes(self.idx)
-        self._class_edges = [self.idx.plaq_edges[c] for c in self._classes]
-        self._class_signs = [self.idx.plaq_signs[c].astype(np.int16) for c in self._classes]
-        self._class_tilt = [self.tilt[e] for e in self._class_edges]
+        self._cum = _conditional_table(self.phi_b, self.phi_k, n)
+        # per class: its slice of the sweep's draws, and flat ranks into
+        # omega (K, C) and delta (K, C, 4) across all chains
+        chain = np.arange(chains)[:, None]
+        self._blocks = []
+        lo = 0
+        for cls in _plaquette_classes(self.idx):
+            e = self.idx.plaq_edges[cls]
+            self._blocks.append(
+                (slice(lo, lo + len(cls)), chain * P + cls, chain[:, :, None] * E + e, self.tilt[e])
+            )
+            lo += len(cls)
 
     # -- single-site conditional, exposed for tests and exactness checks ----
 
@@ -122,28 +185,36 @@ class ChainEnsemble:
     # -- sweeps --------------------------------------------------------------
 
     def sweep(self):
-        for cls, e_ids, signs, tl in zip(
-            self._classes, self._class_edges, self._class_signs, self._class_tilt
-        ):
-            self._update_class(cls, e_ids, signs, tl)
-        self.sweeps += 1
-
-    def _update_class(self, cls, e_ids, signs, tl):
         n = self.n
-        own = self.omega[:, cls]  # (K, C)
-        d_gather = self.delta[:, e_ids]  # (K, C, 4)
-        d_other = (d_gather - own[:, :, None] * signs[None, :, :]) % n
-        weights = np.empty((self.k, len(cls), n))
-        for g in range(n):
-            resid = (d_other + g * signs[None, :, :] + tl[None, :, :]) % n
-            weights[:, :, g] = self.phi_b[g] * self.phi_k[resid].prod(axis=2)
-        cum = weights.cumsum(axis=2)
-        u = np.stack([rng.random(len(cls)) for rng in self.rngs])
-        r = u * cum[:, :, -1]
-        new = (cum < r[:, :, None]).sum(axis=2).astype(np.int16)
-        self.omega[:, cls] = new
-        upd = (d_other + new[:, :, None] * signs[None, :, :]) % n
-        self.delta[:, e_ids.ravel()] = upd.reshape(self.k, -1)
+        # the scatters write through flat views, which needs C-contiguous state
+        self.omega = np.ascontiguousarray(self.omega)
+        self.delta = np.ascontiguousarray(self.delta)
+        om, dl = self.omega.reshape(-1), self.delta.reshape(-1)
+        u = np.stack([rng.random(self.omega.shape[1]) for rng in self.rngs])
+        for draws, p_flat, e_flat, tl in self._blocks:
+            own = om[p_flat]  # (K, C)
+            d = dl[e_flat]  # (K, C, 4)
+            a = _wrap(d + tl, n)
+            key = own.astype(np.int32)  # own n^4 + sum_k a_k n^k, by Horner
+            for k in (3, 2, 1, 0):
+                key *= n
+                key += a[..., k]
+            cum = self._cum.take(key, axis=0)  # (K, C, n)
+            r = u[:, draws] * cum[..., -1]
+            # u < 1, so r never exceeds cum[..., -1]: the last column never counts
+            new = (cum[..., 0] < r).astype(np.int16)
+            for g in range(1, n - 1):
+                new += cum[..., g] < r
+            om[p_flat] = new
+            # d + (new - own) * _SIGNS, shifted by n into [0, 3n) for _wrap
+            change = new - own
+            d += n
+            d[..., 0] += change
+            d[..., 1] -= change
+            d[..., 2] -= change
+            d[..., 3] += change
+            dl[e_flat] = _wrap(_wrap(d, n), n)
+        self.sweeps += 1
 
     def run(self, sweeps: int):
         for _ in range(sweeps):
@@ -179,13 +250,15 @@ class ChainEnsemble:
 
     def snapshot(self, chain: int = 0) -> FormZn:
         out = FormZn(2, self.n)
-        for p, v in zip(self.idx.plaqs, self.omega[chain]):
-            if v:
-                out.set(p, int(v))
+        plaqs, w = self.idx.plaqs, self.omega[chain]
+        for p in np.flatnonzero(w):
+            out.set(plaqs[p], int(w[p]))
         return out
 
     def recompute_delta(self) -> np.ndarray:
-        return incidence(self.omega, self.idx.edge_plaqs, self.idx.edge_plaq_signs, self.n)
+        """delta omega from scratch, C-contiguous like the cached ``delta``."""
+        d = incidence(self.omega, self.idx.edge_plaqs, self.idx.edge_plaq_signs, self.n)
+        return np.ascontiguousarray(d)
 
     def validate_cache(self) -> bool:
         return bool(np.array_equal(self.recompute_delta(), self.delta))
@@ -214,17 +287,23 @@ def estimate_wilson(
 
     ``sweeps`` counts per-chain sweeps; burn-in defaults to 10% of sweeps.
     The un-tilted measure is sampled; multiply by xi_kappa^{|gamma|} to
-    recover the raw Wilson expectation.
+    recover the raw Wilson expectation.  Raises ``PreconditionError`` for a
+    negative burn-in, fewer than 32 batches in total, or fewer kept sweeps
+    than ``batches_per_chain`` (a batch needs at least one sweep).
     """
     idx = box_index(params.m, params.N)
     _check_margin(params, gamma, idx)
     if burn_in is None:
         burn_in = sweeps // 10
+    if burn_in < 0:
+        raise PreconditionError(f"burn_in must be >= 0, got {burn_in}")
     keep = sweeps - burn_in
     if keep <= 0:
         raise PreconditionError("burn-in consumes all sweeps")
     if chains * batches_per_chain < 32:
         raise PreconditionError("need at least 32 batches in total")
+    if keep < batches_per_chain:
+        raise PreconditionError(f"{keep} kept sweeps cannot fill {batches_per_chain} batches per chain")
     ens = ChainEnsemble(params, tilt=None, seed=seed, chains=chains)
     support = ens.wilson_support(gamma)
     samples = np.empty((chains, keep))

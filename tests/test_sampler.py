@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy import stats as scistats
 from lattice_higgs.couplings import ModelParams, eta, phi, xi
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import delta, random_form
-from lattice_higgs.oracle import box_index, expect_form, form_distribution
+from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form, form_distribution
 from lattice_higgs.paths import RectDescriptor, rectangle_loop
 from lattice_higgs.sampler import ChainEnsemble, _plaquette_classes, estimate_wilson, sample_tilted_snapshots
 
@@ -199,3 +201,90 @@ def test_snapshots_valid_and_deterministic():
     assert snaps == again
     zero_snaps = sample_tilted_snapshots(params(0.0, 0.5), LOOP, (50, 10, 3), seed=1)
     assert all(w.is_zero() for w in zero_snaps)
+
+
+def _unit_loop(m):
+    return rectangle_loop(RectDescriptor(corner=(0,) * m, axes=(1, 2), lengths=(1, 1)))
+
+
+@pytest.mark.parametrize(
+    "p, tilt, seed, chains, sweeps, digest",
+    [
+        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 0, 4, 100, "9f1dcbc35c350d60"),
+        (
+            ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25),
+            rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), lengths=(2, 2))),
+            0, 4, 20, "267ada766002da21",
+        ),
+        (ModelParams(m=3, n=3, N=2, beta=0.3, kappa=0.4), _unit_loop(3), 5, 3, 30, "ef8432ec688d7564"),
+        (ModelParams(m=2, n=5, N=3, beta=0.3, kappa=0.4), _unit_loop(2), 5, 3, 50, "5ac2f3e54c0b4e79"),
+    ],
+    ids=["R1", "R2-tilted", "m3-n3-tilted", "m2-n5-tilted"],
+)
+def test_pinned_trajectory_digests(p, tilt, seed, chains, sweeps, digest):
+    # sha256 prefix of omega after a fixed run, pinned to the per-site heat-bath trajectories
+    ens = ChainEnsemble(p, tilt=tilt, seed=seed, chains=chains)
+    ens.run(sweeps)
+    assert hashlib.sha256(ens.omega.tobytes()).hexdigest()[:16] == digest
+    assert ens.validate_cache()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("m, N", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("tilted", [False, True])
+def test_table_rows_match_conditional_weights(n, m, N, tilted):
+    tilt = _unit_loop(m) if tilted else None
+    ens = ChainEnsemble(ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.4), tilt=tilt, seed=2, chains=3)
+    rng = np.random.default_rng(n * m)
+    ens.omega[:] = rng.integers(0, n, size=ens.omega.shape)
+    ens.delta = ens.recompute_delta()
+    idx, digits = ens.idx, n ** np.arange(4)
+    for chain in range(3):
+        for p in range(len(idx.plaq_edges)):
+            e = idx.plaq_edges[p]
+            key = ens.omega[chain, p] * n**4 + ((ens.delta[chain, e] + ens.tilt[e]) % n) @ digits
+            row = ens._cum[key]
+            weights = np.diff(row, prepend=0.0) / row[-1]
+            assert np.allclose(weights, ens.conditional_weights(p, chain), rtol=0, atol=1e-12)
+
+
+def test_table_size_guard():
+    # n^6 table entries: n = 20 is the largest group order under the guard
+    assert 20**6 <= STATE_GUARD < 21**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError):
+            ChainEnsemble(params(0.1, 0.1, n=21))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the table alone would take 21^6 * 8 bytes, about 690 MB
+
+
+def test_assigned_delta_stays_coherent():
+    # a sweep writes delta through a flat view, so an assigned delta must be written in place
+    ens = ChainEnsemble(params(0.3, 0.4, n=3), seed=4, chains=3)
+    ens.omega[:] = np.random.default_rng(4).integers(0, 3, size=ens.omega.shape)
+    ens.delta = ens.recompute_delta()
+    assert ens.delta.flags.c_contiguous
+    ens.sweep()
+    assert ens.validate_cache()
+    ens.delta = np.asfortranarray(ens.delta)
+    ens.run(3)
+    assert ens.validate_cache()
+
+
+def test_chain_count_precondition():
+    with pytest.raises(PreconditionError):
+        ChainEnsemble(params(0.1, 0.3), chains=0)
+
+
+def test_too_few_sweeps_for_batches():
+    # 10 sweeps keep 9 samples per chain, fewer than 16 batches per chain
+    with pytest.raises(PreconditionError):
+        estimate_wilson(params(0.1, 0.3), LOOP, sweeps=10, seed=0)
+
+
+def test_negative_burn_in_precondition():
+    with pytest.raises(PreconditionError):
+        estimate_wilson(params(0.1, 0.3), LOOP, sweeps=100, burn_in=-5, seed=0)
