@@ -5,15 +5,25 @@ coordinate directions (1-based).  Each non-oriented cell carries two
 orientations; only positively oriented cells (sorted direction tuple,
 sign +1) are ever stored, and queries on negated cells are resolved by
 the sign rules q[-c] = -q[c].
+
+These labels are the reference encoding.  The package computes with
+:class:`BoxIndex`, a box's cells as rank arrays with signed incidence
+tables, read through :meth:`BoxIndex.path` and :func:`incidence`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    from .paths import LatticePath
 
 Coord = Tuple[int, ...]
 
@@ -63,13 +73,6 @@ class OrientedCell:
     def positive(self) -> "OrientedCell":
         """The positively oriented cell at the same position (c^+)."""
         return self if self.sign == 1 else -self
-
-    def corners(self) -> Iterator[Coord]:
-        for picks in itertools.product((0, 1), repeat=len(self.dirs)):
-            yield tuple(
-                b + sum(1 for d, t in zip(self.dirs, picks) if t and d - 1 == i)
-                for i, b in enumerate(self.base)
-            )
 
     def __repr__(self):
         s = "" if self.sign == 1 else "-"
@@ -146,15 +149,6 @@ class LatticeBox:
 
     def count(self, k: int) -> int:
         return sum(1 for _ in self.cells(k))
-
-    def boundary_distance(self, c: OrientedCell) -> int:
-        """Smallest coordinate distance from any corner of c to a box face."""
-        best = None
-        for corner in c.corners():
-            for i in range(self.m):
-                d = min(corner[i] - self.lo[i], self.hi[i] - corner[i])
-                best = d if best is None else min(best, d)
-        return 0 if best is None else best
 
 
 class Chain:
@@ -290,3 +284,143 @@ def coboundary(c: OrientedCell, box: LatticeBox) -> Chain:
             if coeff:
                 out._accumulate(cand, coeff)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The box's cells as arrays
+# ---------------------------------------------------------------------------
+
+
+class BoxIndex:
+    """Canonical enumeration of a box's cells plus signed incidence tables.
+
+    A k-cell sits in the slot (grid point of its base, its direction set);
+    the slot holds a cell of the box iff base + extent stays in the grid.
+    Ranking the occupied slots in row-major order gives the canonical
+    ``LatticeBox.cells`` order, and every table follows from the rank
+    arrays by stride arithmetic on the flat grid index.
+
+    Each (table, sign) pair is one operator for :func:`incidence`:
+
+    * ``edge_verts``/``edge_vert_signs`` (E, 2): tail -1, head +1 (d on 0-forms);
+    * ``plaq_edges``/``plaq_signs`` (P, 4): the boundary
+      (b;i) - (b;j) - (b+e_j;i) + (b+e_i;j), i < j (d on 1-forms);
+    * ``edge_plaqs``/``edge_plaq_signs`` (E, 2(m-1)): its transpose, padded
+      with sign 0 where an edge lies in fewer plaquettes (delta on 2-forms).
+
+    ``plaq_base`` (P, m) and ``plaq_axes`` (P, 2, 0-based i < j) locate each
+    plaquette, and :meth:`plaq_labels` turns plaquette ranks back into
+    cells.  The cell label lists ``vertices``, ``edges``, ``plaqs`` are
+    ``LatticeBox.cells`` in the same order, built on first read; the cell
+    counts are the table lengths.
+    """
+
+    def __init__(self, box: LatticeBox):
+        self.box = box
+        m = box.m
+        self._lo = np.array(box.lo)
+        self._shape = np.array(box.hi) - self._lo + 1
+        self._strides = np.cumprod(np.r_[1, self._shape[:0:-1]])[::-1]
+        grid = np.indices(self._shape).reshape(m, -1).T  # row-major, like itertools.product
+        # direction sets in itertools.combinations order (1-based, as in OrientedCell.dirs)
+        self._dirs = [list(itertools.combinations(range(1, m + 1), k)) for k in range(3)]
+        self._rank = []  # per k: (grid points, direction sets) -> rank, -1 if not in the box
+        for dirs in self._dirs:
+            ext = np.array([[a in ds for a in range(1, m + 1)] for ds in dirs], dtype=int).reshape(-1, m)
+            inside = (grid[:, None, :] + ext[None] < self._shape).all(axis=2)
+            rank = np.cumsum(inside.ravel()).reshape(inside.shape) - 1
+            rank[~inside] = -1
+            self._rank.append(rank)
+        vert, edge, s = self._rank[0][:, 0], self._rank[1], self._strides
+
+        f, a = np.nonzero(edge >= 0)
+        self.edge_verts = np.stack([vert[f], vert[f + s[a]]], axis=1)
+        self.edge_vert_signs = np.tile(np.array([-1, 1], dtype=np.int8), (len(f), 1))
+        self.edge_tail, self.edge_head = self.edge_verts.T
+
+        f, c = np.nonzero(self._rank[2] >= 0)
+        self.plaq_axes = np.array(self._dirs[2], dtype=int).reshape(-1, 2)[c] - 1
+        self.plaq_base = grid[f] + self._lo
+        i, j = self.plaq_axes.T
+        self.plaq_edges = np.stack([edge[f, i], edge[f, j], edge[f + s[j], i], edge[f + s[i], j]], axis=1)
+        self.plaq_signs = np.tile(np.array([1, -1, -1, 1], dtype=np.int8), (len(f), 1))
+
+        # transpose: group the (plaquette, column) entries by edge, in plaquette order
+        flat = self.plaq_edges.ravel()
+        order = np.argsort(flat, kind="stable")
+        E = len(self.edge_verts)
+        counts = np.bincount(flat, minlength=E)
+        col = np.arange(len(flat)) - (np.cumsum(counts) - counts)[flat[order]]
+        width = int(counts.max(initial=0))
+        self.edge_plaqs = np.zeros((E, width), dtype=np.intp)
+        self.edge_plaq_signs = np.zeros((E, width), dtype=np.int8)
+        self.edge_plaqs[flat[order], col] = order // 4
+        self.edge_plaq_signs[flat[order], col] = self.plaq_signs.ravel()[order]
+
+    @cached_property
+    def vertices(self) -> List[OrientedCell]:
+        return list(self.box.cells(0))
+
+    @cached_property
+    def edges(self) -> List[OrientedCell]:
+        return list(self.box.cells(1))
+
+    @cached_property
+    def plaqs(self) -> List[OrientedCell]:
+        return list(self.box.cells(2))
+
+    def plaq_labels(self, ranks) -> List[OrientedCell]:
+        """Positive plaquette cells of the given ranks, built from ``plaq_base``/``plaq_axes``."""
+        bases = self.plaq_base[ranks].tolist()
+        dirs = (self.plaq_axes[ranks] + 1).tolist()
+        return [OrientedCell(tuple(b), tuple(d)) for b, d in zip(bases, dirs)]
+
+    def ids(self, cells: Iterable[OrientedCell]) -> np.ndarray:
+        """Canonical ranks of cells of one dimension (of c^+ for a negative c).
+
+        Raises PreconditionError if any cell is not in the box.
+        """
+        cells = list(cells)
+        k = cells[0].dim
+        g = np.array([c.base for c in cells]) - self._lo
+        if ((g >= 0) & (g < self._shape)).all():
+            r = self._rank[k][g @ self._strides, [self._dirs[k].index(c.dirs) for c in cells]]
+            if (r >= 0).all():
+                return r
+        bad = next(c for c in cells if not self.box.contains(c))
+        raise PreconditionError(f"cell {bad} outside {self.box}")
+
+    def path(self, gamma: LatticePath) -> Tuple[np.ndarray, np.ndarray]:
+        """(edge ranks, coefficients) of gamma's support, in the chain's order.
+
+        Raises PreconditionError if any edge of gamma is not in the box.
+        """
+        coeffs = gamma.chain.coeffs
+        return self.ids(coeffs), np.fromiter(coeffs.values(), dtype=np.int16, count=len(coeffs))
+
+    def gamma_coeffs(self, gamma: LatticePath) -> np.ndarray:
+        """gamma's coefficient on every edge of the box (0 off its support)."""
+        ranks, coef = self.path(gamma)
+        out = np.zeros(len(self.edge_verts), dtype=np.int8)
+        out[ranks] = coef
+        return out
+
+
+def incidence(x: np.ndarray, table: np.ndarray, sign: np.ndarray, n: int) -> np.ndarray:
+    """out[..., r] = sum_j sign[r, j] * x[..., table[r, j]] mod n, as int16.
+
+    With a (table, sign) pair of :class:`BoxIndex` this is d of a 0- or
+    1-form, or delta of a 2-form, for every row of ``x`` at once.
+    """
+    # a column gather from the last axis comes out column-major; accumulating
+    # in the same layout keeps every pass, and the caller's lookups, contiguous
+    out = np.zeros(x.shape[:-1] + (len(table),), dtype=np.int16, order="F")
+    for j in range(table.shape[1]):
+        out += sign[:, j].astype(np.int16) * x[..., table[:, j]]
+    out %= n
+    return out
+
+
+@lru_cache(maxsize=8)
+def box_index(m: int, N: int) -> BoxIndex:
+    return BoxIndex(LatticeBox.centered(m, N))

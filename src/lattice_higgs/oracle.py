@@ -1,4 +1,4 @@
-"""Brute-force exact expectations on small boxes, and the box's incidence index.
+"""Brute-force exact expectations on small boxes.
 
 Three enumerations, each a ground truth for the others:
 
@@ -10,146 +10,26 @@ Configurations are enumerated as mixed-radix integers over the positive
 cells in canonical order, in chunks; chunk sums are reduced with
 compensated (fsum) accumulation so results are deterministic.
 
-:class:`BoxIndex` numbers the cells of a box and holds the signed
-incidence tables; :func:`incidence` is the one product mod n built on
-them (d of 0- and 1-forms, delta of 2-forms), shared with the sampler.
+The vectorized routes read the box's cells from ``cells.BoxIndex`` and
+take every derivative with ``cells.incidence``; :func:`action` takes its
+derivatives through ``forms`` instead, independent of ``incidence``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from functools import cached_property, lru_cache
-from typing import Iterable, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .cells import LatticeBox, OrientedCell, vertex
+from .cells import BoxIndex, LatticeBox, box_index, incidence, vertex
 from .couplings import ModelParams, phi, rho
-from .errors import GuardError, PreconditionError
+from .errors import GuardError
 from .forms import FormZn, d, delta
 from .paths import LatticePath
 
 STATE_GUARD = 1 << 26
 _CHUNK = 1 << 16
-
-
-class BoxIndex:
-    """Canonical enumeration of a box's cells plus signed incidence tables.
-
-    A k-cell sits in the slot (grid point of its base, its direction set);
-    the slot holds a cell of the box iff base + extent stays in the grid.
-    Ranking the occupied slots in row-major order gives the canonical
-    ``LatticeBox.cells`` order, and every table follows from the rank
-    arrays by stride arithmetic on the flat grid index.
-
-    Each (table, sign) pair is one operator for :func:`incidence`:
-
-    * ``edge_verts``/``edge_vert_signs`` (E, 2): tail -1, head +1 (d on 0-forms);
-    * ``plaq_edges``/``plaq_signs`` (P, 4): the boundary
-      (b;i) - (b;j) - (b+e_j;i) + (b+e_i;j), i < j (d on 1-forms);
-    * ``edge_plaqs``/``edge_plaq_signs`` (E, 2(m-1)): its transpose, padded
-      with sign 0 where an edge lies in fewer plaquettes (delta on 2-forms).
-
-    ``plaq_base`` (P, m) and ``plaq_axes`` (P, 2, 0-based i < j) locate each
-    plaquette.  The cell label lists ``vertices``, ``edges``, ``plaqs`` are
-    ``LatticeBox.cells`` in the same order, built on first read; the cell
-    counts are the table lengths.
-    """
-
-    def __init__(self, box: LatticeBox):
-        self.box = box
-        m = box.m
-        self._lo = np.array(box.lo)
-        self._shape = np.array(box.hi) - self._lo + 1
-        self._strides = np.cumprod(np.r_[1, self._shape[:0:-1]])[::-1]
-        grid = np.indices(self._shape).reshape(m, -1).T  # row-major, like itertools.product
-        # direction sets in itertools.combinations order (1-based, as in OrientedCell.dirs)
-        self._dirs = [list(itertools.combinations(range(1, m + 1), k)) for k in range(3)]
-        self._rank = []  # per k: (grid points, direction sets) -> rank, -1 if not in the box
-        for dirs in self._dirs:
-            ext = np.array([[a in ds for a in range(1, m + 1)] for ds in dirs], dtype=int).reshape(-1, m)
-            inside = (grid[:, None, :] + ext[None] < self._shape).all(axis=2)
-            rank = np.cumsum(inside.ravel()).reshape(inside.shape) - 1
-            rank[~inside] = -1
-            self._rank.append(rank)
-        vert, edge, s = self._rank[0][:, 0], self._rank[1], self._strides
-
-        f, a = np.nonzero(edge >= 0)
-        self.edge_verts = np.stack([vert[f], vert[f + s[a]]], axis=1)
-        self.edge_vert_signs = np.tile(np.array([-1, 1], dtype=np.int8), (len(f), 1))
-        self.edge_tail, self.edge_head = self.edge_verts.T
-
-        f, c = np.nonzero(self._rank[2] >= 0)
-        self.plaq_axes = np.array(self._dirs[2], dtype=int).reshape(-1, 2)[c] - 1
-        self.plaq_base = grid[f] + self._lo
-        i, j = self.plaq_axes.T
-        self.plaq_edges = np.stack([edge[f, i], edge[f, j], edge[f + s[j], i], edge[f + s[i], j]], axis=1)
-        self.plaq_signs = np.tile(np.array([1, -1, -1, 1], dtype=np.int8), (len(f), 1))
-
-        # transpose: group the (plaquette, column) entries by edge, in plaquette order
-        flat = self.plaq_edges.ravel()
-        order = np.argsort(flat, kind="stable")
-        E = len(self.edge_verts)
-        counts = np.bincount(flat, minlength=E)
-        col = np.arange(len(flat)) - (np.cumsum(counts) - counts)[flat[order]]
-        width = int(counts.max(initial=0))
-        self.edge_plaqs = np.zeros((E, width), dtype=np.intp)
-        self.edge_plaq_signs = np.zeros((E, width), dtype=np.int8)
-        self.edge_plaqs[flat[order], col] = order // 4
-        self.edge_plaq_signs[flat[order], col] = self.plaq_signs.ravel()[order]
-
-    @cached_property
-    def vertices(self) -> List[OrientedCell]:
-        return list(self.box.cells(0))
-
-    @cached_property
-    def edges(self) -> List[OrientedCell]:
-        return list(self.box.cells(1))
-
-    @cached_property
-    def plaqs(self) -> List[OrientedCell]:
-        return list(self.box.cells(2))
-
-    def ids(self, cells: Iterable[OrientedCell]) -> np.ndarray:
-        """Canonical ranks of cells of one dimension (of c^+ for a negative c).
-
-        Raises PreconditionError if any cell is not in the box.
-        """
-        cells = list(cells)
-        k = cells[0].dim
-        g = np.array([c.base for c in cells]) - self._lo
-        if ((g >= 0) & (g < self._shape)).all():
-            r = self._rank[k][g @ self._strides, [self._dirs[k].index(c.dirs) for c in cells]]
-            if (r >= 0).all():
-                return r
-        bad = next(c for c in cells if not self.box.contains(c))
-        raise PreconditionError(f"cell {bad} outside {self.box}")
-
-    def gamma_coeffs(self, gamma: LatticePath) -> np.ndarray:
-        out = np.zeros(len(self.edge_verts), dtype=np.int8)
-        out[self.ids(gamma.chain.coeffs)] = list(gamma.chain.coeffs.values())
-        return out
-
-
-def incidence(x: np.ndarray, table: np.ndarray, sign: np.ndarray, n: int) -> np.ndarray:
-    """out[..., r] = sum_j sign[r, j] * x[..., table[r, j]] mod n, as int16.
-
-    With a (table, sign) pair of :class:`BoxIndex` this is d of a 0- or
-    1-form, or delta of a 2-form, for every row of ``x`` at once.
-    """
-    # a column gather from the last axis comes out column-major; accumulating
-    # in the same layout keeps every pass, and the caller's lookups, contiguous
-    out = np.zeros(x.shape[:-1] + (len(table),), dtype=np.int16, order="F")
-    for j in range(table.shape[1]):
-        out += sign[:, j].astype(np.int16) * x[..., table[:, j]]
-    out %= n
-    return out
-
-
-@lru_cache(maxsize=8)
-def box_index(m: int, N: int) -> BoxIndex:
-    return BoxIndex(LatticeBox.centered(m, N))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,22 @@ A path is a 1-chain with coefficients in {-1, 0, 1}, connected support and
 empty boundary (closed) or boundary x2 - x1 (open).  Rectangular paths run
 along the boundary of an axis-parallel rectangle; the completing loop
 gamma_R is reconstructed from an explicit rectangle descriptor.
+
+P_gamma and the corner plaquettes P_gamma,c are read from a ``BoxIndex``
+of the path's bounding box grown by 1, clipped to the box if one is
+given, so their cost does not grow with the box.  A path that leaves the
+box raises ``PreconditionError``; one along a face loses the plaquettes
+beyond it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .cells import Chain, LatticeBox, OrientedCell, boundary, boundary_chain, edge
+import numpy as np
+
+from .cells import BoxIndex, Chain, LatticeBox, OrientedCell, boundary, boundary_chain, edge
 from .errors import PreconditionError
 from .forms import FormZn, connected_components, delta, omega_E, omega_gamma
 
@@ -69,8 +77,7 @@ class LatticePath:
             if vals != [-1, 1]:
                 raise ValueError("open path boundary must be x2 - x1")
         if self.rect is not None:
-            m = len(next(iter(self.support)).base)
-            loop = _loop_chain(self.rect, m, orientation=1)
+            loop = _loop_chain(self.rect, orientation=1)
             agree = [loop[e] * self.chain[e] for e in self.support]
             if 0 in agree:
                 raise ValueError("path edges must lie on the rectangle boundary")
@@ -87,6 +94,18 @@ class LatticePath:
         return len(self.chain.coeffs)
 
     @property
+    def m(self) -> int:
+        """Dimension of the lattice the path lives in."""
+        return len(next(iter(self.chain.coeffs)).base)
+
+    @property
+    def ends(self) -> np.ndarray:
+        """(|gamma|, 2, m) coordinates of each support edge's tail and head, in chain order."""
+        tails = np.array([e.base for e in self.chain.coeffs])
+        steps = np.eye(self.m, dtype=tails.dtype)[[e.dirs[0] - 1 for e in self.chain.coeffs]]
+        return np.stack([tails, tails + steps], axis=1)
+
+    @property
     def endpoints(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """(x1, x2) for an open path, None for a closed one."""
         if self.kind == "closed":
@@ -99,9 +118,6 @@ class LatticePath:
             else:
                 x1 = c.base
         return (x1, x2)
-
-    def coefficient(self, e: OrientedCell) -> int:
-        return self.chain[e]
 
     def gamma_R(self) -> "LatticePath":
         """The canonical completing rectangular loop (orientation matching self)."""
@@ -142,13 +158,11 @@ def _support_connected(edges: Set[OrientedCell]) -> bool:
     return len(seen) == len(edges)
 
 
-def _loop_edges(rect: RectDescriptor, m: int) -> List[Tuple[OrientedCell, int]]:
+def _loop_edges(rect: RectDescriptor) -> List[Tuple[OrientedCell, int]]:
     """Traversal-ordered (positive edge, coefficient) pairs of the CCW loop."""
     a1, a2 = rect.axes
     l1, l2 = rect.lengths
     c = rect.corner
-    if len(c) < m:
-        raise ValueError("corner has too few coordinates")
 
     def shift(pt, axis, t):
         return tuple(x + (t if i == axis - 1 else 0) for i, x in enumerate(pt))
@@ -167,21 +181,20 @@ def _loop_edges(rect: RectDescriptor, m: int) -> List[Tuple[OrientedCell, int]]:
     return out
 
 
-def _loop_chain(rect: RectDescriptor, m: int, orientation: int = 1) -> Chain:
+def _loop_chain(rect: RectDescriptor, orientation: int = 1) -> Chain:
     coeffs: Dict[OrientedCell, int] = {}
-    for e, v in _loop_edges(rect, m):
+    for e, v in _loop_edges(rect):
         coeffs[e] = orientation * v
     return Chain(1, coeffs)
 
 
-def rectangle_loop(rect: RectDescriptor, orientation: int = 1, m: Optional[int] = None) -> LatticePath:
+def rectangle_loop(rect: RectDescriptor, orientation: int = 1) -> LatticePath:
     """Closed rectangular loop along the boundary of rect.
 
     orientation +1 traverses axes[0] first from the corner (counter-clockwise
     in the (axes[0], axes[1]) plane); -1 reverses every coefficient.
     """
-    m = m if m is not None else len(rect.corner)
-    return LatticePath(_loop_chain(rect, m, orientation), "closed", rect)
+    return LatticePath(_loop_chain(rect, orientation), "closed", rect)
 
 
 def rectangle_open_path(
@@ -189,15 +202,13 @@ def rectangle_open_path(
     start: int,
     count: int,
     orientation: int = 1,
-    m: Optional[int] = None,
 ) -> LatticePath:
     """Open path made of ``count`` consecutive loop edges starting at ``start``.
 
     Indices follow the traversal order of :func:`rectangle_loop`; the result
     keeps the rectangle descriptor so gamma_R is well defined.
     """
-    m = m if m is not None else len(rect.corner)
-    ordered = _loop_edges(rect, m)
+    ordered = _loop_edges(rect)
     total = len(ordered)
     if not 1 <= count < total:
         raise ValueError("open path must use between 1 and perimeter-1 edges")
@@ -208,12 +219,11 @@ def rectangle_open_path(
     return LatticePath(Chain(1, coeffs), "open", rect)
 
 
-def u_shaped_path(rect: RectDescriptor, orientation: int = 1, m: Optional[int] = None) -> LatticePath:
+def u_shaped_path(rect: RectDescriptor, orientation: int = 1) -> LatticePath:
     """Bottom + right + left sides of the rectangle (the top side removed)."""
     l1, l2 = rect.lengths
     # Traversal order: bottom (l1), right (l2), top (l1), left (l2); skip the top.
-    m = m if m is not None else len(rect.corner)
-    ordered = _loop_edges(rect, m)
+    ordered = _loop_edges(rect)
     keep = list(range(0, l1 + l2)) + list(range(2 * l1 + l2, 2 * l1 + 2 * l2))
     coeffs: Dict[OrientedCell, int] = {}
     for i in keep:
@@ -227,31 +237,34 @@ def u_shaped_path(rect: RectDescriptor, orientation: int = 1, m: Optional[int] =
 # ---------------------------------------------------------------------------
 
 
-def _plaquettes_with_edge(e: OrientedCell, m: int, box: Optional[LatticeBox]) -> List[OrientedCell]:
-    """Positive plaquettes whose boundary supports the positive edge e."""
-    (d1,) = e.dirs
-    out = []
-    for d in range(1, m + 1):
-        if d == d1:
-            continue
-        lo, hi = min(d1, d), max(d1, d)
-        for shift in (0, -1):
-            base = tuple(b + (shift if i == d - 1 else 0) for i, b in enumerate(e.base))
-            p = OrientedCell(base, (lo, hi))
-            if box is None or box.contains(p):
-                out.append(p)
-    return out
+def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np.ndarray, np.ndarray]:
+    """(local index, P_gamma as keys, P_gamma,c as ranks) on the local index.
+
+    A key is 2 rank + 1 for a plaquette that borders gamma in its positive
+    orientation, 2 rank for one that borders it in its negative one; the
+    corner plaquettes are those bordering two or more edges of gamma.  The
+    local index covers gamma's bounding box grown by 1, clipped to ``box``
+    unless it is None.  Raises PreconditionError if gamma leaves ``box``.
+    """
+    ends = gamma.ends
+    lo, hi = ends.min(axis=(0, 1)) - 1, ends.max(axis=(0, 1)) + 1
+    if box is not None:
+        lo, hi = np.maximum(lo, box.lo), np.minimum(hi, box.hi)
+        if (lo > hi).any():
+            raise PreconditionError(f"{gamma} lies outside {box}")
+    idx = BoxIndex(LatticeBox(gamma.m, tuple(lo.tolist()), tuple(hi.tolist())))
+    ranks, coef = idx.path(gamma)
+    signs = idx.edge_plaq_signs[ranks] * coef[:, None]
+    on = signs != 0  # drops the padding columns
+    plaqs = idx.edge_plaqs[ranks][on]
+    keys = np.flatnonzero(np.bincount(2 * plaqs + (signs[on] > 0)))
+    return idx, keys, np.flatnonzero(np.bincount(plaqs) >= 2)
 
 
-def corner_plaquettes(gamma: LatticePath, m: Optional[int] = None, box: Optional[LatticeBox] = None) -> Set[OrientedCell]:
+def corner_plaquettes(gamma: LatticePath, box: Optional[LatticeBox] = None) -> Set[OrientedCell]:
     """P_{gamma,c}: positive plaquettes with >= 2 support edges of gamma on their boundary."""
-    m = m if m is not None else len(next(iter(gamma.support)).base)
-    supp = gamma.support
-    counts: Dict[OrientedCell, int] = {}
-    for e in supp:
-        for p in _plaquettes_with_edge(e, m, box):
-            counts[p] = counts.get(p, 0) + 1
-    return {p for p, k in counts.items() if k >= 2}
+    idx, _, corners = _border(gamma, box)
+    return set(idx.plaq_labels(corners))
 
 
 def p_gamma(gamma: LatticePath, box: LatticeBox) -> Set[OrientedCell]:
@@ -261,21 +274,16 @@ def p_gamma(gamma: LatticePath, box: LatticeBox) -> Set[OrientedCell]:
     e in the oriented boundary of q; corner plaquettes shared by two path
     edges appear once (set semantics).
     """
-    out: Set[OrientedCell] = set()
-    for f in gamma.support:
-        ge = gamma.chain[f]
-        for p in _plaquettes_with_edge(f, box.m, box):
-            s = boundary(p)[f]
-            out.add(p if s * ge > 0 else -p)
-    return out
+    idx, keys, _ = _border(gamma, box)
+    return {p if k % 2 else -p for p, k in zip(idx.plaq_labels(keys // 2), keys.tolist())}
 
 
-def corner_count(form: FormZn, gamma: LatticePath, m: Optional[int] = None, box: Optional[LatticeBox] = None) -> int:
+def corner_count(form: FormZn, gamma: LatticePath, box: Optional[LatticeBox] = None) -> int:
     """|P_{omega,gamma,c}|: supported plaquettes with exactly two gamma edges in supp delta omega."""
     dsup = delta(form).support
     gsup = gamma.support
     total = 0
-    for p in corner_plaquettes(gamma, m=m, box=box):
+    for p in corner_plaquettes(gamma, box=box):
         if p not in form.support:
             continue
         if len(boundary(p).support & gsup & dsup) == 2:
@@ -294,7 +302,7 @@ def v_set(form: FormZn, gamma: LatticePath) -> Set[OrientedCell]:
     return w.support
 
 
-def in_event_E(form: FormZn, gamma: LatticePath, m: Optional[int] = None, box: Optional[LatticeBox] = None) -> bool:
+def in_event_E(form: FormZn, gamma: LatticePath, box: Optional[LatticeBox] = None) -> bool:
     """The leading-order event: components adjacent to gamma are isolated
     single plaquettes and no supported corner plaquette touches gamma twice."""
     og2 = omega_E(form, gamma.support)
@@ -302,7 +310,7 @@ def in_event_E(form: FormZn, gamma: LatticePath, m: Optional[int] = None, box: O
     n_components = len(connected_components(og)) if not og.is_zero() else 0
     if len(og2.support) != n_components:
         return False
-    return corner_count(form, gamma, m=m, box=box) == 0
+    return corner_count(form, gamma, box=box) == 0
 
 
 @dataclass(frozen=True)
@@ -326,18 +334,20 @@ class GammaStats:
 
 
 def gamma_stats(gamma: LatticePath, box: LatticeBox) -> GammaStats:
+    """|gamma|, |P_gamma|, |P_gamma,c| (clipped to the box) and the side lengths; builds no labels."""
     if gamma.rect is None:
         raise PreconditionError("gamma_stats needs a rectangle descriptor")
+    _, keys, corners = _border(gamma, box)
     return GammaStats(
         length=len(gamma),
-        p_gamma=len(p_gamma(gamma, box)),
-        p_gamma_c=len(corner_plaquettes(gamma, m=box.m, box=box)),
+        p_gamma=len(keys),
+        p_gamma_c=len(corners),
         ell1=gamma.rect.ell1,
         ell2=gamma.rect.ell2,
     )
 
 
-def rectangle_p_gamma_count(gamma: LatticePath, m: int) -> int:
+def rectangle_p_gamma_count(gamma: LatticePath) -> int:
     """|P_gamma| from the rectangle geometry, for loops away from the boundary.
 
     Each edge borders 2(m-1) consistently oriented plaquettes; at every corner
@@ -345,7 +355,7 @@ def rectangle_p_gamma_count(gamma: LatticePath, m: int) -> int:
     union.
     """
     corners = _path_corner_count(gamma)
-    return 2 * (m - 1) * len(gamma) - corners
+    return 2 * (gamma.m - 1) * len(gamma) - corners
 
 
 def _path_corner_count(gamma: LatticePath) -> int:

@@ -33,14 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
+from .cells import BoxIndex, box_index, incidence
 from .couplings import ModelParams
 from .errors import PreconditionError
 from .forms import FormZn
-from .oracle import STATE_GUARD, BoxIndex, _phi_table, box_index, incidence
+from .oracle import STATE_GUARD, _phi_table
 from .paths import LatticePath
 
 # every plaquette's boundary signs, the columns of BoxIndex.plaq_signs
@@ -222,19 +223,13 @@ class ChainEnsemble:
 
     # -- observables and state access ----------------------------------------
 
-    def wilson_support(self, gamma: LatticePath) -> Tuple[np.ndarray, np.ndarray]:
-        """(edge ranks, coefficients) of gamma's support, for :meth:`normalized_wilson`."""
-        support = list(gamma.support)
-        coef = np.array([gamma.chain.coeffs[e] for e in support], dtype=np.int16)
-        return self.idx.ids(support), coef
-
     def normalized_wilson(self, gamma) -> np.ndarray:
         """The O(1) Wilson observable per chain (see module docstring).
 
-        ``gamma`` is a LatticePath or its :meth:`wilson_support` pair; a
-        caller that evaluates one path every sweep passes the pair.
+        ``gamma`` is a LatticePath or its ``BoxIndex.path`` pair; a caller
+        that evaluates one path every sweep passes the pair.
         """
-        g_ids, g_coef = self.wilson_support(gamma) if isinstance(gamma, LatticePath) else gamma
+        g_ids, g_coef = self.idx.path(gamma) if isinstance(gamma, LatticePath) else gamma
         d = self.delta[:, g_ids]
         num = self.phi_k[(d + g_coef[None, :]) % self.n]
         den = self.phi_k[d] * self.phi_k[1]
@@ -249,11 +244,10 @@ class ChainEnsemble:
         return self.omega.astype(np.int64) @ w
 
     def snapshot(self, chain: int = 0) -> FormZn:
-        out = FormZn(2, self.n)
-        plaqs, w = self.idx.plaqs, self.omega[chain]
-        for p in np.flatnonzero(w):
-            out.set(plaqs[p], int(w[p]))
-        return out
+        """One chain's omega as a FormZn; only its non-zero plaquettes get labels."""
+        w = self.omega[chain]
+        nonzero = np.flatnonzero(w)
+        return FormZn(2, self.n, dict(zip(self.idx.plaq_labels(nonzero), w[nonzero].tolist())))
 
     def recompute_delta(self) -> np.ndarray:
         """delta omega from scratch, C-contiguous like the cached ``delta``."""
@@ -267,7 +261,8 @@ class ChainEnsemble:
 def _check_margin(params: ModelParams, gamma: LatticePath, idx: BoxIndex):
     # integer-lattice margin: floor(N/4), so tiny boxes remain usable
     need = params.N // 4
-    dist = min(idx.box.boundary_distance(e) for e in gamma.support)
+    ends = gamma.ends
+    dist = int(np.minimum(ends - idx.box.lo, np.subtract(idx.box.hi, ends)).min())
     if dist < need:
         raise PreconditionError(
             f"path margin {dist} below floor(N/4) = {need}; enlarge the box"
@@ -305,7 +300,7 @@ def estimate_wilson(
     if keep < batches_per_chain:
         raise PreconditionError(f"{keep} kept sweeps cannot fill {batches_per_chain} batches per chain")
     ens = ChainEnsemble(params, tilt=None, seed=seed, chains=chains)
-    support = ens.wilson_support(gamma)
+    support = idx.path(gamma)
     samples = np.empty((chains, keep))
     for t in range(sweeps):
         ens.sweep()
@@ -329,25 +324,3 @@ def estimate_wilson(
         seed=seed,
         chains=chains,
     )
-
-
-def sample_tilted_snapshots(
-    params: ModelParams,
-    gamma: LatticePath,
-    schedule: Tuple[int, int, int],
-    seed: int = 0,
-) -> List[FormZn]:
-    """Equally spaced snapshots of the Wilson-tilted chain.
-
-    ``schedule`` is (burn_in, interval, count).
-    """
-    burn_in, interval, count = schedule
-    if interval < 1 or count < 1:
-        raise PreconditionError("need interval >= 1 and count >= 1")
-    ens = ChainEnsemble(params, tilt=gamma, seed=seed, chains=1)
-    ens.run(burn_in)
-    out = []
-    for _ in range(count):
-        ens.run(interval)
-        out.append(ens.snapshot(0))
-    return out

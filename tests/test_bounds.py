@@ -311,4 +311,4 @@ def test_gamma_stats_agree_with_rectangle_formula():
     assert st == DESK_STATS
     from lattice_higgs.paths import rectangle_p_gamma_count
 
-    assert st.p_gamma == rectangle_p_gamma_count(loop, m=2)
+    assert st.p_gamma == rectangle_p_gamma_count(loop)

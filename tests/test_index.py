@@ -35,6 +35,7 @@ def test_index_matches_boundary(box):
     assert np.array_equal(idx.plaq_signs, [[s for _, s in it] for it in items])
     assert np.array_equal(idx.plaq_base, [p.base for p in plaqs])
     assert np.array_equal(idx.plaq_axes + 1, [p.dirs for p in plaqs])
+    assert idx.plaq_labels(np.arange(len(plaqs))) == plaqs
     # the edge -> plaquette table is the box-clipped coboundary
     pid = {c: i for i, c in enumerate(plaqs)}
     for e, row, signs in zip(edges, idx.edge_plaqs, idx.edge_plaq_signs):

@@ -1,6 +1,9 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from lattice_higgs.cells import Chain, LatticeBox, edge, plaquette
+from lattice_higgs.cells import Chain, LatticeBox, OrientedCell, boundary, edge, plaquette
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, zero_form
 from lattice_higgs.paths import (
@@ -65,7 +68,7 @@ def test_gamma_r_for_open_paths():
 
 def test_corner_plaquettes_rectangular_loop():
     loop = rectangle_loop(RECT44)
-    pc = corner_plaquettes(loop, m=2)
+    pc = corner_plaquettes(loop)
     assert len(pc) == 4
     # the four inside-corner plaquettes of the 4x4 rectangle at (-2,-2)
     expected = {
@@ -78,17 +81,17 @@ def test_corner_plaquettes_rectangular_loop():
 
 
 def test_corner_plaquettes_straight_and_L():
-    assert corner_plaquettes(straight_path(), m=2) == set()
+    assert corner_plaquettes(straight_path()) == set()
     # L-shaped path: exactly one corner plaquette
     L = rectangle_open_path(RECT44, start=2, count=4)  # 2 edges + corner + 2 edges
-    assert len(corner_plaquettes(L, m=2)) == 1
+    assert len(corner_plaquettes(L)) == 1
 
 
 def test_p_gamma_straight_segment():
     seg = straight_path(length=4)
     pg = p_gamma(seg, BOX)
     assert len(pg) == 2 * (2 - 1) * 4  # 2(m-1) per edge, no corners
-    assert len(pg) == rectangle_p_gamma_count(seg, m=2)
+    assert len(pg) == rectangle_p_gamma_count(seg)
 
 
 def test_p_gamma_loop_merges_corners():
@@ -96,7 +99,7 @@ def test_p_gamma_loop_merges_corners():
     pg = p_gamma(loop, BOX)
     # union semantics: each of the 4 corners merges one oriented plaquette
     assert len(pg) == 2 * (2 - 1) * 16 - 4
-    assert len(pg) == rectangle_p_gamma_count(loop, m=2)
+    assert len(pg) == rectangle_p_gamma_count(loop)
     # inside corner plaquette appears exactly once, consistently oriented
     corner = plaquette((-2, -2), 1, 2)
     assert corner in pg and -corner not in pg
@@ -117,24 +120,24 @@ def test_p_gamma_m3_counts():
     loop = rectangle_loop(rect)
     pg = p_gamma(loop, box3)
     assert len(pg) == 2 * (3 - 1) * 8 - 4
-    assert len(pg) == rectangle_p_gamma_count(loop, m=3)
+    assert len(pg) == rectangle_p_gamma_count(loop)
 
 
 def test_corner_count_and_v_set():
     loop = rectangle_loop(RECT44)
     z = zero_form(2, 2)
-    assert corner_count(z, loop, m=2) == 0
+    assert corner_count(z, loop) == 0
     assert v_set(z, loop) == set()
 
     # single non-corner plaquette bordering gamma: no corners, two kink vertices
     p = plaquette((-1, -2), 1, 2)  # bottom side, not at a corner
     w = FormZn(2, 2, {p: 1})
-    assert corner_count(w, loop, m=2) == 0
+    assert corner_count(w, loop) == 0
     assert len(v_set(w, loop)) == 2
 
     # corner plaquette with both gamma edges in supp delta: one corner
     wc = FormZn(2, 2, {plaquette((-2, -2), 1, 2): 1})
-    assert corner_count(wc, loop, m=2) == 1
+    assert corner_count(wc, loop) == 1
 
 
 def test_v_set_needs_rectangle():
@@ -145,16 +148,16 @@ def test_v_set_needs_rectangle():
 
 def test_in_event_E_cases():
     loop = rectangle_loop(RECT44)
-    assert in_event_E(zero_form(2, 2), loop, m=2)
+    assert in_event_E(zero_form(2, 2), loop)
     # isolated plaquette bordering gamma, not a corner
     w = FormZn(2, 2, {plaquette((-1, -2), 1, 2): 1})
-    assert in_event_E(w, loop, m=2)
+    assert in_event_E(w, loop)
     # two adjacent plaquettes with one bordering gamma
     w2 = FormZn(2, 2, {plaquette((-1, -2), 1, 2): 1, plaquette((-1, -1), 1, 2): 1})
-    assert not in_event_E(w2, loop, m=2)
+    assert not in_event_E(w2, loop)
     # supported corner plaquette with both gamma edges active
     w3 = FormZn(2, 2, {plaquette((-2, -2), 1, 2): 1})
-    assert not in_event_E(w3, loop, m=2)
+    assert not in_event_E(w3, loop)
 
 
 def test_gamma_stats():
@@ -167,4 +170,121 @@ def test_u_shaped_path():
     u = u_shaped_path(RECT44)
     assert u.kind == "open"
     assert len(u) == 12  # bottom 4 + right 4 + left 4
-    assert len(corner_plaquettes(u, m=2)) == 2
+    assert len(corner_plaquettes(u)) == 2
+
+
+# -- the label-set route, kept as the reference for the BoxIndex gather ------
+
+
+def _plaquettes_with_edge(e, m, box):
+    """Positive plaquettes whose boundary supports the positive edge e."""
+    (d1,) = e.dirs
+    out = []
+    for d in range(1, m + 1):
+        if d == d1:
+            continue
+        lo, hi = min(d1, d), max(d1, d)
+        for shift in (0, -1):
+            base = tuple(b + (shift if i == d - 1 else 0) for i, b in enumerate(e.base))
+            p = OrientedCell(base, (lo, hi))
+            if box is None or box.contains(p):
+                out.append(p)
+    return out
+
+
+def corner_plaquettes_by_labels(gamma, m=None, box=None):
+    """P_{gamma,c}: positive plaquettes with >= 2 support edges of gamma on their boundary."""
+    m = m if m is not None else len(next(iter(gamma.support)).base)
+    supp = gamma.support
+    counts = {}
+    for e in supp:
+        for p in _plaquettes_with_edge(e, m, box):
+            counts[p] = counts.get(p, 0) + 1
+    return {p for p, k in counts.items() if k >= 2}
+
+
+def p_gamma_by_labels(gamma, box):
+    """P_gamma: oriented plaquettes bordering gamma with consistent orientation."""
+    out = set()
+    for f in gamma.support:
+        ge = gamma.chain[f]
+        for p in _plaquettes_with_edge(f, box.m, box):
+            s = boundary(p)[f]
+            out.add(p if s * ge > 0 else -p)
+    return out
+
+
+def random_paths(m, N, count, seed):
+    """Rectangle loops, U-shaped and open paths inside B_N, half of them on a face."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        a, b = sorted(rng.choice(np.arange(1, m + 1), size=2, replace=False).tolist())
+        lengths = tuple(int(x) for x in rng.integers(1, min(2 * N, 4) + 1, size=2))
+        top = [N] * m
+        top[a - 1], top[b - 1] = N - lengths[0], N - lengths[1]
+        corner = [int(rng.integers(-N, t + 1)) for t in top]
+        if i % 2:  # push one coordinate onto a face of the box
+            k = int(rng.integers(m))
+            corner[k] = -N if rng.random() < 0.5 else top[k]
+        rect = RectDescriptor(corner=tuple(corner), axes=(a, b), lengths=lengths)
+        orientation = 1 if rng.random() < 0.5 else -1
+        kind = i % 3
+        if kind == 0:
+            yield rectangle_loop(rect, orientation=orientation)
+        elif kind == 1:
+            yield u_shaped_path(rect, orientation=orientation)
+        else:
+            perimeter = 2 * sum(lengths)
+            start, n_edges = int(rng.integers(perimeter)), int(rng.integers(1, perimeter))
+            yield rectangle_open_path(rect, start=start, count=n_edges, orientation=orientation)
+
+
+@pytest.mark.parametrize("m, N", [(2, 4), (2, 16), (3, 3), (4, 2)])
+def test_gather_matches_label_route(m, N):
+    box, wider = LatticeBox.centered(m, N), LatticeBox.centered(m, N + 1)
+    clipped = 0
+    for gamma in random_paths(m, N, 48, seed=10 * m + N):
+        pg = p_gamma_by_labels(gamma, box)
+        pc = corner_plaquettes_by_labels(gamma, box=box)
+        assert p_gamma(gamma, box) == pg
+        assert corner_plaquettes(gamma, box=box) == pc
+        assert corner_plaquettes(gamma) == corner_plaquettes_by_labels(gamma)
+        rect = gamma.rect
+        assert gamma_stats(gamma, box) == GammaStats(len(gamma), len(pg), len(pc), rect.ell1, rect.ell2)
+        clipped += len(pg) < len(p_gamma_by_labels(gamma, wider))
+    assert clipped > 0  # some paths run along a face and lose plaquettes there
+
+
+def test_path_leaving_the_box_raises():
+    box = LatticeBox.centered(2, 8)
+    crossing = rectangle_loop(RectDescriptor((6, 6), (1, 2), (4, 4)))  # reaches x = 10
+    beside = rectangle_loop(RectDescriptor((9, 0), (1, 2), (1, 1)))  # its neighbourhood meets the box
+    away = rectangle_loop(RectDescriptor((20, 20), (1, 2), (1, 1)))  # its neighbourhood misses the box
+    open_crossing = rectangle_open_path(RectDescriptor((6, 0), (1, 2), (4, 1)), start=0, count=3)
+    for gamma in (crossing, beside, away, open_crossing):
+        with pytest.raises(PreconditionError):
+            p_gamma(gamma, box)
+        with pytest.raises(PreconditionError):
+            corner_plaquettes(gamma, box=box)
+        with pytest.raises(PreconditionError):
+            gamma_stats(gamma, box)
+    # without a box nothing is clipped
+    assert len(corner_plaquettes(crossing)) == 4
+    # a loop on the faces x = 8 and y = 8 is inside and keeps its clipped count
+    touching = rectangle_loop(RectDescriptor((4, 4), (1, 2), (4, 4)))
+    assert len(p_gamma(touching, box)) == 20
+    assert gamma_stats(touching, box) == GammaStats(length=16, p_gamma=20, p_gamma_c=4, ell1=4, ell2=4)
+
+
+def test_gamma_stats_reads_only_the_neighbourhood():
+    # an index of the whole box B_30 at m = 4 would take several hundred MB
+    box = LatticeBox.centered(4, 30)
+    loop = rectangle_loop(RectDescriptor(corner=(-4, -4, 0, 0), axes=(1, 2), lengths=(8, 8)))
+    tracemalloc.start()
+    try:
+        st = gamma_stats(loop, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
+    assert st == GammaStats(length=32, p_gamma=rectangle_p_gamma_count(loop), p_gamma_c=4, ell1=8, ell2=8)

@@ -8,10 +8,10 @@ from scipy import stats as scistats
 
 from lattice_higgs.couplings import ModelParams, eta, phi, xi
 from lattice_higgs.errors import PreconditionError
-from lattice_higgs.forms import delta, random_form
+from lattice_higgs.forms import FormZn, delta, random_form
 from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form, form_distribution
 from lattice_higgs.paths import RectDescriptor, rectangle_loop
-from lattice_higgs.sampler import ChainEnsemble, _plaquette_classes, estimate_wilson, sample_tilted_snapshots
+from lattice_higgs.sampler import ChainEnsemble, _plaquette_classes, estimate_wilson
 
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
 LOOP = rectangle_loop(RECT)
@@ -173,13 +173,17 @@ def test_normalized_observable_lower_bound():
     p = params(0.45, 0.3)
     ens = ChainEnsemble(p, seed=29, chains=2)
     lo = (eta(p.kappa, p.n) / xi(p.kappa, p.n)) ** len(LOOP) - 1e-12
-    support = ens.wilson_support(LOOP)
+    support = ens.idx.path(LOOP)
+    # the support in set order, as ranked label by label: the same factors in another order
+    edges = list(LOOP.support)
+    by_label = ens.idx.ids(edges), np.array([LOOP.chain.coeffs[e] for e in edges], dtype=np.int16)
     ens.run(100)
     for _ in range(200):
         ens.sweep()
         vals = ens.normalized_wilson(LOOP)
         assert (vals >= lo).all()
         assert np.array_equal(ens.normalized_wilson(support), vals)
+        assert np.allclose(ens.normalized_wilson(by_label), vals, rtol=1e-12, atol=0)
 
 
 def test_margin_precondition():
@@ -191,16 +195,56 @@ def test_margin_precondition():
         estimate_wilson(params(0.1, 0.3), LOOP, sweeps=100, seed=0, chains=2, batches_per_chain=8)
 
 
+@pytest.mark.parametrize("m, N", [(2, 8), (3, 4)])
+def test_margin_at_its_edge(m, N):
+    # a unit loop whose nearest corner lies `margin` steps inside the face x_1 = -N
+    need = N // 4
+    p = ModelParams(m=m, n=2, N=N, beta=0.1, kappa=0.3)
+
+    def loop(margin):
+        corner = (-N + margin,) + (0,) * (m - 1)
+        return rectangle_loop(RectDescriptor(corner=corner, axes=(1, 2), lengths=(1, 1)))
+
+    res = estimate_wilson(p, loop(need), sweeps=40, seed=0, chains=2)
+    assert res.sweeps == 40
+    with pytest.raises(PreconditionError):
+        estimate_wilson(p, loop(need - 1), sweeps=40, seed=0, chains=2)
+
+
+def _tilted_snapshots(p, schedule, seed):
+    burn_in, interval, count = schedule
+    ens = ChainEnsemble(p, tilt=LOOP, seed=seed, chains=1)
+    ens.run(burn_in)
+    out = []
+    for _ in range(count):
+        ens.run(interval)
+        out.append(ens.snapshot())
+    return out
+
+
 def test_snapshots_valid_and_deterministic():
     p = params(0.5, 0.5)
-    snaps = sample_tilted_snapshots(p, LOOP, schedule=(100, 50, 4), seed=31)
+    snaps = _tilted_snapshots(p, (100, 50, 4), seed=31)
     assert len(snaps) == 4
     for w in snaps:
         assert delta(delta(w)).is_zero()
-    again = sample_tilted_snapshots(p, LOOP, schedule=(100, 50, 4), seed=31)
+    again = _tilted_snapshots(p, (100, 50, 4), seed=31)
     assert snaps == again
-    zero_snaps = sample_tilted_snapshots(params(0.0, 0.5), LOOP, (50, 10, 3), seed=1)
+    zero_snaps = _tilted_snapshots(params(0.0, 0.5), (50, 10, 3), seed=1)
     assert all(w.is_zero() for w in zero_snaps)
+
+
+def test_snapshot_labels_only_nonzero_plaquettes():
+    box_index.cache_clear()
+    ens = ChainEnsemble(params(0.3, 0.4, n=3, m=3), seed=9, chains=2)
+    ens.run(20)
+    assert ens.omega.any() and not ens.omega.all()
+    plaqs = list(ens.idx.box.cells(2))
+    for chain in range(2):
+        w = ens.omega[chain]
+        want = FormZn(2, 3, {plaqs[r]: int(w[r]) for r in np.flatnonzero(w)})
+        assert ens.snapshot(chain) == want
+    assert "plaqs" not in vars(ens.idx)  # the whole label list was never built
 
 
 def _unit_loop(m):
