@@ -15,6 +15,7 @@ beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -237,6 +238,13 @@ def u_shaped_path(rect: RectDescriptor, orientation: int = 1) -> LatticePath:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _local_index(box: LatticeBox) -> BoxIndex:
+    """A ``BoxIndex`` of a path's neighbourhood, cached because the bounds ask
+    for the statistics of one path in one box again and again."""
+    return BoxIndex(box)
+
+
 def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np.ndarray, np.ndarray]:
     """(local index, P_gamma as keys, P_gamma,c as ranks) on the local index.
 
@@ -252,7 +260,7 @@ def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np
         lo, hi = np.maximum(lo, box.lo), np.minimum(hi, box.hi)
         if (lo > hi).any():
             raise PreconditionError(f"{gamma} lies outside {box}")
-    idx = BoxIndex(LatticeBox(gamma.m, tuple(lo.tolist()), tuple(hi.tolist())))
+    idx = _local_index(LatticeBox(gamma.m, tuple(lo.tolist()), tuple(hi.tolist())))
     ranks, coef = idx.path(gamma)
     signs = idx.edge_plaq_signs[ranks] * coef[:, None]
     on = signs != 0  # drops the padding columns

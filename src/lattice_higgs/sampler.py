@@ -23,6 +23,28 @@ Randomness comes from per-chain Philox counter streams: each sweep draws
 ``rng.random(P)`` once per chain and uses the draws class by class in
 scan order, so trajectories are reproducible bit for bit.
 
+Most plaquettes never move in the strong-coupling regime, and a sweep
+skips them without changing a bit of the trajectory.  Call a member
+*quiet* when its own value and its 4 tilted residues are 0: it reads row
+0 of the table, and moves only if its draw is *hot*, u * row0[-1] >
+row0[0], i.e. u above a threshold fixed per ensemble.  A sweep therefore
+updates, class by class, only the members of a *pool* of candidates, by
+the same table arithmetic.  The pool starts from the state, so an
+assigned state needs no hook: the plaquettes with a hot draw, the
+non-zero plaquettes, and the plaquettes on every edge whose delta is
+non-zero or that lies on the tilt.  After each class, the plaquettes on
+the edges of every member that moved join it.  The invariant is that the
+pool holds every non-quiet or hot member of the class about to be
+updated; a quiet member with a cold draw would be written back unchanged,
+so skipping it is exact, and an extra candidate costs time only.  The
+pool is one set of plaquettes shared by all chains.  When the pool covers
+so much of a class that skipping would not pay (fewer than ``_SKIP_MIN``
+member updates saved, counting a candidate as four), that class and the
+rest of the sweep update their full member lists; boxes whose classes
+are all that small always do.  ``ChainEnsemble.moves`` counts the
+plaquettes whose value changed, so a caller can tell that a sweep left
+the state exactly as it was.
+
 The Wilson estimator samples only the O(1) normalized observable
 prod_e phi_kappa(delta omega + gamma) / (phi_kappa(delta omega) phi_kappa(1));
 the exponentially small prefactor phi_kappa(1)^{|gamma|} is restored
@@ -46,6 +68,11 @@ from .paths import LatticePath
 
 # every plaquette's boundary signs, the columns of BoxIndex.plaq_signs
 _SIGNS = np.array([1, -1, -1, 1], dtype=np.int16)
+
+# a class skips its quiet members only if that saves at least this many
+# member updates, a candidate counting as four (the measured break-even of
+# the extra gathers and pool scatters against one full class update)
+_SKIP_MIN = 512
 
 
 @dataclass(frozen=True)
@@ -106,6 +133,21 @@ def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarr
     return w.cumsum(axis=1)
 
 
+def _hot_threshold(c0: float, c1: float) -> float:
+    """The largest float u with u * c1 <= c0 in floating point.
+
+    Rounding is monotone, so on row 0 of the table (c0 its first, c1 its
+    last entry) a draw u moves a quiet member, c0 < u * c1, exactly when
+    u exceeds this threshold.
+    """
+    t = c0 / c1
+    while t * c1 > c0:
+        t = math.nextafter(t, -math.inf)
+    while math.nextafter(t, math.inf) * c1 <= c0:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 def _wrap(x: np.ndarray, n: int) -> np.ndarray:
     """x mod n in place, for int16 x in [0, 2n): read as unsigned, x - n
     wraps round to a large value exactly when x < n."""
@@ -124,7 +166,12 @@ class ChainEnsemble:
     The constructor builds the (n^5, n) conditional table of the module
     docstring.  It raises ``PreconditionError`` for fewer than one chain,
     and, before allocating anything, for n^6 > ``oracle.STATE_GUARD``
-    (n >= 21).  Each sweep draws ``rng.random(P)`` once per chain.
+    (n >= 21).  Each sweep draws ``rng.random(P)`` once per chain, whether
+    or not it skips a plaquette, and updates only a pool of candidates
+    that holds every member it could move (module docstring).  ``moves``
+    counts the plaquette values changed so far, ``sweeps`` the sweeps run.
+    ``snapshot`` and ``conditional_weights`` raise ``PreconditionError``
+    for a chain outside [0, K).
     """
 
     def __init__(
@@ -158,22 +205,38 @@ class ChainEnsemble:
             else np.zeros(E, dtype=np.int16)
         )
         self._cum = _conditional_table(self.phi_b, self.phi_k, n)
-        # per class: its slice of the sweep's draws, and flat ranks into
-        # omega (K, C) and delta (K, C, 4) across all chains
+        # per class: its slice of the sweep's draws, flat ranks into omega
+        # (K, C) and delta (K, C, 4) across all chains, and its members' ranks
         chain = np.arange(chains)[:, None]
         self._blocks = []
+        self._pos = np.empty(P, dtype=np.intp)  # each plaquette's draw position
         lo = 0
         for cls in _plaquette_classes(self.idx):
             e = self.idx.plaq_edges[cls]
-            self._blocks.append(
-                (slice(lo, lo + len(cls)), chain * P + cls, chain[:, :, None] * E + e, self.tilt[e])
-            )
+            draws = slice(lo, lo + len(cls))
+            self._blocks.append((draws, chain * P + cls, chain[:, :, None] * E + e, self.tilt[e], cls))
+            self._pos[cls] = np.arange(draws.start, draws.stop)
             lo += len(cls)
+        # draw positions of the plaquettes on each edge, (E, 2(m - 1)); the
+        # padding repeats the edge's first plaquette rather than naming plaquette 0
+        ep = self.idx.edge_plaqs
+        self._edge_pos = self._pos[np.where(self.idx.edge_plaq_signs != 0, ep, ep[:, :1])]
+        self._on_tilt = self.tilt != 0
+        self._u = np.empty((chains, P))  # the sweep's draws
+        self._hot = _hot_threshold(*self._cum[0, [0, -1]].tolist())
+        # classes too small for skipping to pay: every sweep updates full member lists
+        self._dense = chains * max(len(b[4]) for b in self._blocks) < _SKIP_MIN
+        self.moves = 0
 
     # -- single-site conditional, exposed for tests and exactness checks ----
 
+    def _check_chain(self, chain: int):
+        if not 0 <= chain < self.k:
+            raise PreconditionError(f"chain {chain} outside [0, {self.k})")
+
     def conditional_weights(self, p_idx: int, chain: int = 0) -> np.ndarray:
         """Normalized conditional distribution of one plaquette value."""
+        self._check_chain(chain)
         e = self.idx.plaq_edges[p_idx]
         s = self.idx.plaq_signs[p_idx].astype(np.int16)
         own = self.omega[chain, p_idx]
@@ -186,36 +249,64 @@ class ChainEnsemble:
     # -- sweeps --------------------------------------------------------------
 
     def sweep(self):
-        n = self.n
         # the scatters write through flat views, which needs C-contiguous state
         self.omega = np.ascontiguousarray(self.omega)
         self.delta = np.ascontiguousarray(self.delta)
-        om, dl = self.omega.reshape(-1), self.delta.reshape(-1)
-        u = np.stack([rng.random(self.omega.shape[1]) for rng in self.rngs])
-        for draws, p_flat, e_flat, tl in self._blocks:
-            own = om[p_flat]  # (K, C)
-            d = dl[e_flat]  # (K, C, 4)
-            a = _wrap(d + tl, n)
-            key = own.astype(np.int32)  # own n^4 + sum_k a_k n^k, by Horner
-            for k in (3, 2, 1, 0):
-                key *= n
-                key += a[..., k]
-            cum = self._cum.take(key, axis=0)  # (K, C, n)
-            r = u[:, draws] * cum[..., -1]
-            # u < 1, so r never exceeds cum[..., -1]: the last column never counts
-            new = (cum[..., 0] < r).astype(np.int16)
-            for g in range(1, n - 1):
-                new += cum[..., g] < r
-            om[p_flat] = new
-            # d + (new - own) * _SIGNS, shifted by n into [0, 3n) for _wrap
-            change = new - own
-            d += n
-            d[..., 0] += change
-            d[..., 1] -= change
-            d[..., 2] -= change
-            d[..., 3] += change
-            dl[e_flat] = _wrap(_wrap(d, n), n)
+        u = self._u
+        for chain, rng in enumerate(self.rngs):
+            rng.random(out=u[chain])
+        dense = self._dense
+        if not dense:
+            # the pool, by draw position: hot draws, which move a quiet member,
+            # and every plaquette near a non-zero residue or itself non-zero
+            pool = u.max(axis=0) > self._hot
+            pool[self._pos.compress(self.omega.any(axis=0))] = True
+            pool[self._edge_pos.compress(self.delta.any(axis=0) | self._on_tilt, axis=0)] = True
+        for draws, p_flat, e_flat, tl, cls in self._blocks:
+            if not dense:
+                j = pool[draws].nonzero()[0]
+                if not len(j):
+                    continue
+                dense = self.k * (len(cls) - 4 * len(j)) < _SKIP_MIN
+            if dense:
+                # the full member list; no later class needs the pool
+                self._update(p_flat, e_flat, tl, u[:, draws])
+                continue
+            moved = self._update(p_flat[:, j], e_flat[:, j], tl[j], u[:, draws][:, j])
+            moved = j[moved.any(axis=0)]
+            pool[self._edge_pos[self.idx.plaq_edges[cls[moved]]]] = True
         self.sweeps += 1
+
+    def _update(self, p_flat, e_flat, tl, u) -> np.ndarray:
+        """Heat-bath update of the members at flat ranks ``p_flat`` of omega,
+        with their boundary edges at ``e_flat`` of delta, the tilt ``tl`` there
+        and draws ``u``; returns which members changed value."""
+        n = self.n
+        om, dl = self.omega.reshape(-1), self.delta.reshape(-1)
+        own = om[p_flat]
+        d = dl[e_flat]
+        a = _wrap(d + tl, n)
+        key = own.astype(np.int32)  # own n^4 + sum_k a_k n^k, by Horner
+        for k in (3, 2, 1, 0):
+            key *= n
+            key += a[..., k]
+        cum = self._cum.take(key, axis=0)
+        r = u * cum[..., -1]
+        # u < 1, so r never exceeds cum[..., -1]: the last column never counts
+        new = (cum[..., 0] < r).astype(np.int16)
+        for g in range(1, n - 1):
+            new += cum[..., g] < r
+        om[p_flat] = new
+        # d + (new - own) * _SIGNS, shifted by n into [0, 3n) for _wrap
+        change = new - own
+        d += n
+        d[..., 0] += change
+        d[..., 1] -= change
+        d[..., 2] -= change
+        d[..., 3] += change
+        dl[e_flat] = _wrap(_wrap(d, n), n)
+        self.moves += int(np.count_nonzero(change))
+        return change != 0
 
     def run(self, sweeps: int):
         for _ in range(sweeps):
@@ -245,6 +336,7 @@ class ChainEnsemble:
 
     def snapshot(self, chain: int = 0) -> FormZn:
         """One chain's omega as a FormZn; only its non-zero plaquettes get labels."""
+        self._check_chain(chain)
         w = self.omega[chain]
         nonzero = np.flatnonzero(w)
         return FormZn(2, self.n, dict(zip(self.idx.plaq_labels(nonzero), w[nonzero].tolist())))
@@ -285,6 +377,10 @@ def estimate_wilson(
     recover the raw Wilson expectation.  Raises ``PreconditionError`` for a
     negative burn-in, fewer than 32 batches in total, or fewer kept sweeps
     than ``batches_per_chain`` (a batch needs at least one sweep).
+
+    The observable is evaluated again only after a sweep that moved some
+    plaquette (``ChainEnsemble.moves``); otherwise delta, and so every
+    sample, is exactly the previous one, which is reused.
     """
     idx = box_index(params.m, params.N)
     _check_margin(params, gamma, idx)
@@ -302,10 +398,13 @@ def estimate_wilson(
     ens = ChainEnsemble(params, tilt=None, seed=seed, chains=chains)
     support = idx.path(gamma)
     samples = np.empty((chains, keep))
+    seen = None  # ens.moves when the observable was last evaluated
     for t in range(sweeps):
         ens.sweep()
         if t >= burn_in:
-            samples[:, t - burn_in] = ens.normalized_wilson(support)
+            if ens.moves != seen:
+                vals, seen = ens.normalized_wilson(support), ens.moves
+            samples[:, t - burn_in] = vals
     mean = float(samples.mean())
     bs = keep // batches_per_chain
     trimmed = samples[:, : bs * batches_per_chain]

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
+from lattice_higgs import sampler
 from lattice_higgs.couplings import ModelParams, eta, phi, xi
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, delta, random_form
 from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form, form_distribution
 from lattice_higgs.paths import RectDescriptor, rectangle_loop
-from lattice_higgs.sampler import ChainEnsemble, _plaquette_classes, estimate_wilson
+from lattice_higgs.sampler import ChainEnsemble, _hot_threshold, _plaquette_classes, _wrap, estimate_wilson
 
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
 LOOP = rectangle_loop(RECT)
@@ -332,3 +333,153 @@ def test_too_few_sweeps_for_batches():
 def test_negative_burn_in_precondition():
     with pytest.raises(PreconditionError):
         estimate_wilson(params(0.1, 0.3), LOOP, sweeps=100, burn_in=-5, seed=0)
+
+
+# -- the dense sweep, kept as the reference for the sweep that skips quiet plaquettes --
+
+
+def dense_blocks(ens):
+    """Per class: its slice of the sweep's draws and flat ranks into omega, delta."""
+    chains, P = ens.omega.shape
+    E = ens.delta.shape[1]
+    chain = np.arange(chains)[:, None]
+    blocks = []
+    lo = 0
+    for cls in _plaquette_classes(ens.idx):
+        e = ens.idx.plaq_edges[cls]
+        blocks.append((slice(lo, lo + len(cls)), chain * P + cls, chain[:, :, None] * E + e, ens.tilt[e]))
+        lo += len(cls)
+    return blocks
+
+
+def dense_sweep(ens, blocks):
+    """One sweep that updates every member of every class."""
+    n = ens.n
+    # the scatters write through flat views, which needs C-contiguous state
+    ens.omega = np.ascontiguousarray(ens.omega)
+    ens.delta = np.ascontiguousarray(ens.delta)
+    om, dl = ens.omega.reshape(-1), ens.delta.reshape(-1)
+    u = np.stack([rng.random(ens.omega.shape[1]) for rng in ens.rngs])
+    for draws, p_flat, e_flat, tl in blocks:
+        own = om[p_flat]  # (K, C)
+        d = dl[e_flat]  # (K, C, 4)
+        a = _wrap(d + tl, n)
+        key = own.astype(np.int32)  # own n^4 + sum_k a_k n^k, by Horner
+        for k in (3, 2, 1, 0):
+            key *= n
+            key += a[..., k]
+        cum = ens._cum.take(key, axis=0)  # (K, C, n)
+        r = u[:, draws] * cum[..., -1]
+        # u < 1, so r never exceeds cum[..., -1]: the last column never counts
+        new = (cum[..., 0] < r).astype(np.int16)
+        for g in range(1, n - 1):
+            new += cum[..., g] < r
+        om[p_flat] = new
+        # d + (new - own) * _SIGNS, shifted by n into [0, 3n) for _wrap
+        change = new - own
+        d += n
+        d[..., 0] += change
+        d[..., 1] -= change
+        d[..., 2] -= change
+        d[..., 3] += change
+        dl[e_flat] = _wrap(_wrap(d, n), n)
+    ens.sweeps += 1
+
+
+def _all_ones(ens):
+    ens.omega[:] = 1
+    ens.delta = ens.recompute_delta()
+
+
+def _random_state(ens):
+    ens.omega[:] = np.random.default_rng(1).integers(0, ens.n, size=ens.omega.shape)
+    ens.delta = ens.recompute_delta()
+
+
+R2_LOOP = rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), lengths=(2, 2)))
+
+
+@pytest.mark.parametrize("route", ["as-built", "skip-always"])
+@pytest.mark.parametrize(
+    "p, tilt, chains, sweeps, start",
+    [
+        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 4, 100, None),
+        (ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25), R2_LOOP, 4, 20, None),
+        (ModelParams(m=3, n=3, N=2, beta=0.3, kappa=0.4), _unit_loop(3), 3, 30, None),
+        (ModelParams(m=2, n=5, N=3, beta=0.3, kappa=0.4), None, 3, 50, None),
+        (ModelParams(m=2, n=2, N=8, beta=0.0, kappa=0.4), None, 4, 3, _all_ones),
+        (ModelParams(m=2, n=3, N=8, beta=0.3, kappa=0.4), _unit_loop(2), 4, 20, _random_state),
+        # few non-zero plaquettes, but moves in every sweep: a member that moves
+        # in one class must make its neighbours in later classes candidates
+        (ModelParams(m=2, n=2, N=16, beta=0.01, kappa=0.25), None, 4, 60, None),
+        (ModelParams(m=3, n=2, N=4, beta=0.01, kappa=0.3), _unit_loop(3), 4, 40, None),
+    ],
+    ids=["R1", "R2-tilted", "m3-n3-tilted", "m2-n5", "beta0-from-ones", "random-state", "m2-sparse-moves", "m3-sparse-moves"],
+)
+def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, monkeypatch):
+    # the skipping sweep reproduces the dense sweep's omega and delta after every sweep;
+    # "skip-always" never falls back to full member lists, so small boxes exercise the skips too
+    if route == "skip-always":
+        monkeypatch.setattr(sampler, "_SKIP_MIN", -math.inf)
+    ens = ChainEnsemble(p, tilt=tilt, seed=5, chains=chains)
+    ref = ChainEnsemble(p, tilt=tilt, seed=5, chains=chains)
+    if start is not None:
+        start(ens)
+        start(ref)
+    blocks = dense_blocks(ref)
+    moves = 0
+    for _ in range(sweeps):
+        before = ref.omega.copy()
+        ens.sweep()
+        dense_sweep(ref, blocks)
+        assert np.array_equal(ens.omega, ref.omega)
+        assert np.array_equal(ens.delta, ref.delta)
+        moves += int(np.count_nonzero(ref.omega != before))
+    assert ens.moves == moves
+    assert ens.sweeps == ref.sweeps == sweeps
+
+
+@pytest.mark.parametrize("beta, kappa, n", [(1e-4, 0.25, 2), (1e-5, 0.25, 2), (0.3, 0.4, 3), (0.0, 0.4, 2), (0.3, 0.3, 5)])
+def test_hot_threshold_is_exact(beta, kappa, n):
+    # a draw u moves a quiet member, cum0[0] < u * cum0[-1], exactly when u > the threshold
+    ens = ChainEnsemble(ModelParams(m=2, n=n, N=1, beta=beta, kappa=kappa))
+    c0, c1 = ens._cum[0, 0], ens._cum[0, -1]
+    t = _hot_threshold(float(c0), float(c1))
+    assert t == ens._hot
+    assert not c0 < t * c1
+    assert c0 < np.nextafter(t, 2.0) * c1 or t >= 1.0
+
+
+def test_estimate_wilson_results_are_pinned():
+    # reusing the observable after sweeps that move nothing leaves every sample as it was;
+    # the values were taken from the code that evaluated it after every sweep
+    loop2 = rectangle_loop(RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(2, 2)))
+    res = estimate_wilson(params(0.3, 0.3, n=3, N=4), loop2, sweeps=2000, seed=3)
+    assert (res.mean, res.std_error) == (13.15971987321753, 3.9964785046038287)
+    r1 = ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25)
+    loop8 = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
+    res = estimate_wilson(r1, loop8, sweeps=2000, seed=3)
+    assert (res.mean, res.std_error) == (1.0039295854695094, 0.002991372516016938)
+
+
+def test_no_moves_at_beta_zero():
+    ens = ChainEnsemble(params(0.0, 0.4, N=8), seed=2, chains=4)
+    ens.run(20)
+    assert ens.moves == 0
+    ens = ChainEnsemble(params(0.3, 0.4, N=8), seed=2, chains=4)
+    ens.run(20)
+    assert ens.moves > 0
+
+
+@pytest.mark.parametrize("chain", [-1, 2])
+def test_snapshot_rejects_chain_out_of_range(chain):
+    ens = ChainEnsemble(params(0.3, 0.4), seed=0, chains=2)
+    with pytest.raises(PreconditionError):
+        ens.snapshot(chain)
+
+
+@pytest.mark.parametrize("chain", [-1, 2])
+def test_conditional_weights_rejects_chain_out_of_range(chain):
+    ens = ChainEnsemble(params(0.3, 0.4), seed=0, chains=2)
+    with pytest.raises(PreconditionError):
+        ens.conditional_weights(0, chain)
