@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List
@@ -164,12 +165,18 @@ class ModelParams:
     kappa: float
 
     def __post_init__(self):
+        for name in ("m", "n", "N"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise PreconditionError(f"{name} must be an integer, got {value!r}")
+            # numpy integers become Python ints, so n**k cannot wrap around
+            object.__setattr__(self, name, int(value))
         if self.m < 2 or self.n < 2 or self.N < 1:
-            raise ValueError("need m >= 2, n >= 2, N >= 1")
+            raise PreconditionError("need m >= 2, n >= 2, N >= 1")
         if not (math.isfinite(self.beta) and math.isfinite(self.kappa)):
-            raise ValueError("couplings must be finite")
+            raise PreconditionError("couplings must be finite")
         if self.beta < 0 or self.kappa < 0:
-            raise ValueError("couplings must be nonnegative")
+            raise PreconditionError("couplings must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,28 @@ Three enumerations, each a ground truth for the others:
 * the unitary-gauge measure over gauge configurations only,
 * the 2-form measure with the product activity weight.
 
-Configurations are enumerated as mixed-radix integers over the positive
-cells in canonical order, in chunks; chunk sums are reduced with
-compensated (fsum) accumulation so results are deterministic.
+Every route enumerates every configuration, split in two halves ("meet
+in the middle").  The cells, in canonical order, split into a high and a
+low half (:func:`_digits`); the two-field route pairs sigma with phi.
+Since :func:`incidence` is linear, each operator is applied once per
+half, and its rows fall into three classes:
+
+* rows that read the high half only and rows that read the low half only
+  fold, with the single-cell terms, into one weight per half-row;
+* straddling rows, which read both halves, are the only terms evaluated
+  on every (hi, lo) pair.
+
+On the gauge side a straddling cosine, and the two-field Higgs term
+cos(sigma_e - dphi_e), is a sum of products of per-half cosines and
+sines, so a block of pairs costs one matrix product and one exp; the
+Wilson phase splits the same way by angle addition.  On the 2-form side
+a straddling edge is a lookup of phi_kappa per pair.  Pairs run in blocks
+of at most ``_CHUNK``; block sums are reduced with compensated (fsum)
+accumulation, so results are deterministic.
+
+No gauge is fixed: the two-field route sums over phi as well, so its
+agreement with the unitary-gauge route stays an independent check of
+the unitary-gauge reduction.
 
 The vectorized routes read the box's cells from ``cells.BoxIndex`` and
 take every derivative with ``cells.incidence``; :func:`action` takes its
@@ -65,21 +84,54 @@ def gauge_transform(sigma: FormZn, higgs: FormZn, eta: FormZn, box: LatticeBox):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized enumeration machinery
+# Split-half enumeration machinery
 # ---------------------------------------------------------------------------
 
 
-def _digit_chunks(n: int, k: int, chunk: int = _CHUNK):
-    """Yield (offset, digits) blocks of the mixed-radix counter, base n, k cells.
+def _digits(n: int, k: int):
+    """Digit tables (hi, lo) of the base-n counter over k cells, split in two.
 
-    Cell 0 is the most significant digit, matching canonical cell order.
+    ``hi`` has n^(k - k//2) rows over the leading cells, ``lo`` n^(k//2)
+    rows over the trailing ones; both are k columns wide and zero outside
+    their own half, so hi[a] + lo[b] is the digit row of counter value
+    a * n^(k//2) + b.  Cell 0 is the most significant digit, matching
+    canonical cell order.
     """
-    total = n**k
-    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // weights[None, :]) % n
-        yield start, digits.astype(np.int8)
+    kl = k // 2
+
+    def table(start, width):
+        rows = np.arange(n**width, dtype=np.int64)
+        out = np.zeros((len(rows), k), dtype=np.int8)
+        out[:, start : start + width] = (rows[:, None] // n ** np.arange(width - 1, -1, -1)) % n
+        return out
+
+    return table(0, k - kl), table(k - kl, kl)
+
+
+def _all_digits(n: int, k: int) -> np.ndarray:
+    """Every digit row of the counter, in counter order."""
+    hi, lo = _digits(n, k)
+    return (hi[:, None, :] + lo[None, :, :]).reshape(-1, k)
+
+
+def _row_classes(table: np.ndarray, sign: np.ndarray, k_hi: int):
+    """Masks (hi-only, lo-only, straddling) of an operator's rows for cells split at k_hi.
+
+    A row that reads no cell is hi-only: it is 0 on both halves.
+    """
+    live = sign != 0
+    reads_hi = (live & (table < k_hi)).any(axis=1)
+    reads_lo = (live & (table >= k_hi)).any(axis=1)
+    return ~reads_lo, reads_lo & ~reads_hi, reads_hi & reads_lo
+
+
+def _pair_blocks(n_hi: int, n_lo: int):
+    """(hi slice, lo slice) blocks covering every pair once, at most _CHUNK pairs each."""
+    lo_step = min(n_lo, _CHUNK)
+    hi_step = max(1, _CHUNK // lo_step)
+    for a in range(0, n_hi, hi_step):
+        for b in range(0, n_lo, lo_step):
+            yield slice(a, a + hi_step), slice(b, b + lo_step)
 
 
 def _cos_table(n: int) -> np.ndarray:
@@ -92,6 +144,31 @@ def _sin_table(n: int) -> np.ndarray:
 
 def _phi_table(a: float, n: int) -> np.ndarray:
     return np.array([phi(a, j, n) for j in range(n)])
+
+
+def _pair_expectation(w_hi, hol_hi, x_hi, w_lo, hol_lo, x_lo, coupling: float, n: int) -> float:
+    """Weighted mean of rho(hol_hi[a] + hol_lo[b]) over all pairs (a, b).
+
+    A pair weighs w_hi[a] w_lo[b] exp(coupling * x_hi[a] . x_lo[b]).  The
+    phase is taken apart by angle addition, so a block costs one matrix
+    product for the coupling, one exp and one product with three lo-side
+    vectors.
+    """
+    cos_t, sin_t = _cos_table(n), _sin_table(n)
+    c_hi, s_hi = w_hi * cos_t[hol_hi], w_hi * sin_t[hol_hi]
+    lo_vecs = np.stack([w_lo, w_lo * cos_t[hol_lo], w_lo * sin_t[hol_lo]], axis=1)
+    num_re, num_im, den = [], [], []
+    for a, b in _pair_blocks(len(w_hi), len(w_lo)):
+        g = x_hi[a] @ x_lo[b].T
+        g *= coupling
+        np.exp(g, out=g)
+        tot, cos_lo, sin_lo = (g @ lo_vecs[b]).T
+        den.append(float(w_hi[a] @ tot))
+        num_re.append(float(c_hi[a] @ cos_lo - s_hi[a] @ sin_lo))
+        num_im.append(float(s_hi[a] @ cos_lo + c_hi[a] @ sin_lo))
+    nr, ni, dn = math.fsum(num_re), math.fsum(num_im), math.fsum(den)
+    _check_imag(ni, dn)
+    return nr / dn
 
 
 def _check_imag(num_im: float, scale: float):
@@ -119,74 +196,65 @@ def _wilson_spec(idx: BoxIndex, observable) -> Optional[_WilsonSpec]:
     return _WilsonSpec(idx, observable)
 
 
+def _coeffs(idx: BoxIndex, gam: Optional[_WilsonSpec]) -> np.ndarray:
+    """The observable's signed edge coefficients; all 0 for the constant 1."""
+    return np.zeros(len(idx.edge_verts), dtype=np.int64) if gam is None else gam.coeffs
+
+
 def expect_unitary(observable, params: ModelParams) -> float:
     """Expectation under the unitary-gauge measure by full enumeration of sigma.
 
     ``observable`` is a LatticePath (Wilson line/loop) or None for the constant 1.
     """
     idx = box_index(params.m, params.N)
-    E = len(idx.edge_verts)
-    if params.n**E > STATE_GUARD:
-        raise GuardError(f"unitary enumeration needs {params.n}^{E} states")
-    gam = _wilson_spec(idx, observable)
-    cos_t, sin_t = _cos_table(params.n), _sin_table(params.n)
-    num_re, num_im, den = [], [], []
-    for _, sig in _digit_chunks(params.n, E):
+    E, n = len(idx.edge_verts), params.n
+    if n**E > STATE_GUARD:
+        raise GuardError(f"unitary enumeration needs {n}^{E} states")
+    coeffs = _coeffs(idx, _wilson_spec(idx, observable))
+    cos_t, sin_t = _cos_table(n), _sin_table(n)
+    hi, lo = _digits(n, E)
+    k_hi = E - E // 2
+    hi_rows, lo_rows, mid = _row_classes(idx.plaq_edges, idx.plaq_signs, k_hi)
+
+    def half(sig, rows, cells):
         # sum over positive plaquettes and edges of Re rho; both orientations double it
-        a_w = cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, params.n)].sum(axis=1)
-        w = np.exp(2 * params.beta * a_w + 2 * params.kappa * cos_t[sig].sum(axis=1))
-        if gam is None:
-            obs_re = np.ones(len(sig))
-            obs_im = np.zeros(len(sig))
-        else:
-            hol = (sig @ gam.coeffs) % params.n
-            obs_re, obs_im = cos_t[hol], sin_t[hol]
-        num_re.append(float(w @ obs_re))
-        num_im.append(float(w @ obs_im))
-        den.append(float(w.sum()))
-    nr, ni, dn = math.fsum(num_re), math.fsum(num_im), math.fsum(den)
-    _check_imag(ni, dn)
-    return nr / dn
+        dsig = incidence(sig, idx.plaq_edges, idx.plaq_signs, n)
+        a_w = cos_t[dsig[:, rows]].sum(axis=1)
+        w = np.exp(2 * params.beta * a_w + 2 * params.kappa * cos_t[sig[:, cells]].sum(axis=1))
+        return w, (sig @ coeffs) % n, dsig[:, mid]
+
+    w_hi, hol_hi, d_hi = half(hi, hi_rows, slice(0, k_hi))
+    w_lo, hol_lo, d_lo = half(lo, lo_rows, slice(k_hi, E))
+    # straddling plaquettes: cos(a + b) = cos a cos b - sin a sin b
+    x_hi = np.hstack([cos_t[d_hi], sin_t[d_hi]])
+    x_lo = np.hstack([cos_t[d_lo], -sin_t[d_lo]])
+    return _pair_expectation(w_hi, hol_hi, x_hi, w_lo, hol_lo, x_lo, 2 * params.beta, n)
 
 
 def expect_full(observable, params: ModelParams) -> float:
-    """Expectation under the two-field measure; enumerates sigma x phi."""
+    """Expectation under the two-field measure; enumerates sigma x phi.
+
+    The halves are sigma and phi: the plaquette term reads sigma only and
+    every edge's Higgs term reads both.
+    """
     idx = box_index(params.m, params.N)
     E, V, n = len(idx.edge_verts), len(idx._rank[0]), params.n
     if n ** (E + V) > STATE_GUARD:
         raise GuardError(f"two-field enumeration needs {n}^{E + V} states")
     gam = _wilson_spec(idx, observable)
     cos_t, sin_t = _cos_table(n), _sin_table(n)
-
-    sig_blocks = list(_digit_chunks(n, E, chunk=min(_CHUNK, n**E)))
-    phi_chunk = max(1, (1 << 22) // (n**E))
-    num_re, num_im, den = [], [], []
-    for _, phi_blk in _digit_chunks(n, V, chunk=phi_chunk):
-        dphi = incidence(phi_blk, idx.edge_verts, idx.edge_vert_signs, n)
-        for _, sig in sig_blocks:
-            dsig = incidence(sig, idx.plaq_edges, idx.plaq_signs, n)
-            w_gauge = np.exp(2 * params.beta * cos_t[dsig].sum(axis=1))
-            # Higgs energy accumulated edge by edge to avoid a 3-d array
-            h = np.zeros((len(sig), len(phi_blk)))
-            for j in range(E):
-                h += cos_t[(sig[:, j][:, None].astype(np.int16) - dphi[None, :, j]) % n]
-            w = w_gauge[:, None] * np.exp(2 * params.kappa * h)
-            if gam is None:
-                obs_re, obs_im = np.ones_like(w), np.zeros_like(w)
-            else:
-                hol = (sig @ gam.coeffs) % n
-                if gam.v1 is not None:
-                    dph = (phi_blk[:, gam.v2].astype(np.int64) - phi_blk[:, gam.v1]) % n
-                    tot = (hol[:, None] - dph[None, :]) % n
-                else:
-                    tot = np.broadcast_to(hol[:, None] % n, w.shape)
-                obs_re, obs_im = cos_t[tot], sin_t[tot]
-            num_re.append(float((w * obs_re).sum()))
-            num_im.append(float((w * obs_im).sum()))
-            den.append(float(w.sum()))
-    nr, ni, dn = math.fsum(num_re), math.fsum(num_im), math.fsum(den)
-    _check_imag(ni, dn)
-    return nr / dn
+    sig, phis = _all_digits(n, E), _all_digits(n, V)
+    w_sig = np.exp(2 * params.beta * cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, n)].sum(axis=1))
+    dphi = incidence(phis, idx.edge_verts, idx.edge_vert_signs, n)
+    # Higgs term: cos(sigma_e - dphi_e) = cos sigma_e cos dphi_e + sin sigma_e sin dphi_e
+    x_sig = np.hstack([cos_t[sig], sin_t[sig]])
+    x_phi = np.hstack([cos_t[dphi], sin_t[dphi]])
+    # the observable's phase is hol(sigma) - (phi(v2) - phi(v1))
+    ends = np.zeros(len(phis), dtype=np.int64)
+    if gam is not None and gam.v1 is not None:
+        ends = (phis[:, gam.v1].astype(np.int64) - phis[:, gam.v2]) % n
+    hol = (sig @ _coeffs(idx, gam)) % n
+    return _pair_expectation(w_sig, hol, x_sig, np.ones(len(phis)), ends, x_phi, 2 * params.kappa, n)
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +276,34 @@ def expect_form(observable, params: ModelParams) -> float:
     phi_b = _phi_table(params.beta, n)
     phi_k = _phi_table(params.kappa, n)
     gam = _wilson_spec(idx, observable)
-    tilt = gam.coeffs.astype(np.int16) % n if gam is not None else None
-    num, den = [], []
-    for _, om in _digit_chunks(n, P):
-        dw = incidence(om, idx.edge_plaqs, idx.edge_plaq_signs, n)
-        w = phi_k[dw].prod(axis=1) * phi_b[om].prod(axis=1)
-        if tilt is None:
-            vals_num = w
-        else:
-            shifted = (dw + tilt[None, :]) % n
-            vals_num = phi_k[shifted].prod(axis=1) * phi_b[om].prod(axis=1)
-        num.append(float(vals_num.sum()))
-        den.append(float(w.sum()))
-    return math.fsum(num) / math.fsum(den)
+    hi, lo = _digits(n, P)
+    k_hi = P - P // 2
+    hi_rows, lo_rows, mid = _row_classes(idx.edge_plaqs, idx.edge_plaq_signs, k_hi)
+    d_hi = incidence(hi, idx.edge_plaqs, idx.edge_plaq_signs, n)
+    d_lo = incidence(lo, idx.edge_plaqs, idx.edge_plaq_signs, n)
+    b_hi = phi_b[hi[:, :k_hi]].prod(axis=1)
+    b_lo = phi_b[lo[:, k_hi:]].prod(axis=1)
+
+    def total(tilt):
+        # a hi-only edge takes its tilt on the hi side, every other edge on the lo side
+        t_hi = np.where(hi_rows, tilt, 0)
+        s_hi, s_lo = (d_hi + t_hi) % n, (d_lo + (tilt - t_hi)) % n
+        w_hi = b_hi * phi_k[s_hi[:, hi_rows]].prod(axis=1)
+        w_lo = b_lo * phi_k[s_lo[:, lo_rows]].prod(axis=1)
+        # per straddling edge, phi_kappa at (each hi residue + each lo row's residue)
+        shifted = [phi_k[(np.arange(n)[:, None] + s_lo[:, r]) % n] for r in np.flatnonzero(mid)]
+        keys = s_hi[:, mid]
+        sums = []
+        for a, b in _pair_blocks(len(w_hi), len(w_lo)):
+            w = np.ones((len(w_hi[a]), len(w_lo[b])))
+            for j, tab in enumerate(shifted):
+                w *= tab[keys[a, j], b]
+            sums.append(float(w_hi[a] @ (w @ w_lo[b])))
+        return math.fsum(sums)
+
+    den = total(np.zeros(len(idx.edge_plaqs), dtype=np.int64))
+    num = den if gam is None else total(gam.coeffs % n)
+    return num / den
 
 
 def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):
@@ -234,7 +317,7 @@ def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):
         raise GuardError("exact distribution limited to 2^16 configurations")
     phi_b = _phi_table(params.beta, n)
     phi_k = _phi_table(params.kappa, n)
-    rows = next(_digit_chunks(n, P, chunk=n**P))[1]
+    rows = _all_digits(n, P)
     dw = incidence(rows, idx.edge_plaqs, idx.edge_plaq_signs, n)
     if tilt is not None:
         shift = idx.gamma_coeffs(tilt).astype(np.int16) % n

@@ -189,3 +189,33 @@ def test_section3_suite_full_grid():
     bad = [r for r in results if not r.ok]
     assert bad == [], f"failing checks: {bad[:5]}"
     assert len(results) > 1000
+
+
+MODEL_OK = dict(m=2, n=2, N=1, beta=0.1, kappa=0.2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m", 1),
+        ("n", 1),
+        ("N", 0),
+        ("n", 2.5),
+        ("beta", float("nan")),
+        ("kappa", float("inf")),
+        ("beta", -0.1),
+        ("kappa", -0.1),
+    ],
+)
+def test_model_params_rejects_each_bad_field(field, value):
+    with pytest.raises(PreconditionError):
+        ModelParams(**{**MODEL_OK, field: value})
+    # existing callers catch ValueError
+    with pytest.raises(ValueError):
+        ModelParams(**{**MODEL_OK, field: value})
+
+
+def test_model_params_accepts_numpy_integers_as_ints():
+    p = ModelParams(m=np.int64(2), n=np.int32(3), N=np.int8(1), beta=0.1, kappa=0.2)
+    assert p == ModelParams(m=2, n=3, N=1, beta=0.1, kappa=0.2)
+    assert all(type(x) is int for x in (p.m, p.n, p.N))

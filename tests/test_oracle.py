@@ -3,11 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from lattice_higgs.cells import LatticeBox, plaquette, vertex
+from lattice_higgs import oracle
+from lattice_higgs.cells import LatticeBox, incidence, plaquette, vertex
 from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi
 from lattice_higgs.errors import GuardError
 from lattice_higgs.forms import FormZn, connected_components, lhd, random_form, zero_form
 from lattice_higgs.oracle import (
+    STATE_GUARD,
+    _all_digits,
+    _check_imag,
+    _cos_table,
+    _digits,
+    _pair_blocks,
+    _phi_table,
+    _row_classes,
+    _sin_table,
+    _wilson_spec,
     action,
     activity,
     box_index,
@@ -24,6 +35,10 @@ from lattice_higgs.forms import omega_gamma
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
 LOOP = rectangle_loop(RECT)  # 4-edge plaquette loop in B_1
 OPEN2 = rectangle_open_path(RECT, start=0, count=2)
+RECT_HI = RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(1, 1))
+LOOP_HI = rectangle_loop(RECT_HI)  # boundary of plaquette rank 0
+OPEN_HI = rectangle_open_path(RECT_HI, start=0, count=2)
+BIG = rectangle_loop(RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(2, 2)))
 
 
 def params(beta, kappa, n=2, m=2, N=1):
@@ -227,3 +242,241 @@ def test_wilson_line_open_in_two_field_model():
     # open path through vertices exercises the Higgs endpoint factor
     p = params(0.3, 0.4)
     assert expect_full(OPEN2, p) == pytest.approx(expect_unitary(OPEN2, p), abs=1e-10)
+
+
+# -- the previous chunked enumerations, the reference for the split-half routes --
+
+_CHUNK = 1 << 16  # the reference's own block size; monkeypatching oracle._CHUNK leaves it
+
+
+def _digit_chunks(n: int, k: int, chunk: int = _CHUNK):
+    """Yield (offset, digits) blocks of the mixed-radix counter, base n, k cells.
+
+    Cell 0 is the most significant digit, matching canonical cell order.
+    """
+    total = n**k
+    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = (idx[:, None] // weights[None, :]) % n
+        yield start, digits.astype(np.int8)
+
+
+def unitary_chunked(observable, params: ModelParams) -> float:
+    """Expectation under the unitary-gauge measure by full enumeration of sigma.
+
+    ``observable`` is a LatticePath (Wilson line/loop) or None for the constant 1.
+    """
+    idx = box_index(params.m, params.N)
+    E = len(idx.edge_verts)
+    if params.n**E > STATE_GUARD:
+        raise GuardError(f"unitary enumeration needs {params.n}^{E} states")
+    gam = _wilson_spec(idx, observable)
+    cos_t, sin_t = _cos_table(params.n), _sin_table(params.n)
+    num_re, num_im, den = [], [], []
+    for _, sig in _digit_chunks(params.n, E):
+        # sum over positive plaquettes and edges of Re rho; both orientations double it
+        a_w = cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, params.n)].sum(axis=1)
+        w = np.exp(2 * params.beta * a_w + 2 * params.kappa * cos_t[sig].sum(axis=1))
+        if gam is None:
+            obs_re = np.ones(len(sig))
+            obs_im = np.zeros(len(sig))
+        else:
+            hol = (sig @ gam.coeffs) % params.n
+            obs_re, obs_im = cos_t[hol], sin_t[hol]
+        num_re.append(float(w @ obs_re))
+        num_im.append(float(w @ obs_im))
+        den.append(float(w.sum()))
+    nr, ni, dn = math.fsum(num_re), math.fsum(num_im), math.fsum(den)
+    _check_imag(ni, dn)
+    return nr / dn
+
+
+def full_chunked(observable, params: ModelParams) -> float:
+    """Expectation under the two-field measure; enumerates sigma x phi."""
+    idx = box_index(params.m, params.N)
+    E, V, n = len(idx.edge_verts), len(idx._rank[0]), params.n
+    if n ** (E + V) > STATE_GUARD:
+        raise GuardError(f"two-field enumeration needs {n}^{E + V} states")
+    gam = _wilson_spec(idx, observable)
+    cos_t, sin_t = _cos_table(n), _sin_table(n)
+
+    sig_blocks = list(_digit_chunks(n, E, chunk=min(_CHUNK, n**E)))
+    phi_chunk = max(1, (1 << 22) // (n**E))
+    num_re, num_im, den = [], [], []
+    for _, phi_blk in _digit_chunks(n, V, chunk=phi_chunk):
+        dphi = incidence(phi_blk, idx.edge_verts, idx.edge_vert_signs, n)
+        for _, sig in sig_blocks:
+            dsig = incidence(sig, idx.plaq_edges, idx.plaq_signs, n)
+            w_gauge = np.exp(2 * params.beta * cos_t[dsig].sum(axis=1))
+            # Higgs energy accumulated edge by edge to avoid a 3-d array
+            h = np.zeros((len(sig), len(phi_blk)))
+            for j in range(E):
+                h += cos_t[(sig[:, j][:, None].astype(np.int16) - dphi[None, :, j]) % n]
+            w = w_gauge[:, None] * np.exp(2 * params.kappa * h)
+            if gam is None:
+                obs_re, obs_im = np.ones_like(w), np.zeros_like(w)
+            else:
+                hol = (sig @ gam.coeffs) % n
+                if gam.v1 is not None:
+                    dph = (phi_blk[:, gam.v2].astype(np.int64) - phi_blk[:, gam.v1]) % n
+                    tot = (hol[:, None] - dph[None, :]) % n
+                else:
+                    tot = np.broadcast_to(hol[:, None] % n, w.shape)
+                obs_re, obs_im = cos_t[tot], sin_t[tot]
+            num_re.append(float((w * obs_re).sum()))
+            num_im.append(float((w * obs_im).sum()))
+            den.append(float(w.sum()))
+    nr, ni, dn = math.fsum(num_re), math.fsum(num_im), math.fsum(den)
+    _check_imag(ni, dn)
+    return nr / dn
+
+
+def form_chunked(observable, params: ModelParams) -> float:
+    """Expectation under the 2-form measure.
+
+    ``observable``: a LatticePath evaluates the high-temperature Wilson
+    observable (via the uncancelled product, valid also at kappa = 0);
+    None gives 1.
+    """
+    idx = box_index(params.m, params.N)
+    P, n = len(idx.plaq_edges), params.n
+    if n**P > STATE_GUARD:
+        raise GuardError(f"form enumeration needs {n}^{P} states")
+    phi_b = _phi_table(params.beta, n)
+    phi_k = _phi_table(params.kappa, n)
+    gam = _wilson_spec(idx, observable)
+    tilt = gam.coeffs.astype(np.int16) % n if gam is not None else None
+    num, den = [], []
+    for _, om in _digit_chunks(n, P):
+        dw = incidence(om, idx.edge_plaqs, idx.edge_plaq_signs, n)
+        w = phi_k[dw].prod(axis=1) * phi_b[om].prod(axis=1)
+        if tilt is None:
+            vals_num = w
+        else:
+            shifted = (dw + tilt[None, :]) % n
+            vals_num = phi_k[shifted].prod(axis=1) * phi_b[om].prod(axis=1)
+        num.append(float(vals_num.sum()))
+        den.append(float(w.sum()))
+    return math.fsum(num) / math.fsum(den)
+
+
+# -- the split-half routes against the reference --------------------------
+
+SPLIT = {
+    "expect_unitary": (expect_unitary, unitary_chunked),
+    "expect_form": (expect_form, form_chunked),
+    "expect_full": (expect_full, full_chunked),
+}
+OBSERVABLES = dict(none=None, loop=LOOP, open2=OPEN2, loop_hi=LOOP_HI, open_hi=OPEN_HI, big=BIG)
+# (beta, kappa, observables): every observable at a generic point, two at each zero coupling
+COUPLING_CASES = [
+    (0.3, 0.45, tuple(OBSERVABLES)),
+    (0.0, 0.35, ("loop", "open_hi")),
+    (0.4, 0.0, ("open2", "big")),
+]
+# (route, (m, n, N), _CHUNK): each chunk splits the pairs into several blocks,
+# and all but the (2, 2, 1) form point end on a ragged block
+REFERENCE_POINTS = [
+    ("expect_unitary", (2, 2, 1), 7),  # 64 x 64 pairs: lo blocks of 7, last of 1
+    ("expect_unitary", (2, 3, 1), 2 * 729 + 1),  # 729 x 729: hi blocks of 2, last of 1
+    ("expect_form", (2, 2, 1), 7),  # 4 x 4: one hi row per block
+    ("expect_form", (2, 3, 1), 7),
+    ("expect_form", (2, 4, 1), 7),
+    ("expect_form", (2, 5, 1), 7),
+    ("expect_form", (2, 2, 2), 250),  # 256 x 256: lo blocks of 250, last of 6
+    ("expect_full", (2, 2, 1), 3 * 512 + 1),  # 4096 sigma x 512 phi: hi blocks of 3, last of 1
+]
+
+
+def _point_id(route, box, *rest):
+    return "-".join([route, "x".join(map(str, box)), *map(str, rest)])
+
+
+@pytest.mark.parametrize("route, box, chunk", REFERENCE_POINTS, ids=[_point_id(*pt) for pt in REFERENCE_POINTS])
+def test_split_routes_match_chunked_reference(monkeypatch, route, box, chunk):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    split, reference = SPLIT[route]
+    m, n, N = box
+    for beta, kappa, names in COUPLING_CASES:
+        p = ModelParams(m=m, n=n, N=N, beta=beta, kappa=kappa)
+        for name in names:
+            got, want = split(OBSERVABLES[name], p), reference(OBSERVABLES[name], p)
+            assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
+
+
+# Near STATE_GUARD the reference takes 5-55 s a call, so its values there are
+# pinned: each was computed once by unitary_chunked / form_chunked above.
+PINNED_NEAR_GUARD = [
+    ("expect_unitary", (2, 4, 1), "none", 0.3, 0.45, 1.0),
+    ("expect_unitary", (2, 4, 1), "loop", 0.3, 0.45, 0.32261434293116237),
+    ("expect_unitary", (2, 4, 1), "open2", 0.3, 0.45, 0.23759137707181205),
+    ("expect_unitary", (2, 4, 1), "loop_hi", 0.3, 0.45, 0.3226143429311623),
+    ("expect_unitary", (2, 4, 1), "big", 0.3, 0.45, 0.014043901386152191),
+    ("expect_unitary", (2, 4, 1), "loop", 0.0, 0.35, 0.012802584597307235),
+    ("expect_unitary", (2, 4, 1), "open_hi", 0.4, 0.0, -1.0557487595003724e-17),
+    ("expect_form", (2, 3, 2), "loop", 0.3, 0.45, 0.41322192088987053),
+    ("expect_form", (2, 3, 2), "open2", 0.3, 0.45, 0.3842192959382134),
+    ("expect_form", (2, 3, 2), "loop_hi", 0.3, 0.45, 0.41322192088987053),
+    ("expect_form", (2, 3, 2), "big", 0.3, 0.45, 0.04835302319330614),
+    ("expect_form", (2, 3, 2), "loop", 0.0, 0.35, 0.021387072067831126),
+    ("expect_form", (2, 3, 2), "open_hi", 0.4, 0.0, 0.0),
+]
+PINNED_CHUNK = {
+    (2, 4, 1): 3 * 4096 + 1,  # 4096 x 4096 pairs: hi blocks of 3, last of 1
+    (2, 3, 2): 2 * 6561 + 1,  # 6561 x 6561 pairs: hi blocks of 2, last of 1
+}
+
+
+@pytest.mark.parametrize(
+    "route, box, name, beta, kappa, want", PINNED_NEAR_GUARD, ids=[_point_id(*pt[:5]) for pt in PINNED_NEAR_GUARD]
+)
+def test_split_routes_match_pinned_reference_near_guard(monkeypatch, route, box, name, beta, kappa, want):
+    monkeypatch.setattr(oracle, "_CHUNK", PINNED_CHUNK[box])
+    m, n, N = box
+    got = SPLIT[route][0](OBSERVABLES[name], ModelParams(m=m, n=n, N=N, beta=beta, kappa=kappa))
+    assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_reference_observables_tilt_every_row_class(N):
+    # the form points above put tilts on hi-only, lo-only and straddling edges
+    idx = box_index(2, N)
+    P = len(idx.plaq_edges)
+    classes = _row_classes(idx.edge_plaqs, idx.edge_plaq_signs, P - P // 2)
+    tilted = [idx.gamma_coeffs(g) != 0 for g in OBSERVABLES.values() if g is not None]
+    for rows in classes:
+        assert any((t & rows).any() for t in tilted)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 12])
+def test_split_digits_visit_each_row_once(n, k):
+    hi, lo = _digits(n, k)
+    k_lo = k // 2  # k = 1 leaves the low half empty: one all-zero row
+    assert hi.shape == (n ** (k - k_lo), k) and lo.shape == (n**k_lo, k)
+    assert not hi[:, k - k_lo :].any() and not lo[:, : k - k_lo].any()
+    rows = (hi[:, None, :] + lo[None, :, :]).reshape(-1, k)
+    assert rows.min() >= 0 and rows.max() < n
+    # row a * n^k_lo + b is the counter value a * n^k_lo + b: each row once, in order
+    values = rows.astype(np.int64) @ n ** np.arange(k - 1, -1, -1)
+    np.testing.assert_array_equal(values, np.arange(n**k))
+    np.testing.assert_array_equal(_all_digits(n, k), rows)
+    np.testing.assert_array_equal(rows, np.concatenate([d for _, d in _digit_chunks(n, k)]))
+
+
+@pytest.mark.parametrize("n_hi, n_lo, chunk", [(1, 1, 7), (4, 4, 7), (9, 9, 7), (5, 3, 7), (3, 8, 5), (64, 64, 1 << 16)])
+def test_pair_blocks_cover_each_pair_once(monkeypatch, n_hi, n_lo, chunk):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    seen = np.zeros((n_hi, n_lo), dtype=int)
+    for a, b in _pair_blocks(n_hi, n_lo):
+        block = seen[a, b]
+        assert 0 < block.size <= chunk
+        block += 1
+    assert (seen == 1).all()
+
+
+def test_high_temperature_identity_n4():
+    p = params(0.25, 0.5, n=4)
+    for gamma in (LOOP, OPEN2):
+        assert abs(expect_unitary(gamma, p) - expect_form(gamma, p)) < 1e-10
