@@ -4,13 +4,17 @@ Every constant is a literal transcription of the corresponding display
 formula; an independent re-transcription lives in the test suite and the
 two are compared numerically.  Powers with path-length exponents are
 evaluated in log space so |gamma| in the hundreds cannot underflow.
+
+The closed forms of the three appendix tail sums are zeta_beta
+xi_kappa^{|gamma|} times c1', c1'' and c1''''; both routes share the
+precondition (16m)^2 zeta_beta < xi_kappa < 1 of :func:`constants`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .couplings import ModelParams, alpha, assumption_check, eta, xi, zeta
 from .errors import PreconditionError
@@ -37,100 +41,20 @@ def _pow1p(x: float, k: float) -> float:
     return math.exp(k * math.log1p(x))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All explicit constants for one (params, path) pair."""
+def _c1_parts(m: int, zb: float, xk: float, L: int, Pc: int) -> Tuple[float, float, float, float]:
+    """(c1', c1'', c1''', c1'''') for |gamma| = L and |P_gamma,c| = Pc.
 
-    m: int
-    n: int
-    N: int
-    beta: float
-    kappa: float
-    gamma: GammaStats
-    zeta_beta: float
-    xi_kappa: float
-    eta_kappa: float
-    alpha: float
-    eta_power: float  # eta_kappa^{|gamma|}, the perimeter lower bound
-    prediction: float  # xi_kappa^{|gamma|} alpha^{|P_gamma|}
-    radius: float  # c0 * prediction * zeta_beta
-    c1p: float
-    c1pp: float
-    c1ppp: float
-    c1pppp: float
-    c1: float
-    c2i: float
-    c2ii: float
-    c2iii: float
-    c2: float
-    c0: float
-    strong_coupling: bool
-    small_hopping: bool
-    rigorous: bool
-
-    def as_dict(self):
-        d = {
-            "m": self.m,
-            "n": self.n,
-            "N": self.N,
-            "beta": self.beta,
-            "kappa": self.kappa,
-            "zeta_beta": self.zeta_beta,
-            "xi_kappa": self.xi_kappa,
-            "eta_kappa": self.eta_kappa,
-            "alpha": self.alpha,
-            "eta_power": self.eta_power,
-            "prediction": self.prediction,
-            "radius": self.radius,
-            "c1_prime": self.c1p,
-            "c1_double_prime": self.c1pp,
-            "c1_triple_prime": self.c1ppp,
-            "c1_quadruple_prime": self.c1pppp,
-            "c1": self.c1,
-            "c2_i": self.c2i,
-            "c2_ii": self.c2ii,
-            "c2_iii": self.c2iii,
-            "c2": self.c2,
-            "c0": self.c0,
-            "strong_coupling": self.strong_coupling,
-            "small_hopping": self.small_hopping,
-            "rigorous": self.rigorous,
-        }
-        d["gamma"] = self.gamma.as_dict()
-        return d
-
-
-def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
-    """Evaluate every constant of the error bound for one path.
-
-    Raises ``PreconditionError`` exactly when the strong-coupling assumption
-    (16m)^2 zeta_beta < xi_kappa fails, i.e. when
-    ``assumption_check(params).strong_coupling`` is false; kappa = 0 is one
-    such case.  That failure is the same condition as the geometric
-    denominator 1 - (16m)^2 zeta_beta / xi_kappa being nonpositive, and
-    since xi_kappa < 1 it also covers 1 - (16m)^2 zeta_beta <= 0.  Without
-    the raise the constants would come out negative or infinite there.  It
-    also raises if xi_kappa rounds to 1 (very large kappa).  A failed
-    small-hopping assumption only clears the ``rigorous`` flag.
+    Raises ``PreconditionError`` unless (16m)^2 zeta_beta < xi_kappa < 1,
+    the precondition of :func:`constants`.
     """
-    m, n = params.m, params.n
-    zb = zeta(params.beta, n)
-    xk = xi(params.kappa, n)
-    L, Pg, Pc = stats.length, stats.p_gamma, stats.p_gamma_c
     M = (16 * m) ** 2
-    M8 = (8 * m) ** 2
-
-    if xk <= 0.0:
-        raise PreconditionError("kappa = 0 gives xi_kappa = 0; constants undefined")
-    regime = assumption_check(params)
-    if not regime.strong_coupling:
+    if not xk - M * zb > 0:
         raise PreconditionError(
             f"(16m)^2 zeta_beta = {M * zb:.3g} not below xi_kappa = {xk:.3g}; "
             "constants are undefined outside the strong-coupling regime"
         )
     if xk >= 1:
         raise PreconditionError("xi_kappa must be < 1")
-
     c1p = M * (_pow1p(M * zb, L) * _pow1p(M * zb / xk**2, Pc) - 1) / (
         xk * (1 - xk) * (1 - M * zb / xk)
     ) + M * (_pow1p(M**2 * zb**2 / xk, L) * _pow1p(M * zb / xk**2, Pc) - 1) / (
@@ -156,6 +80,58 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
         / (1 - xk)
         * (xk**4 / (1 - M * zb / xk) + M**4 * zb**4 / (1 - M * zb))
     )
+    return c1p, c1pp, c1ppp, c1pppp
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """All explicit constants for one (params, path) pair."""
+
+    params: ModelParams
+    gamma: GammaStats
+    zeta_beta: float
+    xi_kappa: float
+    eta_kappa: float
+    alpha: float
+    eta_power: float  # eta_kappa^{|gamma|}, the perimeter lower bound
+    prediction: float  # xi_kappa^{|gamma|} alpha^{|P_gamma|}
+    radius: float  # c0 * prediction * zeta_beta
+    c1p: float
+    c1pp: float
+    c1ppp: float
+    c1pppp: float
+    c1: float
+    c2i: float
+    c2ii: float
+    c2iii: float
+    c2: float
+    c0: float
+    strong_coupling: bool
+    small_hopping: bool
+    rigorous: bool
+
+
+def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
+    """Evaluate every constant of the error bound for one path.
+
+    Raises ``PreconditionError`` exactly when the strong-coupling assumption
+    (16m)^2 zeta_beta < xi_kappa fails, i.e. when
+    ``assumption_check(params).strong_coupling`` is false; kappa = 0 is one
+    such case.  That failure is the same condition as the geometric
+    denominator 1 - (16m)^2 zeta_beta / xi_kappa being nonpositive, and
+    since xi_kappa < 1 it also covers 1 - (16m)^2 zeta_beta <= 0.  Without
+    the raise the constants would come out negative or infinite there.  It
+    also raises if xi_kappa rounds to 1 (very large kappa).  A failed
+    small-hopping assumption only clears the ``rigorous`` flag.
+    """
+    m, n = params.m, params.n
+    zb = zeta(params.beta, n)
+    xk = xi(params.kappa, n)
+    L, Pg, Pc = stats.length, stats.p_gamma, stats.p_gamma_c
+    M8 = (8 * m) ** 2
+
+    regime = assumption_check(params)
+    c1p, c1pp, c1ppp, c1pppp = _c1_parts(m, zb, xk, L, Pc)
     c1 = c1p + c1pp + c1ppp + c1pppp
 
     c2i = (
@@ -178,11 +154,7 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
     pred = _pow(xk, L) * _pow(al, Pg)
     et = eta(params.kappa, n)
     return BoundReport(
-        m=m,
-        n=n,
-        N=params.N,
-        beta=params.beta,
-        kappa=params.kappa,
+        params=params,
         gamma=stats,
         zeta_beta=zb,
         xi_kappa=xk,
@@ -251,7 +223,10 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
       G x^(L + 3j + 6) geo(r/x, j + 2, t), from t on
       G x^(L + 2j) geo(r, t, j + 2 + K).
 
-    0 < r < x < 1 by the preconditions below; at beta = 0 every sum and
+    The closed forms are zeta_beta xi_kappa^L times c1', c1'' and c1''''
+    of :func:`constants`, and their precondition is the one of
+    :func:`constants`: ``PreconditionError`` unless (16m)^2 zeta_beta <
+    xi_kappa < 1, which gives 0 < r < x < 1.  At beta = 0 every sum and
     bound is exactly 0.
     """
     if K < 50:
@@ -263,10 +238,7 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     M = (16 * m) ** 2
     if zb == 0.0:
         return [(0.0, 0.0)] * 3
-    if xk == 0.0:
-        raise PreconditionError("xi_kappa = 0 with zeta_beta > 0: sums undefined")
-    if M * zb / xk >= 1 or xk >= 1:
-        raise PreconditionError("geometric ratio >= 1; sums do not converge")
+    c1p, c1pp, _, c1pppp = _c1_parts(m, zb, xk, L, Pc)
 
     r, x = M * zb, xk
     G = _geo(x, 0, K)
@@ -283,13 +255,6 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
             inner += _pow(x, L - j) * _geo(r, max(t, k0), k0 + K)
             b1 += pref * G * inner
 
-    b1_bound = (
-        M * zb / xk * xL / ((1 - xk) * (1 - M * zb / xk))
-        * (_pow1p(M * zb / xk**2, Pc) * _pow1p(M * zb, L) - 1)
-        + M * zb * xL / ((1 - xk) * (1 - M * zb))
-        * (_pow1p(M * zb / xk**2, Pc) * _pow1p(M**2 * zb**2 / xk, L) - 1)
-    )
-
     b2 = 0.0
     for i in range(Pc + 1):
         for j in range(max(2 * i + 1, 2), L + 1):
@@ -298,13 +263,6 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
                 continue
             lo = max(j, 2 * j - 2 * i)
             b2 += pref * _pow(r, j - i) * _pow(x, L + lo - 2 * j) * G
-
-    b2_bound = (
-        xL * M**2 * zb / (1 - xk)
-        * (L * zb + 2 * Pc * zb / xk**2)
-        * _pow1p(M * zb / xk**2, Pc)
-        * _pow1p(M * zb, L)
-    )
 
     b3 = 0.0
     for j in range(L + 1):
@@ -316,9 +274,5 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
         inner += _pow(x, L + 2 * j) * _geo(r, t, j + 2 + K)
         b3 += pref * G * inner
 
-    b3_bound = (
-        xL * M**2 * zb**2 * L * _pow1p(M * zb * xk**2, L) / (1 - xk)
-        * (xk**4 / (1 - M * zb / xk) + M**4 * zb**4 / (1 - M * zb))
-    )
-
-    return [(b1, b1_bound), (b2, b2_bound), (b3, b3_bound)]
+    scale = xL * zb
+    return [(b1, scale * c1p), (b2, scale * c1pp), (b3, scale * c1pppp)]

@@ -27,6 +27,9 @@ if TYPE_CHECKING:
 
 Coord = Tuple[int, ...]
 
+# every plaquette's boundary signs, one per column of BoxIndex.plaq_edges
+PLAQ_SIGNS = np.array([1, -1, -1, 1], dtype=np.int8)
+
 
 def _perm_sign(seq) -> int:
     """Sign of the permutation that sorts ``seq`` (assumed distinct)."""
@@ -336,14 +339,13 @@ class BoxIndex:
         f, a = np.nonzero(edge >= 0)
         self.edge_verts = np.stack([vert[f], vert[f + s[a]]], axis=1)
         self.edge_vert_signs = np.tile(np.array([-1, 1], dtype=np.int8), (len(f), 1))
-        self.edge_tail, self.edge_head = self.edge_verts.T
 
         f, c = np.nonzero(self._rank[2] >= 0)
         self.plaq_axes = np.array(self._dirs[2], dtype=int).reshape(-1, 2)[c] - 1
         self.plaq_base = grid[f] + self._lo
         i, j = self.plaq_axes.T
         self.plaq_edges = np.stack([edge[f, i], edge[f, j], edge[f + s[j], i], edge[f + s[i], j]], axis=1)
-        self.plaq_signs = np.tile(np.array([1, -1, -1, 1], dtype=np.int8), (len(f), 1))
+        self.plaq_signs = np.tile(PLAQ_SIGNS, (len(f), 1))
 
         # transpose: group the (plaquette, column) entries by edge, in plaquette order
         flat = self.plaq_edges.ravel()
@@ -393,8 +395,10 @@ class BoxIndex:
     def path(self, gamma: LatticePath) -> Tuple[np.ndarray, np.ndarray]:
         """(edge ranks, coefficients) of gamma's support, in the chain's order.
 
-        Raises PreconditionError if any edge of gamma is not in the box.
+        Raises PreconditionError if gamma's dimension is not the box's, or
+        if any edge of gamma is not in the box.
         """
+        gamma.require_dim(self.box.m)
         coeffs = gamma.chain.coeffs
         return self.ids(coeffs), np.fromiter(coeffs.values(), dtype=np.int16, count=len(coeffs))
 

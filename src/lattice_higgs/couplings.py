@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List
 
+import numpy as np
+
 from .errors import PreconditionError
 
 # Series truncation: stop once the next term falls below REL_EPS times the
@@ -71,6 +73,11 @@ def phi_hat_double_series(a: float, j: int, n: int) -> float:
 
 def phi(a: float, j: int, n: int) -> float:
     return phi_hat(a, j, n) / phi_hat(a, 0, n)
+
+
+def phi_table(a: float, n: int) -> np.ndarray:
+    """phi(a, j, n) for j = 0..n-1, as an array indexed by residue."""
+    return np.array([phi(a, j, n) for j in range(n)])
 
 
 def eta(a: float, n: int) -> float:
@@ -199,15 +206,6 @@ class RegimeReport:
     def both(self) -> bool:
         return self.strong_coupling and self.small_hopping
 
-    def as_dict(self):
-        return {
-            "strong_coupling": self.strong_coupling,
-            "strong_coupling_slack": self.strong_coupling_slack,
-            "small_hopping": self.small_hopping,
-            "small_hopping_slack": self.small_hopping_slack,
-            "z2_form": self.z2_form,
-        }
-
 
 def assumption_check(params: ModelParams) -> RegimeReport:
     zb = zeta(params.beta, params.n)
@@ -284,8 +282,6 @@ def check_sandwich(a: float, n: int) -> List[LemmaResult]:
         return out
     eps = epsilon(a, n)
     for j in range(n // 2 + 1):
-        if j > n / 2:
-            continue
         lead = (1 + (1 if 2 * j == n else 0)) * a**j / math.factorial(j)
         diff = phi_hat(a, j, n) - lead
         ok = diff > 0 and diff <= a**j / math.factorial(j) * eps + SLACK

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Set
 
 import numpy as np
 
-from .cells import Chain, LatticeBox, OrientedCell, boundary, cell, coboundary
+from .cells import LatticeBox, OrientedCell, boundary, cell, coboundary
 from .errors import PreconditionError
 
 
@@ -48,10 +48,6 @@ class FormZn:
         if c.is_positive:
             return self.values.get(c, 0)
         return (-self.values.get(-c, 0)) % self.n
-
-    def evaluate(self, q: Chain) -> int:
-        """omega(q) for a k-chain q, mod n."""
-        return sum(v * self.values.get(c, 0) for c, v in q.coeffs.items()) % self.n
 
     @property
     def support(self) -> Set[OrientedCell]:
@@ -122,7 +118,7 @@ def d(form: FormZn, box: LatticeBox) -> FormZn:
     return out
 
 
-def delta(form: FormZn, box: LatticeBox | None = None) -> FormZn:
+def delta(form: FormZn) -> FormZn:
     """Coderivative: (k-1)-form with delta omega(c) = omega(coboundary c).
 
     Accumulated from the supported k-cells over their boundaries, which is

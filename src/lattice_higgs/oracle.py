@@ -37,12 +37,12 @@ derivatives through ``forms`` instead, independent of ``incidence``.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .cells import BoxIndex, LatticeBox, box_index, incidence, vertex
-from .couplings import ModelParams, phi, rho
+from .couplings import ModelParams, phi, phi_table, rho
 from .errors import GuardError
 from .forms import FormZn, d, delta
 from .paths import LatticePath
@@ -142,10 +142,6 @@ def _sin_table(n: int) -> np.ndarray:
     return np.sin(2 * np.pi * np.arange(n) / n)
 
 
-def _phi_table(a: float, n: int) -> np.ndarray:
-    return np.array([phi(a, j, n) for j in range(n)])
-
-
 def _pair_expectation(w_hi, hol_hi, x_hi, w_lo, hol_lo, x_lo, coupling: float, n: int) -> float:
     """Weighted mean of rho(hol_hi[a] + hol_lo[b]) over all pairs (a, b).
 
@@ -177,28 +173,20 @@ def _check_imag(num_im: float, scale: float):
         raise AssertionError(f"expected a real accumulation, got imag {num_im} at scale {scale}")
 
 
-class _WilsonSpec:
-    """Per-box arrays describing a Wilson line observable."""
+def _wilson(idx: BoxIndex, observable) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(signed edge coefficients, endpoint vertex ranks (v1, v2)) of a Wilson observable.
 
-    def __init__(self, idx: BoxIndex, gamma: LatticePath):
-        self.coeffs = idx.gamma_coeffs(gamma).astype(np.int64)
-        if gamma.kind == "open":
-            self.v1, self.v2 = idx.ids(vertex(x) for x in gamma.endpoints)
-        else:
-            self.v1 = self.v2 = None
-
-
-def _wilson_spec(idx: BoxIndex, observable) -> Optional[_WilsonSpec]:
+    The constant 1 (None) has zero coefficients, and it and a closed path
+    have no endpoints (None).
+    """
     if observable is None:
-        return None
+        return np.zeros(len(idx.edge_verts), dtype=np.int64), None
     if not isinstance(observable, LatticePath):
         raise TypeError("observable must be None or a LatticePath")
-    return _WilsonSpec(idx, observable)
-
-
-def _coeffs(idx: BoxIndex, gam: Optional[_WilsonSpec]) -> np.ndarray:
-    """The observable's signed edge coefficients; all 0 for the constant 1."""
-    return np.zeros(len(idx.edge_verts), dtype=np.int64) if gam is None else gam.coeffs
+    coeffs = idx.gamma_coeffs(observable).astype(np.int64)
+    if observable.kind == "closed":
+        return coeffs, None
+    return coeffs, idx.ids(vertex(x) for x in observable.endpoints)
 
 
 def expect_unitary(observable, params: ModelParams) -> float:
@@ -207,10 +195,10 @@ def expect_unitary(observable, params: ModelParams) -> float:
     ``observable`` is a LatticePath (Wilson line/loop) or None for the constant 1.
     """
     idx = box_index(params.m, params.N)
+    coeffs, _ = _wilson(idx, observable)
     E, n = len(idx.edge_verts), params.n
     if n**E > STATE_GUARD:
         raise GuardError(f"unitary enumeration needs {n}^{E} states")
-    coeffs = _coeffs(idx, _wilson_spec(idx, observable))
     cos_t, sin_t = _cos_table(n), _sin_table(n)
     hi, lo = _digits(n, E)
     k_hi = E - E // 2
@@ -238,10 +226,10 @@ def expect_full(observable, params: ModelParams) -> float:
     every edge's Higgs term reads both.
     """
     idx = box_index(params.m, params.N)
+    coeffs, ends_v = _wilson(idx, observable)
     E, V, n = len(idx.edge_verts), len(idx._rank[0]), params.n
     if n ** (E + V) > STATE_GUARD:
         raise GuardError(f"two-field enumeration needs {n}^{E + V} states")
-    gam = _wilson_spec(idx, observable)
     cos_t, sin_t = _cos_table(n), _sin_table(n)
     sig, phis = _all_digits(n, E), _all_digits(n, V)
     w_sig = np.exp(2 * params.beta * cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, n)].sum(axis=1))
@@ -251,9 +239,9 @@ def expect_full(observable, params: ModelParams) -> float:
     x_phi = np.hstack([cos_t[dphi], sin_t[dphi]])
     # the observable's phase is hol(sigma) - (phi(v2) - phi(v1))
     ends = np.zeros(len(phis), dtype=np.int64)
-    if gam is not None and gam.v1 is not None:
-        ends = (phis[:, gam.v1].astype(np.int64) - phis[:, gam.v2]) % n
-    hol = (sig @ _coeffs(idx, gam)) % n
+    if ends_v is not None:
+        ends = (phis[:, ends_v[0]].astype(np.int64) - phis[:, ends_v[1]]) % n
+    hol = (sig @ coeffs) % n
     return _pair_expectation(w_sig, hol, x_sig, np.ones(len(phis)), ends, x_phi, 2 * params.kappa, n)
 
 
@@ -270,12 +258,12 @@ def expect_form(observable, params: ModelParams) -> float:
     None gives 1.
     """
     idx = box_index(params.m, params.N)
+    coeffs, _ = _wilson(idx, observable)
     P, n = len(idx.plaq_edges), params.n
     if n**P > STATE_GUARD:
         raise GuardError(f"form enumeration needs {n}^{P} states")
-    phi_b = _phi_table(params.beta, n)
-    phi_k = _phi_table(params.kappa, n)
-    gam = _wilson_spec(idx, observable)
+    phi_b = phi_table(params.beta, n)
+    phi_k = phi_table(params.kappa, n)
     hi, lo = _digits(n, P)
     k_hi = P - P // 2
     hi_rows, lo_rows, mid = _row_classes(idx.edge_plaqs, idx.edge_plaq_signs, k_hi)
@@ -302,7 +290,7 @@ def expect_form(observable, params: ModelParams) -> float:
         return math.fsum(sums)
 
     den = total(np.zeros(len(idx.edge_plaqs), dtype=np.int64))
-    num = den if gam is None else total(gam.coeffs % n)
+    num = den if observable is None else total(coeffs % n)
     return num / den
 
 
@@ -313,15 +301,13 @@ def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):
     """
     idx = box_index(params.m, params.N)
     P, n = len(idx.plaq_edges), params.n
+    shift, _ = _wilson(idx, tilt)
     if n**P > 1 << 16:
         raise GuardError("exact distribution limited to 2^16 configurations")
-    phi_b = _phi_table(params.beta, n)
-    phi_k = _phi_table(params.kappa, n)
+    phi_b = phi_table(params.beta, n)
+    phi_k = phi_table(params.kappa, n)
     rows = _all_digits(n, P)
-    dw = incidence(rows, idx.edge_plaqs, idx.edge_plaq_signs, n)
-    if tilt is not None:
-        shift = idx.gamma_coeffs(tilt).astype(np.int16) % n
-        dw = (dw + shift[None, :]) % n
+    dw = (incidence(rows, idx.edge_plaqs, idx.edge_plaq_signs, n) + shift) % n
     w = phi_k[dw].prod(axis=1) * phi_b[rows].prod(axis=1)
     return rows, w / w.sum()
 

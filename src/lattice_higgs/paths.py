@@ -8,8 +8,8 @@ gamma_R is reconstructed from an explicit rectangle descriptor.
 P_gamma and the corner plaquettes P_gamma,c are read from a ``BoxIndex``
 of the path's bounding box grown by 1, clipped to the box if one is
 given, so their cost does not grow with the box.  A path that leaves the
-box raises ``PreconditionError``; one along a face loses the plaquettes
-beyond it.
+box, or lies in another dimension, raises ``PreconditionError``; one
+along a face loses the plaquettes beyond it.
 """
 
 from __future__ import annotations
@@ -98,6 +98,11 @@ class LatticePath:
     def m(self) -> int:
         """Dimension of the lattice the path lives in."""
         return len(next(iter(self.chain.coeffs)).base)
+
+    def require_dim(self, m: int):
+        """Raise PreconditionError unless the path lives in Z^m."""
+        if self.m != m:
+            raise PreconditionError(f"{self} lies in Z^{self.m}, not in Z^{m}")
 
     @property
     def ends(self) -> np.ndarray:
@@ -223,14 +228,8 @@ def rectangle_open_path(
 def u_shaped_path(rect: RectDescriptor, orientation: int = 1) -> LatticePath:
     """Bottom + right + left sides of the rectangle (the top side removed)."""
     l1, l2 = rect.lengths
-    # Traversal order: bottom (l1), right (l2), top (l1), left (l2); skip the top.
-    ordered = _loop_edges(rect)
-    keep = list(range(0, l1 + l2)) + list(range(2 * l1 + l2, 2 * l1 + 2 * l2))
-    coeffs: Dict[OrientedCell, int] = {}
-    for i in keep:
-        e, v = ordered[i]
-        coeffs[e] = orientation * v
-    return LatticePath(Chain(1, coeffs), "open", rect)
+    # traversal order: bottom (l1), right (l2), top (l1), left (l2); start at the left
+    return rectangle_open_path(rect, start=2 * l1 + l2, count=l1 + 2 * l2, orientation=orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +256,7 @@ def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np
     ends = gamma.ends
     lo, hi = ends.min(axis=(0, 1)) - 1, ends.max(axis=(0, 1)) + 1
     if box is not None:
+        gamma.require_dim(box.m)
         lo, hi = np.maximum(lo, box.lo), np.minimum(hi, box.hi)
         if (lo > hi).any():
             raise PreconditionError(f"{gamma} lies outside {box}")
@@ -286,12 +286,12 @@ def p_gamma(gamma: LatticePath, box: LatticeBox) -> Set[OrientedCell]:
     return {p if k % 2 else -p for p, k in zip(idx.plaq_labels(keys // 2), keys.tolist())}
 
 
-def corner_count(form: FormZn, gamma: LatticePath, box: Optional[LatticeBox] = None) -> int:
+def corner_count(form: FormZn, gamma: LatticePath) -> int:
     """|P_{omega,gamma,c}|: supported plaquettes with exactly two gamma edges in supp delta omega."""
     dsup = delta(form).support
     gsup = gamma.support
     total = 0
-    for p in corner_plaquettes(gamma, box=box):
+    for p in corner_plaquettes(gamma):
         if p not in form.support:
             continue
         if len(boundary(p).support & gsup & dsup) == 2:
@@ -310,7 +310,7 @@ def v_set(form: FormZn, gamma: LatticePath) -> Set[OrientedCell]:
     return w.support
 
 
-def in_event_E(form: FormZn, gamma: LatticePath, box: Optional[LatticeBox] = None) -> bool:
+def in_event_E(form: FormZn, gamma: LatticePath) -> bool:
     """The leading-order event: components adjacent to gamma are isolated
     single plaquettes and no supported corner plaquette touches gamma twice."""
     og2 = omega_E(form, gamma.support)
@@ -318,7 +318,7 @@ def in_event_E(form: FormZn, gamma: LatticePath, box: Optional[LatticeBox] = Non
     n_components = len(connected_components(og)) if not og.is_zero() else 0
     if len(og2.support) != n_components:
         return False
-    return corner_count(form, gamma, box=box) == 0
+    return corner_count(form, gamma) == 0
 
 
 @dataclass(frozen=True)
@@ -330,15 +330,6 @@ class GammaStats:
     p_gamma_c: int
     ell1: int
     ell2: int
-
-    def as_dict(self):
-        return {
-            "length": self.length,
-            "p_gamma": self.p_gamma,
-            "p_gamma_c": self.p_gamma_c,
-            "ell1": self.ell1,
-            "ell2": self.ell2,
-        }
 
 
 def gamma_stats(gamma: LatticePath, box: LatticeBox) -> GammaStats:

@@ -59,15 +59,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cells import BoxIndex, box_index, incidence
-from .couplings import ModelParams
+from .cells import PLAQ_SIGNS, BoxIndex, box_index, incidence
+from .couplings import ModelParams, phi_table
 from .errors import PreconditionError
 from .forms import FormZn
-from .oracle import STATE_GUARD, _phi_table
+from .oracle import STATE_GUARD
 from .paths import LatticePath
-
-# every plaquette's boundary signs, the columns of BoxIndex.plaq_signs
-_SIGNS = np.array([1, -1, -1, 1], dtype=np.int16)
 
 # a class skips its quiet members only if that saves at least this many
 # member updates, a candidate counting as four (the measured break-even of
@@ -86,17 +83,6 @@ class EstimatorResult:
     burn_in: int
     seed: int
     chains: int
-
-    def as_dict(self):
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "batches": self.batches,
-            "sweeps": self.sweeps,
-            "burn_in": self.burn_in,
-            "seed": self.seed,
-            "chains": self.chains,
-        }
 
 
 def _plaquette_classes(idx: BoxIndex) -> List[np.ndarray]:
@@ -120,7 +106,7 @@ def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarr
     ``BoxIndex.plaq_edges``), column g, holds
     sum_{h <= g} phi_beta(h) prod_k phi_kappa((a_k + (h - own) s_k) mod n),
     where a_k is the tilted coderivative (delta + tilt) mod n on edge k with
-    the plaquette's current value ``own`` included, and s = _SIGNS.  Rows
+    the plaquette's current value ``own`` included, and s = PLAQ_SIGNS.  Rows
     are not normalized: sampling compares against u * row[-1].
     """
     row = np.arange(n**5)
@@ -128,7 +114,7 @@ def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarr
     a = (row[:, None] // n ** np.arange(4)) % n
     w = np.empty((n**5, n))
     for g in range(n):
-        resid = (a + (g - own)[:, None] * _SIGNS) % n
+        resid = (a + (g - own)[:, None] * PLAQ_SIGNS) % n
         w[:, g] = phi_b[g] * phi_k[resid].prod(axis=1)
     return w.cumsum(axis=1)
 
@@ -197,8 +183,8 @@ class ChainEnsemble:
         self.sweeps = 0
         ss = np.random.SeedSequence(seed)
         self.rngs = [np.random.Generator(np.random.Philox(c)) for c in ss.spawn(chains)]
-        self.phi_b = _phi_table(params.beta, n)
-        self.phi_k = _phi_table(params.kappa, n)
+        self.phi_b = phi_table(params.beta, n)
+        self.phi_k = phi_table(params.kappa, n)
         self.tilt = (
             (self.idx.gamma_coeffs(tilt).astype(np.int16) % n)
             if tilt is not None
@@ -297,7 +283,7 @@ class ChainEnsemble:
         for g in range(1, n - 1):
             new += cum[..., g] < r
         om[p_flat] = new
-        # d + (new - own) * _SIGNS, shifted by n into [0, 3n) for _wrap
+        # d + (new - own) * PLAQ_SIGNS, shifted by n into [0, 3n) for _wrap
         change = new - own
         d += n
         d[..., 0] += change
@@ -353,6 +339,7 @@ class ChainEnsemble:
 def _check_margin(params: ModelParams, gamma: LatticePath, idx: BoxIndex):
     # integer-lattice margin: floor(N/4), so tiny boxes remain usable
     need = params.N // 4
+    gamma.require_dim(idx.box.m)
     ends = gamma.ends
     dist = int(np.minimum(ends - idx.box.lo, np.subtract(idx.box.hi, ends)).min())
     if dist < need:

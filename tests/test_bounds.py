@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from lattice_higgs.couplings import ModelParams, alpha, assumption_check, eta, e
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.oracle import expect_unitary
 from lattice_higgs.paths import GammaStats, RectDescriptor, gamma_stats, rectangle_loop
+from lattice_higgs.sampler import estimate_wilson
 
 DESK = ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25)
 DESK_STATS = GammaStats(length=32, p_gamma=60, p_gamma_c=4, ell1=8, ell2=8)
@@ -274,6 +277,71 @@ def test_appendix_bounds_match_c1_parts():
     assert pairs[2][1] == pytest.approx(rep.c1pppp * scale, rel=1e-10)
 
 
+def closed_forms_reference(p: ModelParams, st: GammaStats):
+    """The three closed-form bounds as display formulas, written out in full."""
+    zb, xk = zeta(p.beta, p.n), xi(p.kappa, p.n)
+    L, Pc = st.length, st.p_gamma_c
+    M = (16 * p.m) ** 2
+    xL = math.exp(L * math.log(xk))
+
+    def _pow1p(x, k):
+        return math.exp(k * math.log1p(x))
+
+    b1_bound = (
+        M * zb / xk * xL / ((1 - xk) * (1 - M * zb / xk))
+        * (_pow1p(M * zb / xk**2, Pc) * _pow1p(M * zb, L) - 1)
+        + M * zb * xL / ((1 - xk) * (1 - M * zb))
+        * (_pow1p(M * zb / xk**2, Pc) * _pow1p(M**2 * zb**2 / xk, L) - 1)
+    )
+    b2_bound = (
+        xL * M**2 * zb / (1 - xk)
+        * (L * zb + 2 * Pc * zb / xk**2)
+        * _pow1p(M * zb / xk**2, Pc)
+        * _pow1p(M * zb, L)
+    )
+    b3_bound = (
+        xL * M**2 * zb**2 * L * _pow1p(M * zb * xk**2, L) / (1 - xk)
+        * (xk**4 / (1 - M * zb / xk) + M**4 * zb**4 / (1 - M * zb))
+    )
+    return [b1_bound, b2_bound, b3_bound]
+
+
+def test_appendix_bounds_match_display_forms():
+    for p in [DESK, *admissible_points(), edge_point(0.25), edge_point(0.9)]:
+        got = [bound for _, bound in appendix_sums(p, DESK_STATS, K=60)]
+        for a, b in zip(got, closed_forms_reference(p, DESK_STATS)):
+            assert abs(a - b) <= 1e-14 * abs(b), (p, a, b)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.0, 0.25])
+def test_appendix_sums_raise_exactly_outside_strong_coupling(kappa):
+    # every float within 3000 ulp of beta*, where (16m)^2 tanh(2 beta*) = tanh(2 kappa)
+    # at m = 2; the precondition does not read the path, so a short one keeps this fast
+    stats = GammaStats(length=4, p_gamma=8, p_gamma_c=1, ell1=1, ell2=1)
+    beta_star = 0.5 * math.atanh(math.tanh(2 * kappa) / 1024)
+    betas = [beta_star]
+    for direction in (-math.inf, math.inf):
+        b = beta_star
+        for _ in range(3000):
+            b = math.nextafter(b, direction)
+            betas.append(b)
+    seen = set()
+    for beta in betas:
+        if beta < 0:
+            continue  # beta* = 0 at kappa = 0
+        p = ModelParams(m=2, n=2, N=16, beta=beta, kappa=kappa)
+        inside = assumption_check(p).strong_coupling
+        seen.add(inside)
+        if zeta(beta, 2) == 0.0:
+            assert appendix_sums(p, stats, K=50) == [(0.0, 0.0)] * 3
+        elif inside:
+            appendix_sums(p, stats, K=50)
+        else:
+            with pytest.raises(PreconditionError):
+                appendix_sums(p, stats, K=50)
+    assert seen == ({False} if kappa == 0 else {False, True})
+
+
 def test_truncation_precondition():
     with pytest.raises(PreconditionError):
         appendix_sums(DESK, DESK_STATS, K=10)
@@ -312,3 +380,24 @@ def test_gamma_stats_agree_with_rectangle_formula():
     from lattice_higgs.paths import rectangle_p_gamma_count
 
     assert st.p_gamma == rectangle_p_gamma_count(loop)
+
+
+def test_reports_serialize_through_asdict():
+    # every report is plain JSON once dataclasses.asdict has nested its parts
+    box = LatticeBox.centered(2, 16)
+    loop = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
+    small = ModelParams(m=2, n=2, N=2, beta=0.3, kappa=0.4)
+    unit = rectangle_loop(RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1)))
+    reports = [
+        estimate_wilson(small, unit, sweeps=40, seed=3),
+        assumption_check(DESK),
+        assumption_check(ModelParams(m=2, n=3, N=16, beta=1e-5, kappa=0.25)),
+        gamma_stats(loop, box),
+        constants(DESK, DESK_STATS),
+    ]
+    for rep in reports:
+        d = dataclasses.asdict(rep)
+        assert json.loads(json.dumps(d)) == d, type(rep).__name__
+    bound = dataclasses.asdict(reports[-1])
+    assert bound["params"] == dataclasses.asdict(DESK)
+    assert bound["gamma"] == dataclasses.asdict(DESK_STATS)

@@ -29,7 +29,7 @@ def test_index_matches_boundary(box):
     eid = {c: i for i, c in enumerate(edges)}
     tails = [vid[v] for e in edges for v, s in boundary(e).coeffs.items() if s < 0]
     heads = [vid[v] for e in edges for v, s in boundary(e).coeffs.items() if s > 0]
-    assert np.array_equal(idx.edge_tail, tails) and np.array_equal(idx.edge_head, heads)
+    assert np.array_equal(idx.edge_verts[:, 0], tails) and np.array_equal(idx.edge_verts[:, 1], heads)
     items = [sorted(boundary(p).coeffs.items()) for p in plaqs]
     assert np.array_equal(idx.plaq_edges, [[eid[e] for e, _ in it] for it in items])
     assert np.array_equal(idx.plaq_signs, [[s for _, s in it] for it in items])

@@ -5,7 +5,7 @@ import pytest
 
 from lattice_higgs import oracle
 from lattice_higgs.cells import LatticeBox, incidence, plaquette, vertex
-from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi
+from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi, phi_table
 from lattice_higgs.errors import GuardError
 from lattice_higgs.forms import FormZn, connected_components, lhd, random_form, zero_form
 from lattice_higgs.oracle import (
@@ -15,10 +15,9 @@ from lattice_higgs.oracle import (
     _cos_table,
     _digits,
     _pair_blocks,
-    _phi_table,
     _row_classes,
     _sin_table,
-    _wilson_spec,
+    _wilson,
     action,
     activity,
     box_index,
@@ -271,18 +270,18 @@ def unitary_chunked(observable, params: ModelParams) -> float:
     E = len(idx.edge_verts)
     if params.n**E > STATE_GUARD:
         raise GuardError(f"unitary enumeration needs {params.n}^{E} states")
-    gam = _wilson_spec(idx, observable)
+    coeffs, _ = _wilson(idx, observable)
     cos_t, sin_t = _cos_table(params.n), _sin_table(params.n)
     num_re, num_im, den = [], [], []
     for _, sig in _digit_chunks(params.n, E):
         # sum over positive plaquettes and edges of Re rho; both orientations double it
         a_w = cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, params.n)].sum(axis=1)
         w = np.exp(2 * params.beta * a_w + 2 * params.kappa * cos_t[sig].sum(axis=1))
-        if gam is None:
+        if observable is None:
             obs_re = np.ones(len(sig))
             obs_im = np.zeros(len(sig))
         else:
-            hol = (sig @ gam.coeffs) % params.n
+            hol = (sig @ coeffs) % params.n
             obs_re, obs_im = cos_t[hol], sin_t[hol]
         num_re.append(float(w @ obs_re))
         num_im.append(float(w @ obs_im))
@@ -298,7 +297,7 @@ def full_chunked(observable, params: ModelParams) -> float:
     E, V, n = len(idx.edge_verts), len(idx._rank[0]), params.n
     if n ** (E + V) > STATE_GUARD:
         raise GuardError(f"two-field enumeration needs {n}^{E + V} states")
-    gam = _wilson_spec(idx, observable)
+    coeffs, ends_v = _wilson(idx, observable)
     cos_t, sin_t = _cos_table(n), _sin_table(n)
 
     sig_blocks = list(_digit_chunks(n, E, chunk=min(_CHUNK, n**E)))
@@ -314,12 +313,12 @@ def full_chunked(observable, params: ModelParams) -> float:
             for j in range(E):
                 h += cos_t[(sig[:, j][:, None].astype(np.int16) - dphi[None, :, j]) % n]
             w = w_gauge[:, None] * np.exp(2 * params.kappa * h)
-            if gam is None:
+            if observable is None:
                 obs_re, obs_im = np.ones_like(w), np.zeros_like(w)
             else:
-                hol = (sig @ gam.coeffs) % n
-                if gam.v1 is not None:
-                    dph = (phi_blk[:, gam.v2].astype(np.int64) - phi_blk[:, gam.v1]) % n
+                hol = (sig @ coeffs) % n
+                if ends_v is not None:
+                    dph = (phi_blk[:, ends_v[1]].astype(np.int64) - phi_blk[:, ends_v[0]]) % n
                     tot = (hol[:, None] - dph[None, :]) % n
                 else:
                     tot = np.broadcast_to(hol[:, None] % n, w.shape)
@@ -343,10 +342,10 @@ def form_chunked(observable, params: ModelParams) -> float:
     P, n = len(idx.plaq_edges), params.n
     if n**P > STATE_GUARD:
         raise GuardError(f"form enumeration needs {n}^{P} states")
-    phi_b = _phi_table(params.beta, n)
-    phi_k = _phi_table(params.kappa, n)
-    gam = _wilson_spec(idx, observable)
-    tilt = gam.coeffs.astype(np.int16) % n if gam is not None else None
+    phi_b = phi_table(params.beta, n)
+    phi_k = phi_table(params.kappa, n)
+    coeffs, _ = _wilson(idx, observable)
+    tilt = coeffs.astype(np.int16) % n if observable is not None else None
     num, den = [], []
     for _, om in _digit_chunks(n, P):
         dw = incidence(om, idx.edge_plaqs, idx.edge_plaq_signs, n)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lattice_higgs.cells import Chain, LatticeBox, OrientedCell, boundary, edge, plaquette
+from lattice_higgs.couplings import ModelParams
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, zero_form
+from lattice_higgs.oracle import expect_form, expect_unitary, form_distribution
 from lattice_higgs.paths import (
     GammaStats,
     LatticePath,
@@ -21,6 +23,7 @@ from lattice_higgs.paths import (
     u_shaped_path,
     v_set,
 )
+from lattice_higgs.sampler import ChainEnsemble, estimate_wilson
 
 BOX = LatticeBox.centered(2, 8)
 RECT44 = RectDescriptor(corner=(-2, -2), axes=(1, 2), lengths=(4, 4))
@@ -288,3 +291,27 @@ def test_gamma_stats_reads_only_the_neighbourhood():
         tracemalloc.stop()
     assert peak < 20 << 20
     assert st == GammaStats(length=32, p_gamma=rectangle_p_gamma_count(loop), p_gamma_c=4, ell1=8, ell2=8)
+
+
+def _unit_loop(m):
+    return rectangle_loop(RectDescriptor(corner=(0,) * m, axes=(1, 2), lengths=(1, 1)))
+
+
+# every entry point that reads a path's coordinates against a box of dimension p.m
+WRONG_DIM_ENTRY_POINTS = {
+    "expect_form": lambda p, g: expect_form(g, p),
+    "expect_unitary": lambda p, g: expect_unitary(g, p),
+    "form_distribution": lambda p, g: form_distribution(p, tilt=g),
+    "ChainEnsemble(tilt=)": lambda p, g: ChainEnsemble(p, tilt=g),
+    "normalized_wilson": lambda p, g: ChainEnsemble(p).normalized_wilson(g),
+    "estimate_wilson": lambda p, g: estimate_wilson(p, g, sweeps=64),
+    "gamma_stats": lambda p, g: gamma_stats(g, LatticeBox.centered(p.m, p.N)),
+}
+
+
+@pytest.mark.parametrize("box_m, path_m", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("entry", WRONG_DIM_ENTRY_POINTS)
+def test_path_of_wrong_dimension_raises(entry, box_m, path_m):
+    p = ModelParams(m=box_m, n=2, N=1, beta=0.1, kappa=0.2)
+    with pytest.raises(PreconditionError, match=f"lies in Z\\^{path_m}, not in Z\\^{box_m}"):
+        WRONG_DIM_ENTRY_POINTS[entry](p, _unit_loop(path_m))
