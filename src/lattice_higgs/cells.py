@@ -315,7 +315,9 @@ class BoxIndex:
     plaquette, and :meth:`plaq_labels` turns plaquette ranks back into
     cells.  The cell label lists ``vertices``, ``edges``, ``plaqs`` are
     ``LatticeBox.cells`` in the same order, built on first read; the cell
-    counts are the table lengths.
+    counts are the table lengths.  The heat-bath sweep's class layout,
+    ``plaq_classes``, ``plaq_class_pos`` and ``edge_class_pos``, is also
+    built on first read.
     """
 
     def __init__(self, box: LatticeBox):
@@ -370,6 +372,32 @@ class BoxIndex:
     @cached_property
     def plaqs(self) -> List[OrientedCell]:
         return list(self.box.cells(2))
+
+    @cached_property
+    def plaq_classes(self) -> List[np.ndarray]:
+        """Groups of plaquettes with pairwise disjoint boundary edges.
+
+        Class (plane {i, j}, (b_i + b_j) mod 2): two plaquettes of one plane that
+        share an edge are neighbours in it, so their b_i + b_j differ by one.
+        Classes come plane by plane in canonical order, parity 0 first.
+        """
+        rows = np.arange(len(self.plaq_axes))
+        i, j = self.plaq_axes.T
+        parity = (self.plaq_base[rows, i] + self.plaq_base[rows, j]) % 2
+        color = 2 * (i * self.box.m + j) + parity
+        return [np.flatnonzero(color == c) for c in np.unique(color)]
+
+    @cached_property
+    def plaq_class_pos(self) -> np.ndarray:
+        """Each plaquette's position in the concatenated ``plaq_classes`` (P,)."""
+        return np.argsort(np.concatenate(self.plaq_classes))
+
+    @cached_property
+    def edge_class_pos(self) -> np.ndarray:
+        """``plaq_class_pos`` of each edge's plaquettes (E, 2(m-1)); the padding repeats
+        the edge's first plaquette, so it names no plaquette off the edge."""
+        ep = self.edge_plaqs
+        return self.plaq_class_pos[np.where(self.edge_plaq_signs != 0, ep, ep[:, :1])]
 
     def plaq_labels(self, ranks) -> List[OrientedCell]:
         """Positive plaquette cells of the given ranks, built from ``plaq_base``/``plaq_axes``."""

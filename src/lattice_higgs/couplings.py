@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .errors import PreconditionError
 # partial sum; the hard cap is never reached for a <= 10.
 REL_EPS = 1e-17
 MAX_TERMS = 500
+# rows phi_hat(a, ., n) kept, so that a scan over fresh couplings holds memory constant
+ROW_CACHE = 1024
 
 
 def rho(j: int, n: int) -> complex:
@@ -30,7 +32,6 @@ def rho(j: int, n: int) -> complex:
     return cmath.exp(2j * math.pi * (j % n) / n)
 
 
-@lru_cache(maxsize=None)
 def psi(a: float, j: int, n: int) -> float:
     """Sum of a^(j+kn)/(j+kn)! over k >= 0; the n-lacunary exponential slice."""
     if n < 2:
@@ -53,11 +54,18 @@ def psi(a: float, j: int, n: int) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROW_CACHE)
+def _phi_hat_row(a: float, n: int) -> Tuple[float, ...]:
+    """phi_hat(a, j, n) for j = 0..n-1."""
+    if n < 2:
+        raise PreconditionError("n must be >= 2")
+    p = [psi(a, k, n) for k in range(n)]
+    return tuple(sum(p[k] * p[(k + j) % n] for k in range(n)) for j in range(n))
+
+
 def phi_hat(a: float, j: int, n: int) -> float:
     """Convolution sum over pairs k' - k = j (mod n) of psi(k) psi(k')."""
-    j %= n
-    return sum(psi(a, k, n) * psi(a, (k + j) % n, n) for k in range(n))
+    return _phi_hat_row(a, n)[j % n]
 
 
 def phi_hat_double_series(a: float, j: int, n: int) -> float:

@@ -131,13 +131,10 @@ class LatticePath:
             raise PreconditionError("path has no rectangle descriptor")
         if self.kind == "closed":
             return self
-        loop = rectangle_loop(self.rect, orientation=1)
-        agree = [loop.chain[e] * self.chain[e] for e in self.support]
-        if all(a == 1 for a in agree):
-            return loop
-        if all(a == -1 for a in agree):
-            return rectangle_loop(self.rect, orientation=-1)
-        raise PreconditionError("path orientation is not consistent with any loop")
+        # _validate made every edge agree with one orientation of the loop
+        loop = _loop_chain(self.rect)
+        e, v = next(iter(self.chain.coeffs.items()))
+        return LatticePath(loop if loop[e] == v else -loop, "closed", self.rect)
 
     def __repr__(self):
         return f"LatticePath(kind={self.kind}, |support|={len(self)})"

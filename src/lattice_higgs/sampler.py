@@ -3,10 +3,10 @@
 Each update resamples one plaquette value from its exact conditional given
 the rest; the coderivative is cached on edges and updated incrementally.
 The plaquettes split into 2 C(m, 2) classes, (plane {i, j}, (b_i + b_j)
-mod 2), whose members share no edges, so a class is updated as one exact
-vectorized block (for m = 2 this is the checkerboard on base parity); the
-scan order (planes in canonical order, parity 0 before 1, members in
-canonical order) is fixed and deterministic.
+mod 2), whose members share no edges (``BoxIndex.plaq_classes``), so a
+class is updated as one exact vectorized block; the scan order (planes in
+canonical order, parity 0 before 1, members in canonical order) is fixed
+and deterministic.
 
 A plaquette's conditional depends only on its own value and the residues
 (delta + tilt) mod n on its 4 boundary edges, so it is read from one
@@ -21,13 +21,15 @@ bounds n to n^6 <= ``oracle.STATE_GUARD``, i.e. n <= 20.
 
 Randomness comes from per-chain Philox counter streams: each sweep draws
 ``rng.random(P)`` once per chain and uses the draws class by class in
-scan order, so trajectories are reproducible bit for bit.
+scan order (draw position ``BoxIndex.plaq_class_pos``), so trajectories
+are reproducible bit for bit.
 
 Most plaquettes never move in the strong-coupling regime, and a sweep
 skips them without changing a bit of the trajectory.  Call a member
 *quiet* when its own value and its 4 tilted residues are 0: it reads row
-0 of the table, and moves only if its draw is *hot*, u * row0[-1] >
-row0[0], i.e. u above a threshold fixed per ensemble.  A sweep therefore
+0 of the table, and moves only if its draw is *hot*, row0[0] < u * row0[-1],
+the update's own comparison.  Rounding is monotone, so a position is hot
+in some chain exactly when the largest of its draws is.  A sweep therefore
 updates, class by class, only the members of a *pool* of candidates, by
 the same table arithmetic.  The pool starts from the state, so an
 assigned state needs no hook: the plaquettes with a hot draw, the
@@ -37,11 +39,11 @@ the edges of every member that moved join it.  The invariant is that the
 pool holds every non-quiet or hot member of the class about to be
 updated; a quiet member with a cold draw would be written back unchanged,
 so skipping it is exact, and an extra candidate costs time only.  The
-pool is one set of plaquettes shared by all chains.  When the pool covers
-so much of a class that skipping would not pay (fewer than ``_SKIP_MIN``
-member updates saved, counting a candidate as four), that class and the
-rest of the sweep update their full member lists; boxes whose classes
-are all that small always do.  ``ChainEnsemble.moves`` counts the
+pool is one set of plaquettes shared by all chains.  A class with no
+candidate is skipped.  When the pool covers so much of a class that
+skipping would not pay (fewer than ``_SKIP_MIN`` member updates saved,
+counting a candidate as four), that class and the rest of the sweep
+update their full member lists.  ``ChainEnsemble.moves`` counts the
 plaquettes whose value changed, so a caller can tell that a sweep left
 the state exactly as it was.
 
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,20 +87,6 @@ class EstimatorResult:
     chains: int
 
 
-def _plaquette_classes(idx: BoxIndex) -> List[np.ndarray]:
-    """Groups of plaquettes with pairwise disjoint boundary edges.
-
-    Class (plane {i, j}, (b_i + b_j) mod 2): two plaquettes of one plane that
-    share an edge are neighbours in it, so their b_i + b_j differ by one.
-    Classes come plane by plane in canonical order, parity 0 first.
-    """
-    rows = np.arange(len(idx.plaq_axes))
-    i, j = idx.plaq_axes.T
-    parity = (idx.plaq_base[rows, i] + idx.plaq_base[rows, j]) % 2
-    color = 2 * (i * idx.box.m + j) + parity
-    return [np.flatnonzero(color == c) for c in np.unique(color)]
-
-
 def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarray:
     """Cumulative heat-bath weights of one plaquette, for every neighbourhood.
 
@@ -119,21 +107,6 @@ def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarr
     return w.cumsum(axis=1)
 
 
-def _hot_threshold(c0: float, c1: float) -> float:
-    """The largest float u with u * c1 <= c0 in floating point.
-
-    Rounding is monotone, so on row 0 of the table (c0 its first, c1 its
-    last entry) a draw u moves a quiet member, c0 < u * c1, exactly when
-    u exceeds this threshold.
-    """
-    t = c0 / c1
-    while t * c1 > c0:
-        t = math.nextafter(t, -math.inf)
-    while math.nextafter(t, math.inf) * c1 <= c0:
-        t = math.nextafter(t, math.inf)
-    return t
-
-
 def _wrap(x: np.ndarray, n: int) -> np.ndarray:
     """x mod n in place, for int16 x in [0, 2n): read as unsigned, x - n
     wraps round to a large value exactly when x < n."""
@@ -150,12 +123,13 @@ class ChainEnsemble:
     and are kept C-contiguous.  A single chain is the K = 1 case.
 
     The constructor builds the (n^5, n) conditional table of the module
-    docstring.  It raises ``PreconditionError`` for fewer than one chain,
-    and, before allocating anything, for n^6 > ``oracle.STATE_GUARD``
-    (n >= 21).  Each sweep draws ``rng.random(P)`` once per chain, whether
-    or not it skips a plaquette, and updates only a pool of candidates
-    that holds every member it could move (module docstring).  ``moves``
-    counts the plaquette values changed so far, ``sweeps`` the sweeps run.
+    docstring and reads the class layout from the shared ``box_index``.  It
+    raises ``PreconditionError`` for fewer than one chain, and, before
+    allocating anything, for n^6 > ``oracle.STATE_GUARD`` (n >= 21).  Each
+    sweep draws ``rng.random(P)`` once per chain, whether or not it skips a
+    plaquette, and updates only a pool of candidates that holds every
+    member it could move (module docstring).  ``moves`` counts the
+    plaquette values changed so far, ``sweeps`` the sweeps run.
     ``snapshot`` and ``conditional_weights`` raise ``PreconditionError``
     for a chain outside [0, K).
     """
@@ -195,23 +169,14 @@ class ChainEnsemble:
         # (K, C) and delta (K, C, 4) across all chains, and its members' ranks
         chain = np.arange(chains)[:, None]
         self._blocks = []
-        self._pos = np.empty(P, dtype=np.intp)  # each plaquette's draw position
         lo = 0
-        for cls in _plaquette_classes(self.idx):
+        for cls in self.idx.plaq_classes:
             e = self.idx.plaq_edges[cls]
             draws = slice(lo, lo + len(cls))
             self._blocks.append((draws, chain * P + cls, chain[:, :, None] * E + e, self.tilt[e], cls))
-            self._pos[cls] = np.arange(draws.start, draws.stop)
             lo += len(cls)
-        # draw positions of the plaquettes on each edge, (E, 2(m - 1)); the
-        # padding repeats the edge's first plaquette rather than naming plaquette 0
-        ep = self.idx.edge_plaqs
-        self._edge_pos = self._pos[np.where(self.idx.edge_plaq_signs != 0, ep, ep[:, :1])]
         self._on_tilt = self.tilt != 0
         self._u = np.empty((chains, P))  # the sweep's draws
-        self._hot = _hot_threshold(*self._cum[0, [0, -1]].tolist())
-        # classes too small for skipping to pay: every sweep updates full member lists
-        self._dense = chains * max(len(b[4]) for b in self._blocks) < _SKIP_MIN
         self.moves = 0
 
     # -- single-site conditional, exposed for tests and exactness checks ----
@@ -241,13 +206,14 @@ class ChainEnsemble:
         u = self._u
         for chain, rng in enumerate(self.rngs):
             rng.random(out=u[chain])
-        dense = self._dense
-        if not dense:
-            # the pool, by draw position: hot draws, which move a quiet member,
-            # and every plaquette near a non-zero residue or itself non-zero
-            pool = u.max(axis=0) > self._hot
-            pool[self._pos.compress(self.omega.any(axis=0))] = True
-            pool[self._edge_pos.compress(self.delta.any(axis=0) | self._on_tilt, axis=0)] = True
+        idx = self.idx
+        # the pool, by draw position: hot draws, which move a quiet member (the
+        # comparison of _update on row 0), and every plaquette near a non-zero
+        # residue or itself non-zero
+        pool = u.max(axis=0) * self._cum[0, -1] > self._cum[0, 0]
+        pool[idx.plaq_class_pos.compress(self.omega.any(axis=0))] = True
+        pool[idx.edge_class_pos.compress(self.delta.any(axis=0) | self._on_tilt, axis=0)] = True
+        dense = False
         for draws, p_flat, e_flat, tl, cls in self._blocks:
             if not dense:
                 j = pool[draws].nonzero()[0]
@@ -260,7 +226,7 @@ class ChainEnsemble:
                 continue
             moved = self._update(p_flat[:, j], e_flat[:, j], tl[j], u[:, draws][:, j])
             moved = j[moved.any(axis=0)]
-            pool[self._edge_pos[self.idx.plaq_edges[cls[moved]]]] = True
+            pool[idx.edge_class_pos[idx.plaq_edges[cls[moved]]]] = True
         self.sweeps += 1
 
     def _update(self, p_flat, e_flat, tl, u) -> np.ndarray:

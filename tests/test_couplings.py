@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lattice_higgs import couplings
 from lattice_higgs.couplings import (
+    ROW_CACHE,
     ModelParams,
     RegimeReport,
     alpha,
@@ -49,6 +51,9 @@ def test_psi_domain():
         psi(0.3, 5, 3)
     with pytest.raises(PreconditionError):
         psi(-1.0, 0, 3)
+    for n in (1, 0, -2):  # phi_hat checks n itself: for n <= 0 it calls no psi
+        with pytest.raises(PreconditionError):
+            phi_hat(0.3, 1, n)
 
 
 def test_phi_hat_n2_hyperbolic():
@@ -219,3 +224,16 @@ def test_model_params_accepts_numpy_integers_as_ints():
     p = ModelParams(m=np.int64(2), n=np.int32(3), N=np.int8(1), beta=0.1, kappa=0.2)
     assert p == ModelParams(m=2, n=3, N=1, beta=0.1, kappa=0.2)
     assert all(type(x) is int for x in (p.m, p.n, p.N))
+
+
+def test_coupling_cache_is_bounded():
+    # fresh couplings evict the oldest rows of phi_hat; psi keeps nothing
+    assert not hasattr(psi, "cache_info")
+    for i in range(3 * ROW_CACHE):
+        a = 0.1 + i * 1e-6
+        zeta(a, 3)
+        xi(a, 3)
+    info = couplings._phi_hat_row.cache_info()
+    assert info.maxsize == ROW_CACHE
+    assert info.currsize == ROW_CACHE
+    assert phi_hat(0.1, 1, 3) == phi_hat_double_series(0.1, 1, 3)

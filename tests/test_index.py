@@ -61,6 +61,18 @@ def test_incidence_matches_forms(box, n):
         assert np.array_equal(got, dense(delta(omega), idx.edges))
 
 
+@pytest.mark.parametrize("box", BOXES, ids=box_id)
+def test_class_positions_invert_the_class_order(box):
+    idx = BoxIndex(box)
+    order = np.concatenate(idx.plaq_classes)
+    P = len(idx.plaq_edges)
+    assert np.array_equal(idx.plaq_class_pos[order], np.arange(P))
+    assert np.array_equal(order[idx.plaq_class_pos], np.arange(P))
+    # each edge's row names its own plaquettes, the padding repeating the first
+    ep = idx.edge_plaqs
+    assert np.array_equal(order[idx.edge_class_pos], np.where(idx.edge_plaq_signs != 0, ep, ep[:, :1]))
+
+
 def test_ids_reject_cells_outside_the_box():
     idx = BoxIndex(LatticeBox.centered(2, 1))
     # base in the box but head outside it; base outside the box

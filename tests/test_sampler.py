@@ -12,7 +12,7 @@ from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, delta, random_form
 from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form, form_distribution
 from lattice_higgs.paths import RectDescriptor, rectangle_loop
-from lattice_higgs.sampler import ChainEnsemble, _hot_threshold, _plaquette_classes, _wrap, estimate_wilson
+from lattice_higgs.sampler import ChainEnsemble, _wrap, estimate_wilson
 
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
 LOOP = rectangle_loop(RECT)
@@ -101,7 +101,7 @@ def test_cache_coherence_after_sweeps():
 @pytest.mark.parametrize("m, N", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 1), (4, 3)])
 def test_plaquette_classes_are_edge_disjoint_partition(m, N):
     idx = box_index(m, N)
-    classes = _plaquette_classes(idx)
+    classes = idx.plaq_classes
     assert len(classes) == m * (m - 1)
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(len(idx.plaqs)))
     for cls in classes:
@@ -109,6 +109,15 @@ def test_plaquette_classes_are_edge_disjoint_partition(m, N):
     if m == 2:  # the checkerboard on base parity, in canonical order
         for c, cls in enumerate(classes):
             assert cls.tolist() == [i for i, p in enumerate(idx.plaqs) if sum(p.base) % 2 == c]
+
+
+def test_ensembles_share_the_box_layout():
+    # the class layout lives on the cached BoxIndex, so a second ensemble on the box builds none
+    a = ChainEnsemble(params(0.3, 0.4, N=4), seed=0, chains=2)
+    b = ChainEnsemble(params(0.1, 0.2, n=3, N=4), tilt=LOOP, seed=1, chains=3)
+    assert b.idx is a.idx is box_index(2, 4)
+    assert b.idx.plaq_classes is a.idx.plaq_classes
+    assert b.idx.plaq_class_pos is a.idx.plaq_class_pos
 
 
 def test_path_outside_box_is_rejected():
@@ -345,7 +354,7 @@ def dense_blocks(ens):
     chain = np.arange(chains)[:, None]
     blocks = []
     lo = 0
-    for cls in _plaquette_classes(ens.idx):
+    for cls in ens.idx.plaq_classes:
         e = ens.idx.plaq_edges[cls]
         blocks.append((slice(lo, lo + len(cls)), chain * P + cls, chain[:, :, None] * E + e, ens.tilt[e]))
         lo += len(cls)
@@ -375,7 +384,7 @@ def dense_sweep(ens, blocks):
         for g in range(1, n - 1):
             new += cum[..., g] < r
         om[p_flat] = new
-        # d + (new - own) * _SIGNS, shifted by n into [0, 3n) for _wrap
+        # d + (new - own) * PLAQ_SIGNS, shifted by n into [0, 3n) for _wrap
         change = new - own
         d += n
         d[..., 0] += change
@@ -439,15 +448,58 @@ def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, mo
     assert ens.sweeps == ref.sweeps == sweeps
 
 
-@pytest.mark.parametrize("beta, kappa, n", [(1e-4, 0.25, 2), (1e-5, 0.25, 2), (0.3, 0.4, 3), (0.0, 0.4, 2), (0.3, 0.3, 5)])
-def test_hot_threshold_is_exact(beta, kappa, n):
-    # a draw u moves a quiet member, cum0[0] < u * cum0[-1], exactly when u > the threshold
-    ens = ChainEnsemble(ModelParams(m=2, n=n, N=1, beta=beta, kappa=kappa))
-    c0, c1 = ens._cum[0, 0], ens._cum[0, -1]
-    t = _hot_threshold(float(c0), float(c1))
-    assert t == ens._hot
-    assert not c0 < t * c1
-    assert c0 < np.nextafter(t, 2.0) * c1 or t >= 1.0
+def _largest_cold_draw(c0, c1):
+    """The largest float u with u * c1 <= c0 in floating point: on row 0 of the
+    table (c0 its first, c1 its last entry) such a draw leaves a quiet member as it is."""
+    t = c0 / c1
+    while t * c1 > c0:
+        t = np.nextafter(t, 0.0)
+    while np.nextafter(t, 2.0) * c1 <= c0:
+        t = np.nextafter(t, 2.0)
+    return t
+
+
+class _PresetDraws:
+    """Stands in for a chain's generator: every sweep gets the same draws."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.row.copy()
+        out[:] = self.row
+        return out
+
+
+# (1e-5, 0.25, 2): c0 / c1 lies one float below the largest cold draw, so a
+# threshold of c0 / c1 marks that cold draw hot; (1e-4, 0.25, 2): they coincide
+@pytest.mark.parametrize("beta, kappa, n", [(1e-5, 0.25, 2), (1e-4, 0.25, 2), (0.1, 0.2, 3), (0.3, 0.3, 5)])
+def test_hot_draw_boundary_is_exact(beta, kappa, n, monkeypatch):
+    # on a quiet state, draws at the largest cold value make no candidate, and
+    # the next float up, at one position of one chain, moves exactly that member;
+    # skipping always, so that the first class's update shows the pool
+    monkeypatch.setattr(sampler, "_SKIP_MIN", -math.inf)
+    p = ModelParams(m=2, n=n, N=4, beta=beta, kappa=kappa)
+    ens = ChainEnsemble(p, chains=2)
+    ref = ChainEnsemble(p, chains=2)
+    cold = _largest_cold_draw(ens._cum[0, 0], ens._cum[0, -1])
+    rows = np.full(ens.omega.shape, cold)
+    hot = 5  # a draw position in the first class
+    rows[1, hot] = np.nextafter(cold, 2.0)
+    for e in (ens, ref):
+        e.rngs = [_PresetDraws(row) for row in rows]
+    sizes = []
+    update = ens._update
+    monkeypatch.setattr(ens, "_update", lambda p_flat, *rest: sizes.append(p_flat.shape[1]) or update(p_flat, *rest))
+    ens.sweep()
+    dense_sweep(ref, dense_blocks(ref))
+    assert sizes[0] == 1  # the first class updates the hot draw's member only
+    first = ens.idx.plaq_classes[0]
+    assert ens.omega[1, first[hot]] != 0
+    assert np.count_nonzero(ens.omega[:, first]) == 1
+    assert np.array_equal(ens.omega, ref.omega)
+    assert np.array_equal(ens.delta, ref.delta)
 
 
 def test_estimate_wilson_results_are_pinned():
