@@ -6,6 +6,10 @@ orientations; only positively oriented cells (sorted direction tuple,
 sign +1) are ever stored, and queries on negated cells are resolved by
 the sign rules q[-c] = -q[c].
 
+One sparse map on positive cells, :class:`Chain`, holds integer chains
+and, as ``forms.FormZn``, Z_n forms; :func:`components` groups cells by
+shared faces for both.
+
 These labels are the reference encoding.  The package computes with
 :class:`BoxIndex`, a box's cells as rank arrays with signed incidence
 tables, read through :meth:`BoxIndex.path` and :func:`incidence`.
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -155,10 +159,13 @@ class LatticeBox:
 
 
 class Chain:
-    """A sparse integer formal sum of positively oriented k-cells.
+    """A sparse formal sum of positively oriented k-cells, with integer coefficients.
 
     Coefficients on negated cells follow q[-c] = -q[c]; zeros are never
-    stored.  Instances are treated as immutable values.
+    stored.  Instances are treated as immutable values.  A Z_n-valued form
+    (``forms.FormZn``) is the same map with its store step reducing mod n;
+    every other operation here serves both kinds, and two chains combine or
+    compare equal only if their kind (class, dimension, modulus) agrees.
     """
 
     __slots__ = ("dim", "coeffs")
@@ -171,16 +178,27 @@ class Chain:
                 if v:
                     self._accumulate(c, v)
 
-    def _accumulate(self, c: OrientedCell, v: int):
-        if c.dim != self.dim:
-            raise ValueError(f"cell of dim {c.dim} in {self.dim}-chain")
-        if not c.is_positive:
-            c, v = -c, -v
-        new = self.coeffs.get(c, 0) + v
-        if new:
-            self.coeffs[c] = new
+    def _store(self, c: OrientedCell, v: int):
+        """The coefficient of the positive cell c becomes v."""
+        if v:
+            self.coeffs[c] = v
         else:
             self.coeffs.pop(c, None)
+
+    def _accumulate(self, c: OrientedCell, v: int):
+        if len(c.dirs) != self.dim:
+            raise ValueError(f"cell of dim {c.dim} in {self.dim}-chain")
+        if c.sign < 0:
+            c, v = -c, -v
+        self._store(c, self.coeffs.get(c, 0) + v)
+
+    def _like(self, dim: int, coeffs: Dict[OrientedCell, int] | None = None) -> "Chain":
+        """A chain of this kind in dimension ``dim``."""
+        return Chain(dim, coeffs)
+
+    def _kind(self) -> tuple:
+        """What two chains must share to be added or equal."""
+        return (type(self), self.dim)
 
     @classmethod
     def of(cls, c: OrientedCell, coeff: int = 1) -> "Chain":
@@ -203,10 +221,18 @@ class Chain:
         v = self.coeffs.get(c.positive(), 0)
         return v > 0 if c.is_positive else v < 0
 
+    def copy(self) -> "Chain":
+        return self._like(self.dim, self.coeffs)
+
+    def restrict(self, cells: Iterable[OrientedCell]) -> "Chain":
+        """q restricted to a cell set C (matching +-C), zero elsewhere."""
+        keep = {c.positive() for c in cells}
+        return self._like(self.dim, {c: v for c, v in self.coeffs.items() if c in keep})
+
     def __add__(self, other: "Chain") -> "Chain":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = Chain(self.dim, dict(self.coeffs))
+        if not isinstance(other, Chain) or self._kind() != other._kind():
+            raise ValueError(f"cannot combine {self!r} with {other!r}")
+        out = self.copy()
         for c, v in other.coeffs.items():
             out._accumulate(c, v)
         return out
@@ -215,13 +241,13 @@ class Chain:
         return self + (-other)
 
     def __neg__(self) -> "Chain":
-        return Chain(self.dim, {c: -v for c, v in self.coeffs.items()})
+        return self._like(self.dim, {c: -v for c, v in self.coeffs.items()})
 
     def __rmul__(self, k: int) -> "Chain":
-        return Chain(self.dim, {c: k * v for c, v in self.coeffs.items()})
+        return self._like(self.dim, {c: k * v for c, v in self.coeffs.items()})
 
     def __eq__(self, other):
-        return isinstance(other, Chain) and self.dim == other.dim and self.coeffs == other.coeffs
+        return isinstance(other, Chain) and self._kind() == other._kind() and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.coeffs.items())))
@@ -246,22 +272,52 @@ def boundary(c: OrientedCell) -> Chain:
     if k == 0:
         raise PreconditionError("0-cells have no boundary")
     out = Chain(k - 1)
-    for pos in range(k):
+    for pos in range(k):  # the 2k faces are distinct positive cells
         d = c.dirs[pos]
         rest = c.dirs[:pos] + c.dirs[pos + 1 :]
-        s = (-1) ** (pos + 1)  # the paper's (-1)^{k'} with k' = pos + 1
+        s = (-1) ** (pos + 1) * c.sign  # the paper's (-1)^{k'} with k' = pos + 1
         shifted = tuple(b + (1 if i == d - 1 else 0) for i, b in enumerate(c.base))
-        out._accumulate(OrientedCell(c.base, rest), s * c.sign)
-        out._accumulate(OrientedCell(shifted, rest), -s * c.sign)
+        out.coeffs[OrientedCell(c.base, rest)] = s
+        out.coeffs[OrientedCell(shifted, rest)] = -s
     return out
 
 
 def boundary_chain(q: Chain) -> Chain:
-    out = Chain(q.dim - 1)
+    """The boundary of q, in q's kind; for a Z_n form it is the coderivative delta."""
+    out = q._like(q.dim - 1)
     for c, v in q.coeffs.items():
         for f, w in boundary(c).coeffs.items():
             out._accumulate(f, v * w)
     return out
+
+
+def components(cells: Iterable[OrientedCell]) -> List[Set[OrientedCell]]:
+    """Groups of positive cells linked through shared boundary faces.
+
+    Two edges are linked when they share a vertex, two plaquettes when they
+    share an edge.  Groups are ordered by their smallest member.
+    """
+    parent = {c: c for c in cells}
+
+    def find(x):
+        while parent[x] is not x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    owner: Dict[OrientedCell, OrientedCell] = {}  # a face -> the first cell seen on it
+    for c in parent:
+        for f in boundary(c).coeffs:
+            if f not in owner:
+                owner[f] = c
+                continue
+            a, b = find(c), find(owner[f])
+            if a is not b:
+                parent[a] = b
+    groups: Dict[OrientedCell, Set[OrientedCell]] = {}
+    for c in parent:
+        groups.setdefault(find(c), set()).add(c)
+    return sorted(groups.values(), key=min)
 
 
 def coboundary(c: OrientedCell, box: LatticeBox) -> Chain:

@@ -38,8 +38,8 @@ def psi(a: float, j: int, n: int) -> float:
         raise PreconditionError("n must be >= 2")
     if not 0 <= j < n:
         raise PreconditionError(f"residue j={j} outside [0, {n})")
-    if a < 0:
-        raise PreconditionError("a must be nonnegative")
+    if not 0 <= a < math.inf:
+        raise PreconditionError(f"a must be finite and nonnegative, got {a}")
     term = a**j / math.factorial(j)
     total = term
     k = j
@@ -60,7 +60,10 @@ def _phi_hat_row(a: float, n: int) -> Tuple[float, ...]:
     if n < 2:
         raise PreconditionError("n must be >= 2")
     p = [psi(a, k, n) for k in range(n)]
-    return tuple(sum(p[k] * p[(k + j) % n] for k in range(n)) for j in range(n))
+    row = tuple(sum(p[k] * p[(k + j) % n] for k in range(n)) for j in range(n))
+    if not all(map(math.isfinite, row)):
+        raise PreconditionError(f"phi_hat({a}, j, {n}) overflows a float")
+    return row
 
 
 def phi_hat(a: float, j: int, n: int) -> float:

@@ -1,103 +1,69 @@
 """Z_n-valued discrete differential forms on a box, and their calculus.
 
 A k-form assigns a residue in Z_n to every oriented k-cell with
-omega(-c) = -omega(c) mod n; values are stored on positive cells only
-(absent = 0).  The exterior derivative d and coderivative delta follow
-the discrete Stokes identities d omega(c) = omega(boundary c) and
-delta omega(c) = omega(coboundary c), with the coboundary clipped to the
-box (free boundary).
+omega(-c) = -omega(c) mod n: a ``cells.Chain`` whose coefficients are
+reduced mod n, stored on positive cells only (absent = 0).  The exterior
+derivative d follows the discrete Stokes identity
+d omega(c) = omega(boundary c); the coderivative delta is the boundary of
+omega read as a Z_n chain, which equals the box-clipped coboundary sum
+delta omega(c) = omega(coboundary c) (free boundary) whenever
+supp omega lies in the box.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Callable, Dict, List, Set
 
 import numpy as np
 
-from .cells import LatticeBox, OrientedCell, boundary, cell, coboundary
+from .cells import Chain, LatticeBox, OrientedCell, boundary, boundary_chain, coboundary, components
 from .errors import PreconditionError
 
 
-class FormZn:
-    """Sparse Z_n-valued k-form; values on positive cells in 1..n-1."""
+class FormZn(Chain):
+    """Sparse Z_n-valued k-form: a chain whose values on positive cells lie in 1..n-1.
 
-    __slots__ = ("dim", "n", "values")
+    Besides carrying n, only the store step differs from ``Chain``: it
+    reduces mod n.  So sums, restrictions and ``cells.boundary_chain`` stay
+    Z_n forms, and delta is the boundary of the form.  ``values`` is the
+    chain's ``coeffs``; ``form(c)`` reads the value on an oriented cell,
+    reduced mod n.
+    """
+
+    __slots__ = ("n",)
 
     def __init__(self, dim: int, n: int, values: Dict[OrientedCell, int] | None = None):
         if n < 2:
             raise ValueError("group order n must be >= 2")
-        self.dim = dim
         self.n = n
-        self.values: Dict[OrientedCell, int] = {}
-        if values:
-            for c, v in values.items():
-                self.set(c, v)
+        super().__init__(dim, values)
 
-    def set(self, c: OrientedCell, v: int):
-        if c.dim != self.dim:
-            raise ValueError(f"cell of dim {c.dim} in {self.dim}-form")
-        if not c.is_positive:
-            c, v = -c, -v
+    def _store(self, c: OrientedCell, v: int):
         v %= self.n
         if v:
-            self.values[c] = v
+            self.coeffs[c] = v
         else:
-            self.values.pop(c, None)
+            self.coeffs.pop(c, None)
 
-    def __call__(self, c: OrientedCell) -> int:
-        if c.is_positive:
-            return self.values.get(c, 0)
-        return (-self.values.get(-c, 0)) % self.n
+    def _like(self, dim: int, coeffs: Dict[OrientedCell, int] | None = None) -> "FormZn":
+        return FormZn(dim, self.n, coeffs)
+
+    def _kind(self) -> tuple:
+        return super()._kind() + (self.n,)
 
     @property
-    def support(self) -> Set[OrientedCell]:
-        """(supp omega)^+: positive cells with nonzero value."""
-        return set(self.values)
+    def values(self) -> Dict[OrientedCell, int]:
+        return self.coeffs
 
-    def copy(self) -> "FormZn":
-        return FormZn(self.dim, self.n, dict(self.values))
+    def set(self, c: OrientedCell, v: int):
+        """omega(c) becomes v (and omega(-c) becomes -v)."""
+        self._accumulate(c, v - self(c))
 
-    def restrict(self, cells_: Iterable[OrientedCell]) -> "FormZn":
-        """omega restricted to a cell set C (matching +-C), zero elsewhere."""
-        keep = {c.positive() for c in cells_}
-        return FormZn(self.dim, self.n, {c: v for c, v in self.values.items() if c in keep})
-
-    def __add__(self, other: "FormZn") -> "FormZn":
-        self._check_compatible(other)
-        out = self.copy()
-        for c, v in other.values.items():
-            out.set(c, out.values.get(c, 0) + v)
-        return out
-
-    def __sub__(self, other: "FormZn") -> "FormZn":
-        self._check_compatible(other)
-        out = self.copy()
-        for c, v in other.values.items():
-            out.set(c, out.values.get(c, 0) - v)
-        return out
-
-    def __neg__(self) -> "FormZn":
-        return FormZn(self.dim, self.n, {c: -v for c, v in self.values.items()})
-
-    def _check_compatible(self, other: "FormZn"):
-        if self.dim != other.dim or self.n != other.n:
-            raise ValueError("form dimension/order mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormZn)
-            and (self.dim, self.n) == (other.dim, other.n)
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.n, frozenset(self.values.items())))
-
-    def is_zero(self) -> bool:
-        return not self.values
+    def __call__(self, c: OrientedCell) -> int:
+        return self[c] % self.n
 
     def __repr__(self):
-        return f"FormZn(dim={self.dim}, n={self.n}, |supp|={len(self.values)})"
+        return f"FormZn(dim={self.dim}, n={self.n}, |supp|={len(self.coeffs)})"
 
 
 def zero_form(dim: int, n: int) -> FormZn:
@@ -109,31 +75,21 @@ def d(form: FormZn, box: LatticeBox) -> FormZn:
     if form.dim > box.m - 1:
         raise PreconditionError("d undefined for top-dimensional forms")
     out = FormZn(form.dim + 1, form.n)
-    acc: Dict[OrientedCell, int] = {}
-    for f, v in form.values.items():
+    for f, v in form.coeffs.items():
         for cprime, coeff in coboundary(f, box).coeffs.items():
-            acc[cprime] = acc.get(cprime, 0) + coeff * v
-    for c, v in acc.items():
-        out.set(c, v)
+            out._accumulate(cprime, coeff * v)
     return out
 
 
 def delta(form: FormZn) -> FormZn:
-    """Coderivative: (k-1)-form with delta omega(c) = omega(coboundary c).
+    """Coderivative: the (k-1)-form boundary of omega, as a Z_n chain.
 
-    Accumulated from the supported k-cells over their boundaries, which is
-    exactly the box-clipped coboundary sum when supp omega lies in the box.
+    It is delta omega(c) = omega(coboundary c) with the coboundary clipped
+    to the box, whenever supp omega lies in the box.
     """
     if form.dim < 1:
         raise PreconditionError("delta undefined for 0-forms")
-    out = FormZn(form.dim - 1, form.n)
-    acc: Dict[OrientedCell, int] = {}
-    for cprime, v in form.values.items():
-        for f, coeff in boundary(cprime).coeffs.items():
-            acc[f] = acc.get(f, 0) + coeff * v
-    for c, v in acc.items():
-        out.set(c, v)
-    return out
+    return boundary_chain(form)
 
 
 def delta_edge(form: FormZn, e: OrientedCell, box: LatticeBox) -> int:
@@ -146,40 +102,16 @@ def delta_edge(form: FormZn, e: OrientedCell, box: LatticeBox) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _component_sets(support: Set[OrientedCell]) -> List[Set[OrientedCell]]:
-    """Partition a set of positive plaquettes by the shared-boundary-edge relation."""
-    parent: Dict[OrientedCell, OrientedCell] = {p: p for p in support}
-
-    def find(x):
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[ra] = rb
-
-    by_edge: Dict[OrientedCell, OrientedCell] = {}
-    for p in support:
-        for e in boundary(p).support:
-            if e in by_edge:
-                union(p, by_edge[e])
-            else:
-                by_edge[e] = p
-    groups: Dict[OrientedCell, Set[OrientedCell]] = {}
-    for p in support:
-        groups.setdefault(find(p), set()).add(p)
-    # Deterministic order: by smallest member.
-    return [groups[r] for r in sorted(groups, key=lambda r: min(groups[r]))]
-
-
 def connected_components(form: FormZn) -> List[FormZn]:
     """The unique decomposition of a 2-form by components of (supp omega)^+."""
     if form.dim != 2:
         raise PreconditionError("components are defined for 2-forms")
-    return [form.restrict(g) for g in _component_sets(form.support)]
+    return [form.restrict(g) for g in components(form.coeffs)]
+
+
+def _components_where(form: FormZn, keep: Callable[[FormZn], bool]) -> FormZn:
+    """Sum of the components of a 2-form for which ``keep`` holds."""
+    return form.restrict(c for comp in connected_components(form) if keep(comp) for c in comp.coeffs)
 
 
 def omega_E(form: FormZn, edges: Set[OrientedCell]) -> FormZn:
@@ -189,23 +121,12 @@ def omega_E(form: FormZn, edges: Set[OrientedCell]) -> FormZn:
     supp omega_j iff some supported plaquette of omega_j has e on its boundary.
     """
     edges = {e.positive() for e in edges}
-    out = FormZn(form.dim, form.n)
-    for comp in connected_components(form):
-        touches = any(bool(boundary(p).support & edges) for p in comp.support)
-        if touches:
-            for c, v in comp.values.items():
-                out.set(c, v)
-    return out
+    return _components_where(form, lambda comp: any(boundary(p).support & edges for p in comp.coeffs))
 
 
 def omega_gamma(form: FormZn, gamma_support: Set[OrientedCell]) -> FormZn:
     """omega^gamma: components whose delta-support meets supp gamma."""
-    out = FormZn(form.dim, form.n)
-    for comp in connected_components(form):
-        if delta(comp).support & gamma_support:
-            for c, v in comp.values.items():
-                out.set(c, v)
-    return out
+    return _components_where(form, lambda comp: bool(delta(comp).support & gamma_support))
 
 
 def lhd(sub: FormZn, whole: FormZn) -> bool:
@@ -214,16 +135,14 @@ def lhd(sub: FormZn, whole: FormZn) -> bool:
     True iff whole agrees with sub on supp(sub) and the delta-supports of
     sub and whole - sub are disjoint.
     """
-    sub._check_compatible(whole)
-    for c, v in sub.values.items():
-        if whole.values.get(c, 0) != v:
-            return False
-    rest = whole - sub
+    rest = whole - sub  # raises unless sub and whole are of one kind
+    if any(whole.coeffs.get(c) != v for c, v in sub.coeffs.items()):
+        return False
     return not (delta(sub).support & delta(rest).support)
 
 
 # ---------------------------------------------------------------------------
-# Random forms and serialization
+# Random forms
 # ---------------------------------------------------------------------------
 
 
@@ -236,35 +155,4 @@ def random_form(box: LatticeBox, n: int, density: float, seed: int) -> FormZn:
     plaqs = list(box.cells(2))
     u = rng.random(len(plaqs))
     vals = rng.integers(1, n, size=len(plaqs)) if n > 2 else np.ones(len(plaqs), dtype=int)
-    out = FormZn(2, n)
-    for p, ui, vi in zip(plaqs, u, vals):
-        if ui < density:
-            out.set(p, int(vi))
-    return out
-
-
-def dump_form(form: FormZn, m: int) -> str:
-    """Line-based text format: header then one ``base|dirs value`` per line."""
-    lines = [f"# zn-form m={m} k={form.dim} n={form.n}"]
-    for c in sorted(form.values):
-        base = ",".join(str(x) for x in c.base)
-        dirs = ",".join(str(x) for x in c.dirs)
-        lines.append(f"{base}|{dirs} {form.values[c]}")
-    return "\n".join(lines) + "\n"
-
-
-def load_form(text: str) -> FormZn:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0]
-    if not head.startswith("# zn-form"):
-        raise ValueError("missing zn-form header")
-    fields = dict(tok.split("=") for tok in head.split()[2:])
-    k, n = int(fields["k"]), int(fields["n"])
-    out = FormZn(k, n)
-    for ln in lines[1:]:
-        loc, val = ln.split()
-        base_s, dirs_s = loc.split("|")
-        base = tuple(int(x) for x in base_s.split(","))
-        dirs = tuple(int(x) for x in dirs_s.split(",")) if dirs_s else ()
-        out.set(cell(base, dirs), int(val))
-    return out
+    return FormZn(2, n, {p: int(vi) for p, ui, vi in zip(plaqs, u, vals) if ui < density})

@@ -43,7 +43,7 @@ import numpy as np
 
 from .cells import BoxIndex, LatticeBox, box_index, incidence, vertex
 from .couplings import ModelParams, phi, phi_table, rho
-from .errors import GuardError
+from .errors import GuardError, PreconditionError
 from .forms import FormZn, d, delta
 from .paths import LatticePath
 
@@ -162,6 +162,8 @@ def _pair_expectation(w_hi, hol_hi, x_hi, w_lo, hol_lo, x_lo, coupling: float, n
         den.append(float(w_hi[a] @ tot))
         num_re.append(float(c_hi[a] @ cos_lo - s_hi[a] @ sin_lo))
         num_im.append(float(s_hi[a] @ cos_lo + c_hi[a] @ sin_lo))
+    if not np.isfinite([num_re, num_im, den]).all():
+        raise PreconditionError("the Boltzmann weights overflow a float; the couplings are too large")
     nr, ni, dn = math.fsum(num_re), math.fsum(num_im), math.fsum(den)
     _check_imag(ni, dn)
     return nr / dn

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .cells import BoxIndex, Chain, LatticeBox, OrientedCell, boundary, boundary_chain, edge
+from .cells import BoxIndex, Chain, LatticeBox, OrientedCell, boundary, boundary_chain, components, edge
 from .errors import PreconditionError
 from .forms import FormZn, connected_components, delta, omega_E, omega_gamma
 
@@ -67,7 +67,7 @@ class LatticePath:
     def _validate(self):
         if not self.chain.coeffs:
             raise ValueError("empty path")
-        if not _support_connected(self.chain.support):
+        if len(components(self.chain.coeffs)) != 1:
             raise ValueError("path support must be connected")
         b = boundary_chain(self.chain)
         if self.kind == "closed":
@@ -138,27 +138,6 @@ class LatticePath:
 
     def __repr__(self):
         return f"LatticePath(kind={self.kind}, |support|={len(self)})"
-
-
-def _support_connected(edges: Set[OrientedCell]) -> bool:
-    if not edges:
-        return False
-    adj: Dict[Tuple[int, ...], List[OrientedCell]] = {}
-    for e in edges:
-        for v in boundary(e).support:
-            adj.setdefault(v.base, []).append(e)
-    seen = set()
-    stack = [next(iter(edges))]
-    while stack:
-        e = stack.pop()
-        if e in seen:
-            continue
-        seen.add(e)
-        for v in boundary(e).support:
-            for e2 in adj[v.base]:
-                if e2 not in seen:
-                    stack.append(e2)
-    return len(seen) == len(edges)
 
 
 def _loop_edges(rect: RectDescriptor) -> List[Tuple[OrientedCell, int]]:

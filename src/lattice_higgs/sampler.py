@@ -73,6 +73,9 @@ from .paths import LatticePath
 # the extra gathers and pool scatters against one full class update)
 _SKIP_MIN = 512
 
+# batch means: each chain's kept sweeps split into this many batches
+BATCHES_PER_CHAIN = 16
+
 
 @dataclass(frozen=True)
 class EstimatorResult:
@@ -321,7 +324,6 @@ def estimate_wilson(
     burn_in: Optional[int] = None,
     seed: int = 0,
     chains: int = 4,
-    batches_per_chain: int = 16,
 ) -> EstimatorResult:
     """Batch-means estimate of E[L-hat_gamma] / phi_kappa(1)^{|gamma|}.
 
@@ -329,7 +331,7 @@ def estimate_wilson(
     The un-tilted measure is sampled; multiply by xi_kappa^{|gamma|} to
     recover the raw Wilson expectation.  Raises ``PreconditionError`` for a
     negative burn-in, fewer than 32 batches in total, or fewer kept sweeps
-    than ``batches_per_chain`` (a batch needs at least one sweep).
+    than ``BATCHES_PER_CHAIN`` (a batch needs at least one sweep).
 
     The observable is evaluated again only after a sweep that moved some
     plaquette (``ChainEnsemble.moves``); otherwise delta, and so every
@@ -344,10 +346,10 @@ def estimate_wilson(
     keep = sweeps - burn_in
     if keep <= 0:
         raise PreconditionError("burn-in consumes all sweeps")
-    if chains * batches_per_chain < 32:
+    if chains * BATCHES_PER_CHAIN < 32:
         raise PreconditionError("need at least 32 batches in total")
-    if keep < batches_per_chain:
-        raise PreconditionError(f"{keep} kept sweeps cannot fill {batches_per_chain} batches per chain")
+    if keep < BATCHES_PER_CHAIN:
+        raise PreconditionError(f"{keep} kept sweeps cannot fill {BATCHES_PER_CHAIN} batches per chain")
     ens = ChainEnsemble(params, tilt=None, seed=seed, chains=chains)
     support = idx.path(gamma)
     samples = np.empty((chains, keep))
@@ -359,9 +361,9 @@ def estimate_wilson(
                 vals, seen = ens.normalized_wilson(support), ens.moves
             samples[:, t - burn_in] = vals
     mean = float(samples.mean())
-    bs = keep // batches_per_chain
-    trimmed = samples[:, : bs * batches_per_chain]
-    bmeans = trimmed.reshape(chains, batches_per_chain, bs).mean(axis=2).ravel()
+    bs = keep // BATCHES_PER_CHAIN
+    trimmed = samples[:, : bs * BATCHES_PER_CHAIN]
+    bmeans = trimmed.reshape(chains, BATCHES_PER_CHAIN, bs).mean(axis=2).ravel()
     nb = len(bmeans)
     if np.allclose(bmeans, bmeans[0], rtol=0, atol=0):
         se = 0.0  # constant observable (e.g. beta = 0)

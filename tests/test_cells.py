@@ -8,6 +8,7 @@ from lattice_higgs.cells import (
     boundary_chain,
     cell,
     coboundary,
+    components,
     edge,
     plaquette,
     vertex,
@@ -117,3 +118,24 @@ def test_canonical_cell_order_is_sorted():
     box = LatticeBox.centered(2, 1)
     seq = [(c.base, c.dirs) for c in box.cells(1)]
     assert seq == sorted(seq)
+
+
+def test_components_of_edges():
+    # an L-shape shares its corner vertex: one group
+    ell = {edge((0, 0), 1), edge((1, 0), 2)}
+    assert components(ell) == [ell]
+    # parallel edges one step apart share no vertex: two groups, smallest first
+    low, high = edge((0, 0), 1), edge((0, 1), 1)
+    assert components([high, low]) == [{low}, {high}]
+    assert components([]) == []
+
+
+def test_components_of_plaquettes_in_pinned_order():
+    a = plaquette((0, 0, 0), 1, 2)
+    b = plaquette((0, 0, 0), 1, 3)  # shares edge ((0,0,0);1) with a
+    c = plaquette((0, 0, 1), 1, 2)  # shares edge ((0,0,1);1) with b
+    far = plaquette((-1, -1, -1), 2, 3)
+    beside = plaquette((2, 0, 0), 1, 2)  # one step past a: no shared edge
+    diagonal = plaquette((1, 1, 0), 1, 2)  # meets a at a vertex only
+    got = components([beside, c, diagonal, far, b, a])
+    assert got == [{far}, {a, b, c}, {diagonal}, {beside}]

@@ -237,3 +237,17 @@ def test_coupling_cache_is_bounded():
     assert info.maxsize == ROW_CACHE
     assert info.currsize == ROW_CACHE
     assert phi_hat(0.1, 1, 3) == phi_hat_double_series(0.1, 1, 3)
+
+
+def test_psi_rejects_non_finite_a():
+    for a in (math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            psi(a, 0, 2)
+
+
+def test_phi_raises_where_phi_hat_overflows():
+    # phi_hat(a, 0, 2) = cosh(2a) passes the float range near a = 355
+    assert phi(350.0, 1, 2) == 1.0
+    for call in (lambda: phi(360.0, 1, 2), lambda: phi_hat(360.0, 0, 2), lambda: couplings.phi_table(360.0, 2)):
+        with pytest.raises(PreconditionError):
+            call()

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from lattice_higgs.cells import LatticeBox, edge, plaquette, vertex
+from lattice_higgs.cells import Chain, LatticeBox, edge, plaquette, vertex
 from lattice_higgs.forms import (
     FormZn,
     connected_components,
     d,
     delta,
     delta_edge,
-    dump_form,
     lhd,
-    load_form,
     omega_E,
     omega_gamma,
     random_form,
@@ -189,9 +187,31 @@ def test_random_form_contract():
         random_form(box, 2, 1.5, seed=0)
 
 
-def test_form_serialization_roundtrip():
-    box = LatticeBox.centered(3, 1)
-    w = random_form(box, 3, 0.4, seed=21)
-    text = dump_form(w, m=3)
-    w2 = load_form(text)
-    assert w == w2
+def test_forms_and_chains_do_not_mix():
+    p = plaquette((0, 0), 1, 2)
+    assert Chain(2, {p: 1}) != FormZn(2, 2, {p: 1})
+    assert FormZn(2, 2, {p: 1}) != Chain(2, {p: 1})
+    assert FormZn(2, 2, {p: 1}) != FormZn(2, 3, {p: 1})
+    for x, y in [
+        (FormZn(2, 2, {p: 1}), Chain(2, {p: 1})),
+        (Chain(2, {p: 1}), FormZn(2, 2, {p: 1})),
+        (FormZn(2, 2, {p: 1}), FormZn(2, 3, {p: 1})),
+        (FormZn(2, 2, {p: 1}), FormZn(1, 2)),
+    ]:
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x - y
+
+
+def test_delta_of_a_z3_form_is_a_z3_form():
+    # delta(p00 + 2 p10): the shared edge ((1,0);2) gets 1 - 2 = -1 = 2 mod 3
+    w = FormZn(2, 3, {plaquette((0, 0), 1, 2): 1, plaquette((1, 0), 1, 2): 2})
+    dw = delta(w)
+    assert type(dw) is FormZn and (dw.dim, dw.n) == (1, 3)
+    assert dw.values is dw.coeffs and set(dw.values.values()) <= {1, 2}
+    assert dw(edge((1, 0), 2)) == 2 and dw(-edge((1, 0), 2)) == 1
+    assert dw(edge((0, 0), 2)) == 2 and dw(edge((2, 0), 2)) == 2
+    assert len(dw.support) == 7
+    ddw = delta(dw)
+    assert type(ddw) is FormZn and (ddw.dim, ddw.n) == (0, 3) and ddw.is_zero()

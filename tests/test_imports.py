@@ -1,7 +1,9 @@
-"""Each package module uses only the public names of the others.
+"""Each package module uses only the public names of the others, and
+every name it imports.
 
 A ``_private`` name imported from a sibling module is a second home for
 that module's internals; the test suite itself may still import them.
+An import that nothing reads is a leftover of deleted code.
 """
 
 import ast
@@ -44,6 +46,63 @@ def test_lint_flags_private_names_from_package_modules_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_no_private_name(path):
     assert list(private_imports(path.read_text())) == []
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            yield node.returns
+            yield from (x.annotation for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x)
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str):
+    """(line, name) of each name the source imports and never reads.
+
+    A name is read where it appears as a name in an expression, as an
+    ``__all__`` entry, or inside a quoted annotation.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {e.value for e in node.value.elts}
+    for ann in _annotations(tree):
+        for c in ast.walk(ann) if ann else ():
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(c.value, mode="eval")) if isinstance(n, ast.Name)}
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+def test_lint_flags_unused_imports():
+    source = "\n".join(
+        [
+            "from __future__ import annotations",
+            "import os, numpy as np",
+            "import xml.dom",
+            "from typing import Dict, List, Optional, Set",
+            "from .cells import cell, edge",
+            "from .forms import FormZn",
+            "__all__ = ['edge']",
+            "def f(x: Dict, *, y: 'Optional[FormZn]' = None) -> int:",
+            "    return np.zeros(len(x)) + xml.dom.X",
+        ]
+    )
+    want = [(2, "os"), (4, "List"), (4, "Set"), (5, "cell")]
+    assert unused_imports(source) == want
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []
 
 
 def test_lint_sees_the_package():

@@ -6,7 +6,7 @@ import pytest
 from lattice_higgs import oracle
 from lattice_higgs.cells import LatticeBox, incidence, plaquette, vertex
 from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi, phi_table
-from lattice_higgs.errors import GuardError
+from lattice_higgs.errors import GuardError, PreconditionError
 from lattice_higgs.forms import FormZn, connected_components, lhd, random_form, zero_form
 from lattice_higgs.oracle import (
     STATE_GUARD,
@@ -479,3 +479,19 @@ def test_high_temperature_identity_n4():
     p = params(0.25, 0.5, n=4)
     for gamma in (LOOP, OPEN2):
         assert abs(expect_unitary(gamma, p) - expect_form(gamma, p)) < 1e-10
+
+
+@pytest.mark.parametrize("route, n", [(expect_unitary, 3), (expect_full, 2)])
+def test_exact_routes_raise_when_weights_overflow(route, n):
+    loop = rectangle_loop(RectDescriptor((0, 0), (1, 2), (1, 1)))
+    at = lambda kappa: ModelParams(m=2, n=n, N=1, beta=0.1, kappa=kappa)
+    assert math.isfinite(route(loop, at(20.0)))
+    with np.errstate(all="ignore"), pytest.raises(PreconditionError):
+        route(loop, at(30.0))
+
+
+@pytest.mark.parametrize("beta, kappa", [(0.1, 360.0), (360.0, 0.1)])
+def test_expect_form_raises_when_phi_overflows(beta, kappa):
+    loop = rectangle_loop(RectDescriptor((0, 0), (1, 2), (1, 1)))
+    with pytest.raises(PreconditionError):
+        expect_form(loop, ModelParams(m=2, n=2, N=1, beta=beta, kappa=kappa))

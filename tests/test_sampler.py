@@ -202,7 +202,7 @@ def test_margin_precondition():
     with pytest.raises(PreconditionError):
         estimate_wilson(p, rectangle_loop(corner_rect), sweeps=100, seed=0)
     with pytest.raises(PreconditionError):
-        estimate_wilson(params(0.1, 0.3), LOOP, sweeps=100, seed=0, chains=2, batches_per_chain=8)
+        estimate_wilson(params(0.1, 0.3), LOOP, sweeps=100, seed=0, chains=1)
 
 
 @pytest.mark.parametrize("m, N", [(2, 8), (3, 4)])
@@ -535,3 +535,8 @@ def test_conditional_weights_rejects_chain_out_of_range(chain):
     ens = ChainEnsemble(params(0.3, 0.4), seed=0, chains=2)
     with pytest.raises(PreconditionError):
         ens.conditional_weights(0, chain)
+
+
+def test_ensemble_rejects_couplings_whose_table_overflows():
+    with pytest.raises(PreconditionError):
+        ChainEnsemble(params(0.1, 800.0), tilt=None, seed=0)
