@@ -23,11 +23,12 @@ from .errors import PreconditionError
 class FormZn(Chain):
     """Sparse Z_n-valued k-form: a chain whose values on positive cells lie in 1..n-1.
 
-    Besides carrying n, only the store step differs from ``Chain``: it
-    reduces mod n.  So sums, restrictions and ``cells.boundary_chain`` stay
-    Z_n forms, and delta is the boundary of the form.  ``values`` is the
-    chain's ``coeffs``; ``form(c)`` reads the value on an oriented cell,
-    reduced mod n.
+    Besides carrying n, the store step differs from ``Chain``: it reduces
+    mod n.  So sums, restrictions and ``cells.boundary_chain`` stay Z_n
+    forms, and delta is the boundary of the form.  ``values`` is the
+    chain's ``coeffs``; ``form[c]`` and ``form(c)`` read the value on an
+    oriented cell, reduced mod n, and ``form.contains(c)`` tells whether it
+    is non-zero.
     """
 
     __slots__ = ("n",)
@@ -59,8 +60,15 @@ class FormZn(Chain):
         """omega(c) becomes v (and omega(-c) becomes -v)."""
         self._accumulate(c, v - self(c))
 
+    def __getitem__(self, c: OrientedCell) -> int:
+        return super().__getitem__(c) % self.n
+
     def __call__(self, c: OrientedCell) -> int:
-        return self[c] % self.n
+        return self[c]
+
+    def contains(self, c: OrientedCell) -> bool:
+        """omega(c) != 0, on either orientation."""
+        return self(c) != 0
 
     def __repr__(self):
         return f"FormZn(dim={self.dim}, n={self.n}, |supp|={len(self.coeffs)})"

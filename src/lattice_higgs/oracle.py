@@ -154,14 +154,16 @@ def _pair_expectation(w_hi, hol_hi, x_hi, w_lo, hol_lo, x_lo, coupling: float, n
     c_hi, s_hi = w_hi * cos_t[hol_hi], w_hi * sin_t[hol_hi]
     lo_vecs = np.stack([w_lo, w_lo * cos_t[hol_lo], w_lo * sin_t[hol_lo]], axis=1)
     num_re, num_im, den = [], [], []
-    for a, b in _pair_blocks(len(w_hi), len(w_lo)):
-        g = x_hi[a] @ x_lo[b].T
-        g *= coupling
-        np.exp(g, out=g)
-        tot, cos_lo, sin_lo = (g @ lo_vecs[b]).T
-        den.append(float(w_hi[a] @ tot))
-        num_re.append(float(c_hi[a] @ cos_lo - s_hi[a] @ sin_lo))
-        num_im.append(float(s_hi[a] @ cos_lo + c_hi[a] @ sin_lo))
+    # a weight that overflows leaves inf or nan in a block sum, caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in _pair_blocks(len(w_hi), len(w_lo)):
+            g = x_hi[a] @ x_lo[b].T
+            g *= coupling
+            np.exp(g, out=g)
+            tot, cos_lo, sin_lo = (g @ lo_vecs[b]).T
+            den.append(float(w_hi[a] @ tot))
+            num_re.append(float(c_hi[a] @ cos_lo - s_hi[a] @ sin_lo))
+            num_im.append(float(s_hi[a] @ cos_lo + c_hi[a] @ sin_lo))
     if not np.isfinite([num_re, num_im, den]).all():
         raise PreconditionError("the Boltzmann weights overflow a float; the couplings are too large")
     nr, ni, dn = math.fsum(num_re), math.fsum(num_im), math.fsum(den)

@@ -26,17 +26,19 @@ are reproducible bit for bit.
 
 Most plaquettes never move in the strong-coupling regime, and a sweep
 skips them without changing a bit of the trajectory.  Call a member
-*quiet* when its own value and its 4 tilted residues are 0: it reads row
-0 of the table, and moves only if its draw is *hot*, row0[0] < u * row0[-1],
-the update's own comparison.  Rounding is monotone, so a position is hot
-in some chain exactly when the largest of its draws is.  A sweep therefore
-updates, class by class, only the members of a *pool* of candidates, by
-the same table arithmetic.  The pool starts from the state, so an
-assigned state needs no hook: the plaquettes with a hot draw, the
-non-zero plaquettes, and the plaquettes on every edge whose delta is
-non-zero or that lies on the tilt.  After each class, the plaquettes on
-the edges of every member that moved join it.  The invariant is that the
-pool holds every non-quiet or hot member of the class about to be
+*quiet* when its own value and the delta on its 4 boundary edges are 0:
+it reads its *base row* ``sum_k tilt_k n^k`` of the table (row 0 off the
+tilt), and moves only if its draw is *hot*, base[0] < u * base[-1], the
+update's own comparison.  Rounding is monotone and the tilt is the same
+in every chain, so a position is hot in some chain exactly when the
+largest of its draws is.  A sweep therefore updates, class by class, only
+the members of a *pool* of candidates, by the same table arithmetic.  The
+pool starts from the state, so an assigned state needs no hook: the
+plaquettes with a hot draw, the non-zero plaquettes, and the plaquettes
+on every edge whose delta is non-zero; the tilt adds none, as it only
+picks the base row.  After each class, the plaquettes on the edges of
+every member that moved join it.  The invariant is that the pool holds
+every non-quiet or hot member of the class about to be
 updated; a quiet member with a cold draw would be written back unchanged,
 so skipping it is exact, and an extra candidate costs time only.  The
 pool is one set of plaquettes shared by all chains.  A class with no
@@ -131,7 +133,9 @@ class ChainEnsemble:
     allocating anything, for n^6 > ``oracle.STATE_GUARD`` (n >= 21).  Each
     sweep draws ``rng.random(P)`` once per chain, whether or not it skips a
     plaquette, and updates only a pool of candidates that holds every
-    member it could move (module docstring).  ``moves`` counts the
+    member it could move: a member whose own value and boundary delta are
+    0 is tested against its own base row, so the tilt puts no plaquette in
+    the pool (module docstring).  ``moves`` counts the
     plaquette values changed so far, ``sweeps`` the sweeps run.
     ``snapshot`` and ``conditional_weights`` raise ``PreconditionError``
     for a chain outside [0, K).
@@ -178,7 +182,11 @@ class ChainEnsemble:
             draws = slice(lo, lo + len(cls))
             self._blocks.append((draws, chain * P + cls, chain[:, :, None] * E + e, self.tilt[e], cls))
             lo += len(cls)
-        self._on_tilt = self.tilt != 0
+        # each draw position's base row, the one its member reads while its own
+        # value and delta are 0, by its first and last column; keyed class by
+        # class, as a (P, 4) int64 temporary would raise the memory peak
+        base = np.concatenate([tl @ n ** np.arange(4) for _, _, _, tl, _ in self._blocks])
+        self._base_first, self._base_last = self._cum[base, 0], self._cum[base, -1]
         self._u = np.empty((chains, P))  # the sweep's draws
         self.moves = 0
 
@@ -211,11 +219,11 @@ class ChainEnsemble:
             rng.random(out=u[chain])
         idx = self.idx
         # the pool, by draw position: hot draws, which move a quiet member (the
-        # comparison of _update on row 0), and every plaquette near a non-zero
-        # residue or itself non-zero
-        pool = u.max(axis=0) * self._cum[0, -1] > self._cum[0, 0]
+        # comparison of _update on its base row), and every plaquette near a
+        # non-zero delta or itself non-zero
+        pool = u.max(axis=0) * self._base_last > self._base_first
         pool[idx.plaq_class_pos.compress(self.omega.any(axis=0))] = True
-        pool[idx.edge_class_pos.compress(self.delta.any(axis=0) | self._on_tilt, axis=0)] = True
+        pool[idx.edge_class_pos.compress(self.delta.any(axis=0), axis=0)] = True
         dense = False
         for draws, p_flat, e_flat, tl, cls in self._blocks:
             if not dense:

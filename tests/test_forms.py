@@ -25,6 +25,18 @@ def test_sign_rule_and_even_support():
     assert f.support == {p}
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_form_reads_agree_on_both_orientations(n):
+    # w[c], w(c) and w.contains(c) read one residue in 0..n-1 on c and on -c
+    p, q = plaquette((0, 0), 1, 2), plaquette((1, 0), 1, 2)
+    for v in range(n):
+        w = FormZn(2, n, {p: v})
+        assert (w[p], w[-p]) == (v, -v % n)
+        for c in (p, -p, q, -q):
+            assert w[c] == w(c)
+            assert w.contains(c) == (w(c) != 0)
+
+
 def test_d_of_zero_is_zero():
     box = LatticeBox.centered(2, 1)
     assert d(zero_form(0, 2), box).is_zero()

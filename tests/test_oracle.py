@@ -486,7 +486,7 @@ def test_exact_routes_raise_when_weights_overflow(route, n):
     loop = rectangle_loop(RectDescriptor((0, 0), (1, 2), (1, 1)))
     at = lambda kappa: ModelParams(m=2, n=n, N=1, beta=0.1, kappa=kappa)
     assert math.isfinite(route(loop, at(20.0)))
-    with np.errstate(all="ignore"), pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError):
         route(loop, at(30.0))
 
 

@@ -449,8 +449,8 @@ def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, mo
 
 
 def _largest_cold_draw(c0, c1):
-    """The largest float u with u * c1 <= c0 in floating point: on row 0 of the
-    table (c0 its first, c1 its last entry) such a draw leaves a quiet member as it is."""
+    """The largest float u with u * c1 <= c0 in floating point: on a quiet member's
+    base row (c0 its first, c1 its last entry) such a draw leaves it as it is."""
     t = c0 / c1
     while t * c1 > c0:
         t = np.nextafter(t, 0.0)
@@ -500,6 +500,62 @@ def test_hot_draw_boundary_is_exact(beta, kappa, n, monkeypatch):
     assert np.count_nonzero(ens.omega[:, first]) == 1
     assert np.array_equal(ens.omega, ref.omega)
     assert np.array_equal(ens.delta, ref.delta)
+
+
+def _record_updates(ens, monkeypatch):
+    """The number of members each ``_update`` call of ``ens`` gets, in call order."""
+    sizes = []
+    update = ens._update
+    monkeypatch.setattr(ens, "_update", lambda p_flat, *rest: sizes.append(p_flat.shape[1]) or update(p_flat, *rest))
+    return sizes
+
+
+@pytest.mark.parametrize("beta, kappa, n", [(1e-5, 0.25, 2), (1e-4, 0.25, 2), (0.1, 0.2, 3), (0.3, 0.3, 5)])
+def test_hot_draw_boundary_is_exact_on_the_tilt(beta, kappa, n, monkeypatch):
+    # a quiet member on the tilt is tested against its own base row: its largest
+    # cold draw makes no candidate, and the next float up, in one chain, moves
+    # exactly that member although the draw is cold for row 0
+    monkeypatch.setattr(sampler, "_SKIP_MIN", -math.inf)
+    p = ModelParams(m=2, n=n, N=4, beta=beta, kappa=kappa)
+    ens = ChainEnsemble(p, tilt=_unit_loop(2), chains=2)
+    ref = ChainEnsemble(p, tilt=_unit_loop(2), chains=2)
+    first = ens.idx.plaq_classes[0]
+    base = ens.tilt[ens.idx.plaq_edges[first]] @ n ** np.arange(4)
+    at = np.flatnonzero(base)[0]  # a draw position in the first class, off row 0
+    b = base[at]
+    cold = _largest_cold_draw(ens._cum[b, 0], ens._cum[b, -1])
+    hot = np.nextafter(cold, 2.0)
+    assert hot * ens._cum[0, -1] <= ens._cum[0, 0]
+    sizes = _record_updates(ens, monkeypatch)
+    rows = np.zeros(ens.omega.shape)
+    rows[:, at] = cold
+    for e in (ens, ref):
+        e.rngs = [_PresetDraws(row) for row in rows]
+    ens.sweep()
+    dense_sweep(ref, dense_blocks(ref))
+    assert sizes == [] and ens.moves == 0
+    assert not ref.omega.any()
+    rows = rows.copy()
+    rows[1, at] = hot
+    for e in (ens, ref):
+        e.rngs = [_PresetDraws(row) for row in rows]
+    ens.sweep()
+    dense_sweep(ref, dense_blocks(ref))
+    assert sizes[0] == 1  # the first class updates the hot draw's member only
+    assert ens.omega[1, first[at]] != 0
+    assert np.count_nonzero(ens.omega[:, first]) == 1
+    assert np.array_equal(ens.omega, ref.omega)
+    assert np.array_equal(ens.delta, ref.delta)
+
+
+def test_tilt_adds_no_candidates(monkeypatch):
+    # in the zero state with draws of 0.0 every member is quiet and cold, on the tilt too
+    ens = ChainEnsemble(ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25), tilt=R2_LOOP, chains=4)
+    sizes = _record_updates(ens, monkeypatch)
+    ens.rngs = [_PresetDraws(np.zeros(ens.omega.shape[1])) for _ in range(4)]
+    ens.sweep()
+    assert sizes == []
+    assert ens.moves == 0 and not ens.omega.any()
 
 
 def test_estimate_wilson_results_are_pinned():
