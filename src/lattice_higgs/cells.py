@@ -65,6 +65,11 @@ class OrientedCell:
             raise ValueError("direction indices are 1-based")
         if any(a >= b for a, b in zip(self.dirs, self.dirs[1:])):
             raise ValueError("dirs must be strictly increasing; use cell() to normalize")
+        # every dict or set operation on a label hashes it: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.base, self.dirs, self.sign)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:

@@ -19,35 +19,51 @@ product for product, and are never divided through, so the table samples
 exactly as a per-site loop would.  The table holds n^6 floats, which
 bounds n to n^6 <= ``oracle.STATE_GUARD``, i.e. n <= 20.
 
-Randomness comes from per-chain Philox counter streams: each sweep draws
-``rng.random(P)`` once per chain and uses the draws class by class in
-scan order (draw position ``BoxIndex.plaq_class_pos``), so trajectories
-are reproducible bit for bit.
+Randomness comes from per-chain Philox counter streams, and every
+trajectory is reproducible bit for bit from its seed.  A member's update
+reads one uniform u = k 2^-53, k uniform on [0, 2^53), as
+``Generator.random`` draws it; the sweep's P draws per chain are indexed
+class by class in scan order (draw position ``BoxIndex.plaq_class_pos``).
 
-Most plaquettes never move in the strong-coupling regime, and a sweep
-skips them without changing a bit of the trajectory.  Call a member
+Most plaquettes never move in the strong-coupling regime.  Call a member
 *quiet* when its own value and the delta on its 4 boundary edges are 0:
 it reads its *base row* ``sum_k tilt_k n^k`` of the table (row 0 off the
 tilt), and moves only if its draw is *hot*, base[0] < u * base[-1], the
-update's own comparison.  Rounding is monotone and the tilt is the same
-in every chain, so a position is hot in some chain exactly when the
-largest of its draws is.  A sweep therefore updates, class by class, only
-the members of a *pool* of candidates, by the same table arithmetic.  The
-pool starts from the state, so an assigned state needs no hook: the
-plaquettes with a hot draw, the non-zero plaquettes, and the plaquettes
-on every edge whose delta is non-zero; the tilt adds none, as it only
-picks the base row.  After each class, the plaquettes on the edges of
-every member that moved join it.  The invariant is that the pool holds
-every non-quiet or hot member of the class about to be
-updated; a quiet member with a cold draw would be written back unchanged,
-so skipping it is exact, and an extra candidate costs time only.  The
-pool is one set of plaquettes shared by all chains.  A class with no
-candidate is skipped.  When the pool covers so much of a class that
-skipping would not pay (fewer than ``_SKIP_MIN`` member updates saved,
-counting a candidate as four), that class and the rest of the sweep
-update their full member lists.  ``ChainEnsemble.moves`` counts the
+update's own comparison.  Rounding is monotone, so the hot draws of a
+base row are those with k >= k*, the row's first hot grid point, found at
+construction; a draw is hot with probability q = (2^53 - k*) / 2^53.  A
+quiet member with a cold draw would be written back unchanged, so a sweep
+on the thinned route (below) updates, class by class, only the members of
+a *pool* of candidates, by the same table arithmetic.  The pool starts
+from the state, so an assigned state needs no hook: the plaquettes with a
+hot draw in some chain, the non-zero plaquettes, and the plaquettes on
+every edge whose delta is non-zero; the tilt adds none, as it only picks
+the base row.
+After each class, the plaquettes on the edges of every member that moved
+join it.  The invariant is that the pool holds every non-quiet or hot
+member of the class about to be updated; an extra candidate costs time
+only.  The pool is one set of plaquettes shared by all chains.  A class
+with no candidate is skipped.  When the pool covers so much of a class
+that skipping would not pay (fewer than ``_SKIP_MIN`` member updates
+saved, counting a candidate as four), that class and the rest of the
+sweep update their full member lists.  ``ChainEnsemble.moves`` counts the
 plaquettes whose value changed, so a caller can tell that a sweep left
 the state exactly as it was.
+
+A sweep takes one of two routes, fixed at construction from the couplings,
+the box and the chain count (``_HOT_COST``, ``_CLASS_COST``).  The *dense*
+route, where hot draws are common, draws ``rng.random(P)`` once per chain
+and updates every member of every class, with no pool.  The *thinned*
+route, where a sweep expects few hot draws (the paper's Poisson regime of
+rare non-zero plaquettes), draws only what its pool uses: per chain and
+per base row (rows with equal k* together), a hot count L ~
+Binomial(#positions, q) and L positions chosen uniformly without
+replacement, each with a hot draw on [k*, 2^53) 2^-53; then, when a class
+updates its candidates, a cold draw on [0, k*) 2^-53 for each candidate
+that is not hot.  The hot positions are independent Bernoulli(q) and each
+draw is uniform given them, so a sweep has exactly the law of the dense
+sweep, and equals the dense sweep run on the draws it made, with 0.0 (a
+cold draw) where it made none; its stream differs from the dense route's.
 
 The Wilson estimator samples only the O(1) normalized observable
 prod_e phi_kappa(delta omega + gamma) / (phi_kappa(delta omega) phi_kappa(1));
@@ -75,8 +91,20 @@ from .paths import LatticePath
 # the extra gathers and pool scatters against one full class update)
 _SKIP_MIN = 512
 
+# the route's costs, in member updates: a dense sweep costs one per member
+# and chain plus _CLASS_COST per class; the thinned route adds about
+# _HOT_COST for each draw expected hot in a sweep, as a hot draw sets off
+# updates in most classes for about two sweeps (fitted to break-even points
+# on a 2-core host: 0.35-0.4 expected hot draws per sweep at m=2 N=1, 2, 4,
+# 1.3 at m=2 N=16, about 2 at m=3 N=4, over 10 at m=4 N=3, 4 chains)
+_CLASS_COST = 900
+_HOT_COST = 5000
+
 # batch means: each chain's kept sweeps split into this many batches
 BATCHES_PER_CHAIN = 16
+
+# Generator.random draws k * 2^-53 for k uniform on [0, 2^53)
+_GRID = 2**53
 
 
 @dataclass(frozen=True)
@@ -112,6 +140,22 @@ def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarr
     return w.cumsum(axis=1)
 
 
+def _first_hot(first: float, last: float) -> int:
+    """The smallest k with first < (k 2^-53) * last, the comparison of
+    ``ChainEnsemble._update``, or 2^53 if there is none: on a base row with
+    these first and last columns, the draws k 2^-53 of ``Generator.random``
+    that move a quiet member are exactly those with k >= this bound, since
+    rounding is monotone."""
+    lo, hi = 0, _GRID
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if first < mid / _GRID * last:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _wrap(x: np.ndarray, n: int) -> np.ndarray:
     """x mod n in place, for int16 x in [0, 2n): read as unsigned, x - n
     wraps round to a large value exactly when x < n."""
@@ -128,14 +172,19 @@ class ChainEnsemble:
     and are kept C-contiguous.  A single chain is the K = 1 case.
 
     The constructor builds the (n^5, n) conditional table of the module
-    docstring and reads the class layout from the shared ``box_index``.  It
-    raises ``PreconditionError`` for fewer than one chain, and, before
-    allocating anything, for n^6 > ``oracle.STATE_GUARD`` (n >= 21).  Each
-    sweep draws ``rng.random(P)`` once per chain, whether or not it skips a
-    plaquette, and updates only a pool of candidates that holds every
-    member it could move: a member whose own value and boundary delta are
-    0 is tested against its own base row, so the tilt puts no plaquette in
-    the pool (module docstring).  ``moves`` counts the
+    docstring, each base row's first hot grid point, and the sweep's route,
+    and reads the class layout from the shared ``box_index``.  It raises
+    ``PreconditionError`` for fewer than one chain, and, before allocating
+    anything, for n^6 > ``oracle.STATE_GUARD`` (n >= 21).  On the dense
+    route a sweep draws ``rng.random(P)`` once per chain and updates every
+    member.  On the thinned route it draws, per chain and base row, a
+    binomial hot count, the hot positions and their draws, and updates
+    only a pool of candidates that holds every member it could move, with
+    a cold draw for each candidate that is not hot; a member whose own
+    value and boundary delta are 0 is tested against its own base row, so
+    the tilt puts no plaquette in the pool (module docstring).  Both routes
+    have the dense sweep's law and are reproducible per seed; the thinned
+    route's stream differs from the dense route's.  ``moves`` counts the
     plaquette values changed so far, ``sweeps`` the sweeps run.
     ``snapshot`` and ``conditional_weights`` raise ``PreconditionError``
     for a chain outside [0, K).
@@ -187,7 +236,19 @@ class ChainEnsemble:
         # class, as a (P, 4) int64 temporary would raise the memory peak
         base = np.concatenate([tl @ n ** np.arange(4) for _, _, _, tl, _ in self._blocks])
         self._base_first, self._base_last = self._cum[base, 0], self._cum[base, -1]
-        self._u = np.empty((chains, P))  # the sweep's draws
+        # per first hot grid point k* < 2^53 of some base row: k*, the chance
+        # q = (2^53 - k*) / 2^53 that a draw is hot there, and the draw
+        # positions whose base row has that k*
+        rows, row_of = np.unique(base, return_inverse=True)
+        kstar = np.array([_first_hot(self._cum[r, 0], self._cum[r, -1]) for r in rows])[row_of]
+        self._groups = [
+            (k, (_GRID - k) / _GRID, np.flatnonzero(kstar == k)) for k in np.unique(kstar) if k < _GRID
+        ]
+        # the route: thinned while the draws expected hot in a sweep, summed
+        # over the chains, cost less than the dense sweep they replace
+        hot = chains * sum(q * len(at) for _, q, at in self._groups)
+        self._thin = hot * _HOT_COST < chains * P + _CLASS_COST * len(self._blocks)
+        self._u = None if self._thin else np.empty((chains, P))  # the dense route's draws
         self.moves = 0
 
     # -- single-site conditional, exposed for tests and exactness checks ----
@@ -214,16 +275,24 @@ class ChainEnsemble:
         # the scatters write through flat views, which needs C-contiguous state
         self.omega = np.ascontiguousarray(self.omega)
         self.delta = np.ascontiguousarray(self.delta)
-        u = self._u
-        for chain, rng in enumerate(self.rngs):
-            rng.random(out=u[chain])
+        self.sweeps += 1
+        hot, uniforms = self._draws()
+        if hot is None:
+            # the dense route: every class updates its full member list
+            for draws, p_flat, e_flat, tl, _ in self._blocks:
+                self._update(p_flat, e_flat, tl, uniforms(draws))
+            return
+        quiet = not np.count_nonzero(self.omega)  # then delta = delta omega is 0 too
+        if quiet and not len(hot):
+            return  # every member quiet and cold: the sweep would write the state back
         idx = self.idx
-        # the pool, by draw position: hot draws, which move a quiet member (the
-        # comparison of _update on its base row), and every plaquette near a
+        # the pool, by draw position: hot draws, and every plaquette near a
         # non-zero delta or itself non-zero
-        pool = u.max(axis=0) * self._base_last > self._base_first
-        pool[idx.plaq_class_pos.compress(self.omega.any(axis=0))] = True
-        pool[idx.edge_class_pos.compress(self.delta.any(axis=0), axis=0)] = True
+        pool = np.zeros(len(self._base_first), dtype=bool)
+        pool[hot] = True
+        if not quiet:
+            pool[idx.plaq_class_pos.compress(self.omega.any(axis=0))] = True
+            pool[idx.edge_class_pos.compress(self.delta.any(axis=0), axis=0)] = True
         dense = False
         for draws, p_flat, e_flat, tl, cls in self._blocks:
             if not dense:
@@ -233,12 +302,74 @@ class ChainEnsemble:
                 dense = self.k * (len(cls) - 4 * len(j)) < _SKIP_MIN
             if dense:
                 # the full member list; no later class needs the pool
-                self._update(p_flat, e_flat, tl, u[:, draws])
+                self._update(p_flat, e_flat, tl, uniforms(np.arange(draws.start, draws.stop)))
                 continue
-            moved = self._update(p_flat[:, j], e_flat[:, j], tl[j], u[:, draws][:, j])
+            moved = self._update(p_flat[:, j], e_flat[:, j], tl[j], uniforms(draws.start + j))
             moved = j[moved.any(axis=0)]
             pool[idx.edge_class_pos[idx.plaq_edges[cls[moved]]]] = True
-        self.sweeps += 1
+
+    def _draws(self):
+        """The sweep's randomness as ``(hot, uniforms)``.
+
+        ``uniforms(pos)`` returns the (K, len(pos)) draws at draw positions
+        ``pos``; a sweep asks for each position at most once.  On the dense
+        route ``hot`` is None and the draws are one ``rng.random(P)`` per
+        chain.  On the thinned route ``hot`` lists the draw positions whose
+        draw is hot, once for each chain it is hot in, drawn per base row as
+        a binomial count and a uniform choice of that many positions; a draw
+        is made only when asked for, a hot one on [k*, 2^53) 2^-53 and a cold
+        one on [0, k*) 2^-53 of its base row, so the draws have the law of
+        the dense route's, though not its stream.
+        """
+        if not self._thin:
+            u = self._u
+            for chain, rng in enumerate(self.rngs):
+                rng.random(out=u[chain])
+            return None, lambda pos: u[:, pos]
+        P = len(self._base_first)
+        keys, vals = [], []  # chain * P + draw position of each hot draw, and the draw
+        for chain, rng in enumerate(self.rngs):
+            for kstar, q, members in self._groups:
+                hits = rng.binomial(len(members), q)
+                if hits:
+                    keys.append(chain * P + members[rng.choice(len(members), hits, replace=False)])
+                    vals.append(rng.integers(kstar, _GRID, size=hits) / _GRID)
+        if not keys:
+            return np.empty(0, dtype=np.intp), self._cold_uniforms
+        keys = np.concatenate(keys)
+        order = keys.argsort()
+        keys, vals = keys[order], np.concatenate(vals)[order]
+        offsets = np.arange(self.k)[:, None] * P
+
+        def uniforms(pos):
+            flat = offsets + pos
+            i = np.minimum(keys.searchsorted(flat), len(keys) - 1)
+            hot = keys[i] == flat
+            u = self._cold_uniforms(pos, hot)
+            u[hot] = vals[i[hot]]
+            return u
+
+        return keys % P, uniforms
+
+    def _cold_uniforms(self, pos, hot=None):
+        """(K, len(pos)) draws at draw positions ``pos``, each uniform on the
+        grid and cold on its base row, except where ``hot`` is set: those are
+        drawn uniform and left for the caller to replace."""
+        u = np.empty((self.k, len(pos)))
+        for chain, rng in enumerate(self.rngs):
+            rng.random(out=u[chain])
+        first, last = self._base_first[pos], self._base_last[pos]
+        # a cold draw is a uniform draw conditioned to be cold: redraw until it is
+        redo = u * last > first
+        if hot is not None:
+            redo &= ~hot
+        if redo.any():
+            for chain in np.flatnonzero(redo.any(axis=1)):
+                again = np.flatnonzero(redo[chain])
+                while len(again):
+                    u[chain, again] = self.rngs[chain].random(len(again))
+                    again = again[u[chain, again] * last[again] > first[again]]
+        return u
 
     def _update(self, p_flat, e_flat, tl, u) -> np.ndarray:
         """Heat-bath update of the members at flat ranks ``p_flat`` of omega,

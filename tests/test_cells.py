@@ -1,3 +1,7 @@
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from lattice_higgs.cells import (
@@ -22,6 +26,29 @@ def test_negation_and_canonical_form():
     assert -(-c) == c
     with pytest.raises(ValueError):
         cell((0, 0), (1, 1))
+
+
+def test_equal_cells_hash_equally():
+    # the stored hash follows equality through every way a cell is made
+    c = cell((1, -2, 0), (3, 1))
+    same = [
+        cell((1, -2, 0), (1, 3), -1),
+        cell(np.array([1, -2, 0]), (3, 1)),
+        -cell((1, -2, 0), (1, 3)),
+        -(-c),
+        c.positive().__neg__(),
+        OrientedCell((1, -2, 0), (1, 3), -1),
+        copy.copy(c),
+        copy.deepcopy(c),
+        pickle.loads(pickle.dumps(c)),
+    ]
+    for d in same:
+        assert d == c and hash(d) == hash(c)
+    plus = c.positive()
+    assert plus != c and plus == -c and hash(plus) == hash(-c)
+    assert plus == pickle.loads(pickle.dumps(plus)) and hash(plus) == hash(cell((1, -2, 0), (1, 3)))
+    assert len({c, *same, plus, -plus}) == 2
+    assert {c: 1}[pickle.loads(pickle.dumps(-plus))] == 1
 
 
 def test_boundary_of_edge_matches_definition():

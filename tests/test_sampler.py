@@ -69,13 +69,17 @@ def test_fixed_seed_reproduces_trajectory():
     p = params(0.3, 0.3)
     a = ChainEnsemble(p, seed=42, chains=2)
     b = ChainEnsemble(p, seed=42, chains=2)
+    c = ChainEnsemble(p, seed=43, chains=2)
+    ours, theirs = [], []
     for _ in range(25):
         a.sweep()
         b.sweep()
+        c.sweep()
         assert np.array_equal(a.omega, b.omega)
-    c = ChainEnsemble(p, seed=43, chains=2)
-    c.run(25)
-    assert not np.array_equal(a.omega, c.omega)
+        ours.append(a.omega.copy())
+        theirs.append(c.omega.copy())
+    # another seed, another trajectory (the state after any one sweep is often zero)
+    assert not np.array_equal(ours, theirs)
 
 
 def test_cache_coherence_after_sweeps():
@@ -262,24 +266,27 @@ def _unit_loop(m):
 
 
 @pytest.mark.parametrize(
-    "p, tilt, seed, chains, sweeps, digest",
+    "p, tilt, seed, chains, sweeps, digest, moves",
     [
-        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 0, 4, 100, "9f1dcbc35c350d60"),
+        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 0, 4, 100, "9f1dcbc35c350d60", 6),
         (
             ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25),
             rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), lengths=(2, 2))),
-            0, 4, 20, "267ada766002da21",
+            0, 4, 20, "267ada766002da21", 0,
         ),
-        (ModelParams(m=3, n=3, N=2, beta=0.3, kappa=0.4), _unit_loop(3), 5, 3, 30, "ef8432ec688d7564"),
-        (ModelParams(m=2, n=5, N=3, beta=0.3, kappa=0.4), _unit_loop(2), 5, 3, 50, "5ac2f3e54c0b4e79"),
+        (ModelParams(m=3, n=3, N=2, beta=0.3, kappa=0.4), _unit_loop(3), 5, 3, 30, "ef8432ec688d7564", 2619),
+        (ModelParams(m=2, n=5, N=3, beta=0.3, kappa=0.4), _unit_loop(2), 5, 3, 50, "5ac2f3e54c0b4e79", 158),
     ],
     ids=["R1", "R2-tilted", "m3-n3-tilted", "m2-n5-tilted"],
 )
-def test_pinned_trajectory_digests(p, tilt, seed, chains, sweeps, digest):
-    # sha256 prefix of omega after a fixed run, pinned to the per-site heat-bath trajectories
+def test_pinned_trajectory_digests(p, tilt, seed, chains, sweeps, digest, moves):
+    # sha256 prefix of omega after a fixed run, and the values changed on the way,
+    # pinned to the heat-bath trajectories; R1 and R2-tilted take the thinned route
+    # and end in the zero state, so their moves carry the pin
     ens = ChainEnsemble(p, tilt=tilt, seed=seed, chains=chains)
     ens.run(sweeps)
     assert hashlib.sha256(ens.omega.tobytes()).hexdigest()[:16] == digest
+    assert ens.moves == moves
     assert ens.validate_cache()
 
 
@@ -361,14 +368,13 @@ def dense_blocks(ens):
     return blocks
 
 
-def dense_sweep(ens, blocks):
-    """One sweep that updates every member of every class."""
+def dense_sweep(ens, blocks, u):
+    """One sweep that updates every member of every class, with draws ``u`` (K, P)."""
     n = ens.n
     # the scatters write through flat views, which needs C-contiguous state
     ens.omega = np.ascontiguousarray(ens.omega)
     ens.delta = np.ascontiguousarray(ens.delta)
     om, dl = ens.omega.reshape(-1), ens.delta.reshape(-1)
-    u = np.stack([rng.random(ens.omega.shape[1]) for rng in ens.rngs])
     for draws, p_flat, e_flat, tl in blocks:
         own = om[p_flat]  # (K, C)
         d = dl[e_flat]  # (K, C, 4)
@@ -395,6 +401,41 @@ def dense_sweep(ens, blocks):
     ens.sweeps += 1
 
 
+def _record_draws(ens, monkeypatch):
+    """Per sweep of ``ens``, a (K, P) array of the draws its ``_draws`` handed
+    out, by draw position, and 0.0 where none was drawn: a quiet member with
+    draw 0.0 stays as it is, so the dense sweep on these draws replays it."""
+    sweeps = []
+    draws = ens._draws
+
+    def recording():
+        hot, uniforms = draws()
+        u = np.full(ens.omega.shape, np.nan)
+        sweeps.append(u)
+
+        def recorded(pos):
+            got = uniforms(pos)
+            assert np.isnan(u[:, pos]).all()  # each position is drawn at most once a sweep
+            u[:, pos] = got
+            return got
+
+        return hot, recorded
+
+    monkeypatch.setattr(ens, "_draws", recording)
+    return sweeps
+
+
+def _replay(ref, blocks, recorded):
+    """The dense sweep on the draws of the last recorded sweep."""
+    dense_sweep(ref, blocks, np.nan_to_num(recorded[-1], nan=0.0))
+
+
+def _skip_always(monkeypatch):
+    """The thinned route at any couplings, never falling back to full member lists."""
+    monkeypatch.setattr(sampler, "_HOT_COST", 0)
+    monkeypatch.setattr(sampler, "_SKIP_MIN", -math.inf)
+
+
 def _all_ones(ens):
     ens.omega[:] = 1
     ens.delta = ens.recompute_delta()
@@ -405,6 +446,8 @@ def _random_state(ens):
     ens.delta = ens.recompute_delta()
 
 
+R1 = ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25)
+R2 = ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25)
 R2_LOOP = rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), lengths=(2, 2)))
 
 
@@ -412,8 +455,8 @@ R2_LOOP = rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), leng
 @pytest.mark.parametrize(
     "p, tilt, chains, sweeps, start",
     [
-        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 4, 100, None),
-        (ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25), R2_LOOP, 4, 20, None),
+        (R1, None, 4, 100, None),
+        (R2, R2_LOOP, 4, 20, None),
         (ModelParams(m=3, n=3, N=2, beta=0.3, kappa=0.4), _unit_loop(3), 3, 30, None),
         (ModelParams(m=2, n=5, N=3, beta=0.3, kappa=0.4), None, 3, 50, None),
         (ModelParams(m=2, n=2, N=8, beta=0.0, kappa=0.4), None, 4, 3, _all_ones),
@@ -426,21 +469,24 @@ R2_LOOP = rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), leng
     ids=["R1", "R2-tilted", "m3-n3-tilted", "m2-n5", "beta0-from-ones", "random-state", "m2-sparse-moves", "m3-sparse-moves"],
 )
 def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, monkeypatch):
-    # the skipping sweep reproduces the dense sweep's omega and delta after every sweep;
-    # "skip-always" never falls back to full member lists, so small boxes exercise the skips too
+    # the sweep reproduces, after every sweep, the omega and delta of the dense
+    # sweep run on the draws it used (0.0 where it drew none); "skip-always" takes
+    # the thinned route and never falls back to full member lists, so small boxes
+    # and large couplings exercise the skips too
     if route == "skip-always":
-        monkeypatch.setattr(sampler, "_SKIP_MIN", -math.inf)
+        _skip_always(monkeypatch)
     ens = ChainEnsemble(p, tilt=tilt, seed=5, chains=chains)
     ref = ChainEnsemble(p, tilt=tilt, seed=5, chains=chains)
     if start is not None:
         start(ens)
         start(ref)
+    recorded = _record_draws(ens, monkeypatch)
     blocks = dense_blocks(ref)
     moves = 0
     for _ in range(sweeps):
         before = ref.omega.copy()
         ens.sweep()
-        dense_sweep(ref, blocks)
+        _replay(ref, blocks, recorded)
         assert np.array_equal(ens.omega, ref.omega)
         assert np.array_equal(ens.delta, ref.delta)
         moves += int(np.count_nonzero(ref.omega != before))
@@ -448,58 +494,34 @@ def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, mo
     assert ens.sweeps == ref.sweeps == sweeps
 
 
-def _largest_cold_draw(c0, c1):
-    """The largest float u with u * c1 <= c0 in floating point: on a quiet member's
-    base row (c0 its first, c1 its last entry) such a draw leaves it as it is."""
-    t = c0 / c1
-    while t * c1 > c0:
-        t = np.nextafter(t, 0.0)
-    while np.nextafter(t, 2.0) * c1 <= c0:
-        t = np.nextafter(t, 2.0)
-    return t
+class _StubDraws:
+    """Stands in for a chain's generator on the thinned route: every draw is
+    0.0, except that draw position ``hot`` (if given) is hot at its first hot
+    grid point k*."""
 
+    def __init__(self, ens, hot=None):
+        self.pick = {}  # the q of hot's group (groups differ in q): hot's index in it
+        for kstar, q, members in ens._groups:
+            if hot in members:
+                self.pick[q] = np.flatnonzero(members == hot)
+        self.take = None
 
-class _PresetDraws:
-    """Stands in for a chain's generator: every sweep gets the same draws."""
+    def binomial(self, n, q):
+        self.take = self.pick.get(q)
+        return 0 if self.take is None else 1
 
-    def __init__(self, row):
-        self.row = row
+    def choice(self, n, size, replace):
+        assert size == 1 and not replace
+        return self.take
+
+    def integers(self, low, high, size):
+        return np.full(size, low)
 
     def random(self, size=None, out=None):
         if out is None:
-            return self.row.copy()
-        out[:] = self.row
+            return np.zeros(size)
+        out[:] = 0.0
         return out
-
-
-# (1e-5, 0.25, 2): c0 / c1 lies one float below the largest cold draw, so a
-# threshold of c0 / c1 marks that cold draw hot; (1e-4, 0.25, 2): they coincide
-@pytest.mark.parametrize("beta, kappa, n", [(1e-5, 0.25, 2), (1e-4, 0.25, 2), (0.1, 0.2, 3), (0.3, 0.3, 5)])
-def test_hot_draw_boundary_is_exact(beta, kappa, n, monkeypatch):
-    # on a quiet state, draws at the largest cold value make no candidate, and
-    # the next float up, at one position of one chain, moves exactly that member;
-    # skipping always, so that the first class's update shows the pool
-    monkeypatch.setattr(sampler, "_SKIP_MIN", -math.inf)
-    p = ModelParams(m=2, n=n, N=4, beta=beta, kappa=kappa)
-    ens = ChainEnsemble(p, chains=2)
-    ref = ChainEnsemble(p, chains=2)
-    cold = _largest_cold_draw(ens._cum[0, 0], ens._cum[0, -1])
-    rows = np.full(ens.omega.shape, cold)
-    hot = 5  # a draw position in the first class
-    rows[1, hot] = np.nextafter(cold, 2.0)
-    for e in (ens, ref):
-        e.rngs = [_PresetDraws(row) for row in rows]
-    sizes = []
-    update = ens._update
-    monkeypatch.setattr(ens, "_update", lambda p_flat, *rest: sizes.append(p_flat.shape[1]) or update(p_flat, *rest))
-    ens.sweep()
-    dense_sweep(ref, dense_blocks(ref))
-    assert sizes[0] == 1  # the first class updates the hot draw's member only
-    first = ens.idx.plaq_classes[0]
-    assert ens.omega[1, first[hot]] != 0
-    assert np.count_nonzero(ens.omega[:, first]) == 1
-    assert np.array_equal(ens.omega, ref.omega)
-    assert np.array_equal(ens.delta, ref.delta)
 
 
 def _record_updates(ens, monkeypatch):
@@ -510,64 +532,165 @@ def _record_updates(ens, monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("beta, kappa, n", [(1e-5, 0.25, 2), (1e-4, 0.25, 2), (0.1, 0.2, 3), (0.3, 0.3, 5)])
-def test_hot_draw_boundary_is_exact_on_the_tilt(beta, kappa, n, monkeypatch):
-    # a quiet member on the tilt is tested against its own base row: its largest
-    # cold draw makes no candidate, and the next float up, in one chain, moves
-    # exactly that member although the draw is cold for row 0
-    monkeypatch.setattr(sampler, "_SKIP_MIN", -math.inf)
-    p = ModelParams(m=2, n=n, N=4, beta=beta, kappa=kappa)
-    ens = ChainEnsemble(p, tilt=_unit_loop(2), chains=2)
-    ref = ChainEnsemble(p, tilt=_unit_loop(2), chains=2)
-    first = ens.idx.plaq_classes[0]
-    base = ens.tilt[ens.idx.plaq_edges[first]] @ n ** np.arange(4)
-    at = np.flatnonzero(base)[0]  # a draw position in the first class, off row 0
-    b = base[at]
-    cold = _largest_cold_draw(ens._cum[b, 0], ens._cum[b, -1])
-    hot = np.nextafter(cold, 2.0)
-    assert hot * ens._cum[0, -1] <= ens._cum[0, 0]
+def _check_hot_boundary(ens, tilt, at, monkeypatch):
+    """Two checks of the hot draws on ``ens`` (thinned, two chains): every base
+    row's grid point k* - 1 is cold and k* is hot, by the comparison of
+    ``_update``; and a sweep with draw position ``at`` of the first class forced
+    hot in chain 1 (stub generators) updates and moves that member only."""
+    kstar = np.full(len(ens._base_first), 2**53)
+    for k, q, members in ens._groups:
+        assert q == (2**53 - k) / 2**53
+        kstar[members] = k
+    first, last = ens._base_first, ens._base_last
+    assert np.all(first >= (kstar - 1) / 2**53 * last)
+    assert np.all((first < kstar / 2**53 * last)[kstar < 2**53])
+    assert kstar[at] < 2**53
+    ref = ChainEnsemble(ens.params, tilt=tilt, chains=2)
     sizes = _record_updates(ens, monkeypatch)
-    rows = np.zeros(ens.omega.shape)
-    rows[:, at] = cold
-    for e in (ens, ref):
-        e.rngs = [_PresetDraws(row) for row in rows]
+    recorded = _record_draws(ens, monkeypatch)
+    ens.rngs = [_StubDraws(ens), _StubDraws(ens, hot=at)]
     ens.sweep()
-    dense_sweep(ref, dense_blocks(ref))
-    assert sizes == [] and ens.moves == 0
-    assert not ref.omega.any()
-    rows = rows.copy()
-    rows[1, at] = hot
-    for e in (ens, ref):
-        e.rngs = [_PresetDraws(row) for row in rows]
-    ens.sweep()
-    dense_sweep(ref, dense_blocks(ref))
+    _replay(ref, dense_blocks(ref), recorded)
     assert sizes[0] == 1  # the first class updates the hot draw's member only
-    assert ens.omega[1, first[at]] != 0
-    assert np.count_nonzero(ens.omega[:, first]) == 1
+    first_class = ens.idx.plaq_classes[0]
+    assert ens.omega[1, first_class[at]] != 0
+    assert ens.moves == np.count_nonzero(ens.omega) == 1
+    assert recorded[-1][1, at] == kstar[at] / 2**53
     assert np.array_equal(ens.omega, ref.omega)
     assert np.array_equal(ens.delta, ref.delta)
 
 
-def test_tilt_adds_no_candidates(monkeypatch):
-    # in the zero state with draws of 0.0 every member is quiet and cold, on the tilt too
-    ens = ChainEnsemble(ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25), tilt=R2_LOOP, chains=4)
+# (1e-5, 0.25, 2): c0 / c1 lies one float below the largest cold draw, so a
+# threshold of c0 / c1 marks that cold draw hot; (1e-4, 0.25, 2): they coincide
+@pytest.mark.parametrize("beta, kappa, n", [(1e-5, 0.25, 2), (1e-4, 0.25, 2), (0.1, 0.2, 3), (0.3, 0.3, 5)])
+def test_hot_draw_boundary_is_exact(beta, kappa, n, monkeypatch):
+    _skip_always(monkeypatch)
+    ens = ChainEnsemble(ModelParams(m=2, n=n, N=4, beta=beta, kappa=kappa), chains=2)
+    _check_hot_boundary(ens, None, 5, monkeypatch)
+
+
+@pytest.mark.parametrize("beta, kappa, n", [(1e-5, 0.25, 2), (1e-4, 0.25, 2), (0.1, 0.2, 3), (0.3, 0.3, 5)])
+def test_hot_draw_boundary_is_exact_on_the_tilt(beta, kappa, n, monkeypatch):
+    # a quiet member on the tilt is hot from its own base row's k*, which is
+    # cold for row 0; with no hot draw, the tilt makes no candidate
+    _skip_always(monkeypatch)
+    ens = ChainEnsemble(ModelParams(m=2, n=n, N=4, beta=beta, kappa=kappa), tilt=_unit_loop(2), chains=2)
+    first = ens.idx.plaq_classes[0]
+    base = ens.tilt[ens.idx.plaq_edges[first]] @ n ** np.arange(4)
+    at = np.flatnonzero(base)[0]  # a draw position in the first class, off row 0
+    b = base[at]
+    k = sampler._first_hot(ens._cum[b, 0], ens._cum[b, -1])
+    assert k / 2**53 * ens._cum[0, -1] <= ens._cum[0, 0]
     sizes = _record_updates(ens, monkeypatch)
-    ens.rngs = [_PresetDraws(np.zeros(ens.omega.shape[1])) for _ in range(4)]
+    ens.rngs = [_StubDraws(ens), _StubDraws(ens)]
+    ens.sweep()
+    assert sizes == [] and ens.moves == 0
+    _check_hot_boundary(ens, _unit_loop(2), at, monkeypatch)
+
+
+def test_tilt_adds_no_candidates(monkeypatch):
+    # in the zero state with no hot draw every member is quiet and cold, on the tilt too
+    ens = ChainEnsemble(R2, tilt=R2_LOOP, chains=4)
+    assert ens._thin
+    sizes = _record_updates(ens, monkeypatch)
+    ens.rngs = [_StubDraws(ens) for _ in range(4)]
     ens.sweep()
     assert sizes == []
     assert ens.moves == 0 and not ens.omega.any()
 
 
+# -- the thinned route's law: it draws the dense sweep's hot positions and uniforms --
+
+
+@pytest.mark.parametrize("route", ["as-built", "skip-always"])
+@pytest.mark.parametrize("tilted", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_samples_form_distribution(n, tilted, route, monkeypatch):
+    # configuration frequencies of many short chains against exact enumeration;
+    # on this box "as-built" takes the dense route and "skip-always" the thinned one
+    if route == "skip-always":
+        _skip_always(monkeypatch)
+    p = params(0.4, 0.4, n=n)
+    tilt = LOOP if tilted else None
+    ens = ChainEnsemble(p, tilt=tilt, seed=23 + n, chains=8)
+    assert ens._thin == (route == "skip-always")
+    ens.run(20)
+    counts = np.zeros(n**4)
+    for _ in range(1200):
+        ens.sweep()
+        counts += np.bincount(ens.config_ids(), minlength=n**4)
+    _, probs = form_distribution(p, tilt=tilt)
+    expected = probs * counts.sum()
+    rare = expected < 5  # pooled into one cell
+    if rare.any():
+        counts = np.append(counts[~rare], counts[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    chi2, pval = scistats.chisquare(counts, expected)
+    assert pval > 0.001, f"chi2={chi2:.1f} p={pval:.5f}"
+
+
+def _base_rows(ens):
+    """Each draw position's base row."""
+    e = ens.idx.plaq_edges[np.concatenate(ens.idx.plaq_classes)]
+    return ens.tilt[e] @ ens.n ** np.arange(4)
+
+
+@pytest.mark.parametrize("p, tilt", [(R1, None), (R2, R2_LOOP)], ids=["R1", "R2-tilted"])
+def test_hot_frequency_per_base_row(p, tilt):
+    # the hot positions of many sweeps' draws, base row by base row, against
+    # q = 1 - first / last, the chance that a uniform draw u has first < u * last
+    ens = ChainEnsemble(p, tilt=tilt, seed=29, chains=4)
+    assert ens._thin
+    base = _base_rows(ens)
+    calls = 20_000
+    hits = np.zeros(len(base), dtype=np.int64)
+    for _ in range(calls):
+        hot, _ = ens._draws()
+        np.add.at(hits, hot, 1)
+    for row in np.unique(base):
+        at = base == row
+        q = 1 - ens._cum[row, 0] / ens._cum[row, -1]
+        test = scistats.binomtest(int(hits[at].sum()), calls * ens.k * int(at.sum()), q)
+        assert test.pvalue > 0.001, (row, hits[at].sum(), q)
+
+
+def test_thinned_and_dense_routes_agree_at_r1(monkeypatch):
+    # two-sample tests on R1 runs of each route: the normalized Wilson sample and
+    # the values changed per sweep, compared through their batch means
+    loop8 = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
+    batches, size = 30, 100
+    runs = {}
+    for route, hot_cost in (("thinned", 0), ("dense", math.inf)):
+        monkeypatch.setattr(sampler, "_HOT_COST", hot_cost)
+        ens = ChainEnsemble(R1, seed=31, chains=4)
+        assert ens._thin == (route == "thinned")
+        support = ens.idx.path(loop8)
+        ens.run(100)
+        wilson, moves = np.empty(batches * size), np.empty(batches * size)
+        for t in range(batches * size):
+            before = ens.moves
+            ens.sweep()
+            wilson[t] = ens.normalized_wilson(support).mean()
+            moves[t] = ens.moves - before
+        runs[route] = wilson.reshape(batches, size).mean(axis=1), moves.reshape(batches, size).mean(axis=1)
+    for route, (_, moves) in runs.items():
+        assert moves.mean() > 0.05, route  # the moves compared are not all zero
+    for (a, b), name in zip(zip(runs["thinned"], runs["dense"]), ("wilson", "moves")):
+        test = scistats.ttest_ind(a, b, equal_var=False)
+        assert test.pvalue > 0.001, (name, a.mean(), b.mean(), test.pvalue)
+
+
 def test_estimate_wilson_results_are_pinned():
     # reusing the observable after sweeps that move nothing leaves every sample as it was;
-    # the values were taken from the code that evaluated it after every sweep
+    # the values were taken from the code that evaluated it after every sweep (R1 on
+    # the thinned route, the n=3 box on the dense one)
     loop2 = rectangle_loop(RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(2, 2)))
     res = estimate_wilson(params(0.3, 0.3, n=3, N=4), loop2, sweeps=2000, seed=3)
     assert (res.mean, res.std_error) == (13.15971987321753, 3.9964785046038287)
     r1 = ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25)
     loop8 = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
     res = estimate_wilson(r1, loop8, sweeps=2000, seed=3)
-    assert (res.mean, res.std_error) == (1.0039295854695094, 0.002991372516016938)
+    assert (res.mean, res.std_error) == (1.0020459413204617, 0.0010027739148986262)
 
 
 def test_no_moves_at_beta_zero():
