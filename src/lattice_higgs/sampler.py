@@ -55,13 +55,14 @@ the box and the chain count (``_HOT_COST``, ``_CLASS_COST``).  The *dense*
 route, where hot draws are common, draws ``rng.random(P)`` once per chain
 and updates every member of every class, with no pool.  The *thinned*
 route, where a sweep expects few hot draws (the paper's Poisson regime of
-rare non-zero plaquettes), draws only what its pool uses: per chain and
-per base row (rows with equal k* together), a hot count L ~
-Binomial(#positions, q) and L positions chosen uniformly without
-replacement, each with a hot draw on [k*, 2^53) 2^-53; then, when a class
-updates its candidates, a cold draw on [0, k*) 2^-53 for each candidate
-that is not hot.  The hot positions are independent Bernoulli(q) and each
-draw is uniform given them, so a sweep has exactly the law of the dense
+rare non-zero plaquettes), draws only what its pool uses.  Per chain and
+base row (rows with equal k* together), the positions of all sweeps are
+one run of independent Bernoulli(q) trials, skipped through by geometric
+gaps (Bortz, Kalos and Lebowitz), each hot trial with a hot draw on
+[k*, 2^53) 2^-53, so a sweep that holds no hot trial draws nothing for
+them; then, when a class updates its candidates, a cold draw on
+[0, k*) 2^-53 for each candidate that is not hot.  Each draw is uniform
+given the hot positions, so a sweep has exactly the law of the dense
 sweep, and equals the dense sweep run on the draws it made, with 0.0 (a
 cold draw) where it made none; its stream differs from the dense route's.
 
@@ -105,6 +106,7 @@ BATCHES_PER_CHAIN = 16
 
 # Generator.random draws k * 2^-53 for k uniform on [0, 2^53)
 _GRID = 2**53
+_NO_HOT = np.empty(0, dtype=np.intp)  # no hot draw position
 
 
 @dataclass(frozen=True)
@@ -175,14 +177,11 @@ class ChainEnsemble:
     docstring, each base row's first hot grid point, and the sweep's route,
     and reads the class layout from the shared ``box_index``.  It raises
     ``PreconditionError`` for fewer than one chain, and, before allocating
-    anything, for n^6 > ``oracle.STATE_GUARD`` (n >= 21).  On the dense
-    route a sweep draws ``rng.random(P)`` once per chain and updates every
-    member.  On the thinned route it draws, per chain and base row, a
-    binomial hot count, the hot positions and their draws, and updates
-    only a pool of candidates that holds every member it could move, with
-    a cold draw for each candidate that is not hot; a member whose own
-    value and boundary delta are 0 is tested against its own base row, so
-    the tilt puts no plaquette in the pool (module docstring).  Both routes
+    anything, for n^6 > ``oracle.STATE_GUARD`` (n >= 21).  A sweep takes
+    the dense or the thinned route of the module docstring: the dense one
+    draws ``rng.random(P)`` per chain and updates every member, the thinned
+    one skips from one hot draw to the next by geometric gaps and updates
+    only a pool of candidates, in which the tilt puts none.  Both routes
     have the dense sweep's law and are reproducible per seed; the thinned
     route's stream differs from the dense route's.  ``moves`` counts the
     plaquette values changed so far, ``sweeps`` the sweeps run.
@@ -249,6 +248,9 @@ class ChainEnsemble:
         hot = chains * sum(q * len(at) for _, q, at in self._groups)
         self._thin = hot * _HOT_COST < chains * P + _CLASS_COST * len(self._blocks)
         self._u = None if self._thin else np.empty((chains, P))  # the dense route's draws
+        # the thinned route's _draws calls, the first call with a hot trial, and
+        # per chain and group the next hot trial, drawn on the first call
+        self._clock, self._due, self._next = 0, 0, None
         self.moves = 0
 
     # -- single-site conditional, exposed for tests and exactness checks ----
@@ -315,10 +317,12 @@ class ChainEnsemble:
         ``pos``; a sweep asks for each position at most once.  On the dense
         route ``hot`` is None and the draws are one ``rng.random(P)`` per
         chain.  On the thinned route ``hot`` lists the draw positions whose
-        draw is hot, once for each chain it is hot in, drawn per base row as
-        a binomial count and a uniform choice of that many positions; a draw
-        is made only when asked for, a hot one on [k*, 2^53) 2^-53 and a cold
-        one on [0, k*) 2^-53 of its base row, so the draws have the law of
+        draw is hot, once for each chain it is hot in: per chain and group,
+        trial call * len + position is hot with chance q, the next hot trial
+        is kept on a clock of ``_draws`` calls, and a call before ``_due``,
+        the first that holds one, makes no generator call.  A hot draw on
+        [k*, 2^53) 2^-53 is made with its hit, a cold one on [0, k*) 2^-53
+        of its base row only when asked for, so the draws have the law of
         the dense route's, though not its stream.
         """
         if not self._thin:
@@ -326,19 +330,27 @@ class ChainEnsemble:
             for chain, rng in enumerate(self.rngs):
                 rng.random(out=u[chain])
             return None, lambda pos: u[:, pos]
+        call, self._clock = self._clock, self._clock + 1
+        if call < self._due:
+            return _NO_HOT, self._cold_uniforms
+        if self._next is None:
+            self._next = [[int(rng.geometric(q)) - 1 for _, q, _ in self._groups] for rng in self.rngs]
         P = len(self._base_first)
         keys, vals = [], []  # chain * P + draw position of each hot draw, and the draw
-        for chain, rng in enumerate(self.rngs):
-            for kstar, q, members in self._groups:
-                hits = rng.binomial(len(members), q)
-                if hits:
-                    keys.append(chain * P + members[rng.choice(len(members), hits, replace=False)])
-                    vals.append(rng.integers(kstar, _GRID, size=hits) / _GRID)
+        self._due = math.inf
+        for offset, rng, trials in zip(range(0, self.k * P, P), self.rngs, self._next):
+            for g, (kstar, q, members) in enumerate(self._groups):
+                start = call * len(members)
+                while trials[g] < start + len(members):  # Python ints: no overflow
+                    keys.append(offset + members[trials[g] - start])
+                    vals.append(rng.integers(kstar, _GRID) / _GRID)
+                    trials[g] += int(rng.geometric(q))
+                self._due = min(self._due, trials[g] // len(members))
         if not keys:
-            return np.empty(0, dtype=np.intp), self._cold_uniforms
-        keys = np.concatenate(keys)
+            return _NO_HOT, self._cold_uniforms
+        keys = np.array(keys)
         order = keys.argsort()
-        keys, vals = keys[order], np.concatenate(vals)[order]
+        keys, vals = keys[order], np.array(vals)[order]
         offsets = np.arange(self.k)[:, None] * P
 
         def uniforms(pos):
@@ -433,6 +445,8 @@ class ChainEnsemble:
         self._check_chain(chain)
         w = self.omega[chain]
         nonzero = np.flatnonzero(w)
+        if not len(nonzero):
+            return FormZn(2, self.n)  # plaq_labels costs microseconds even for no rank
         return FormZn(2, self.n, dict(zip(self.idx.plaq_labels(nonzero), w[nonzero].tolist())))
 
     def recompute_delta(self) -> np.ndarray:

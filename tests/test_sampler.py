@@ -268,11 +268,11 @@ def _unit_loop(m):
 @pytest.mark.parametrize(
     "p, tilt, seed, chains, sweeps, digest, moves",
     [
-        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 0, 4, 100, "9f1dcbc35c350d60", 6),
+        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 0, 4, 100, "9f1dcbc35c350d60", 0),
         (
             ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25),
             rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), lengths=(2, 2))),
-            0, 4, 20, "267ada766002da21", 0,
+            0, 4, 20, "267ada766002da21", 2,
         ),
         (ModelParams(m=3, n=3, N=2, beta=0.3, kappa=0.4), _unit_loop(3), 5, 3, 30, "ef8432ec688d7564", 2619),
         (ModelParams(m=2, n=5, N=3, beta=0.3, kappa=0.4), _unit_loop(2), 5, 3, 50, "5ac2f3e54c0b4e79", 158),
@@ -282,7 +282,8 @@ def _unit_loop(m):
 def test_pinned_trajectory_digests(p, tilt, seed, chains, sweeps, digest, moves):
     # sha256 prefix of omega after a fixed run, and the values changed on the way,
     # pinned to the heat-bath trajectories; R1 and R2-tilted take the thinned route
-    # and end in the zero state, so their moves carry the pin
+    # and end in the zero state, so their moves carry the pin; R1 draws nothing hot
+    # in these sweeps, and test_estimate_wilson_results_are_pinned pins its stream
     ens = ChainEnsemble(p, tilt=tilt, seed=seed, chains=chains)
     ens.run(sweeps)
     assert hashlib.sha256(ens.omega.tobytes()).hexdigest()[:16] == digest
@@ -497,25 +498,19 @@ def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, mo
 class _StubDraws:
     """Stands in for a chain's generator on the thinned route: every draw is
     0.0, except that draw position ``hot`` (if given) is hot at its first hot
-    grid point k*."""
+    grid point k* in the first sweep; no other trial is hot."""
 
     def __init__(self, ens, hot=None):
-        self.pick = {}  # the q of hot's group (groups differ in q): hot's index in it
+        self.first = {}  # the q of hot's group (groups differ in q): the first gap, to hot
         for kstar, q, members in ens._groups:
             if hot in members:
-                self.pick[q] = np.flatnonzero(members == hot)
-        self.take = None
+                self.first[q] = int(np.flatnonzero(members == hot)[0]) + 1
 
-    def binomial(self, n, q):
-        self.take = self.pick.get(q)
-        return 0 if self.take is None else 1
+    def geometric(self, q):
+        return self.first.pop(q, 2**62)  # a gap that no test reaches the end of
 
-    def choice(self, n, size, replace):
-        assert size == 1 and not replace
-        return self.take
-
-    def integers(self, low, high, size):
-        return np.full(size, low)
+    def integers(self, low, high):
+        return low
 
     def random(self, size=None, out=None):
         if out is None:
@@ -581,10 +576,13 @@ def test_hot_draw_boundary_is_exact_on_the_tilt(beta, kappa, n, monkeypatch):
     b = base[at]
     k = sampler._first_hot(ens._cum[b, 0], ens._cum[b, -1])
     assert k / 2**53 * ens._cum[0, -1] <= ens._cum[0, 0]
-    sizes = _record_updates(ens, monkeypatch)
-    ens.rngs = [_StubDraws(ens), _StubDraws(ens)]
-    ens.sweep()
-    assert sizes == [] and ens.moves == 0
+    # a twin takes the sweep with no hot draw: the first gaps of a chain are
+    # drawn on its first sweep, so ens must sweep first under the hot stubs
+    quiet = ChainEnsemble(ens.params, tilt=_unit_loop(2), chains=2)
+    sizes = _record_updates(quiet, monkeypatch)
+    quiet.rngs = [_StubDraws(quiet), _StubDraws(quiet)]
+    quiet.sweep()
+    assert sizes == [] and quiet.moves == 0
     _check_hot_boundary(ens, _unit_loop(2), at, monkeypatch)
 
 
@@ -654,6 +652,94 @@ def test_hot_frequency_per_base_row(p, tilt):
         assert test.pvalue > 0.001, (row, hits[at].sum(), q)
 
 
+def test_hot_counts_per_call_are_binomial_and_uncorrelated(monkeypatch):
+    # each group's next hot trial carries over from call to call; per call, a
+    # group's hot count is Binomial(len, q), and the counts of consecutive calls
+    # are uncorrelated.  q * len is 0.4-1.8 here, so most gaps cross a call boundary
+    _skip_always(monkeypatch)
+    ens = ChainEnsemble(params(0.2, 0.3, N=4), tilt=_unit_loop(2), seed=37, chains=1)
+    group = np.zeros(len(ens._base_first), dtype=np.intp)
+    for g, (_, _, members) in enumerate(ens._groups):
+        group[members] = g
+    calls = 20_000
+    counts = np.array([np.bincount(group[ens._draws()[0]], minlength=len(ens._groups)) for _ in range(calls)])
+    for g, (_, q, members) in enumerate(ens._groups):
+        x = counts[:, g]
+        assert 0.1 < np.mean(x == 0) < 0.9  # calls with no hot trial are common, and others too
+        expected = scistats.binom.pmf(np.arange(len(members) + 1), len(members), q) * calls
+        observed = np.bincount(x, minlength=len(members) + 1).astype(float)
+        rare = expected < 5  # pooled into one cell
+        if rare.any():
+            observed = np.append(observed[~rare], observed[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        assert scistats.chisquare(observed, expected).pvalue > 0.001, (g, observed, expected)
+        assert scistats.pearsonr(x[:-1], x[1:]).pvalue > 0.001, g
+
+
+class _ClampedGaps:
+    """A generator whose geometric gaps are 1, 1, then numpy's INT64_MAX clamp."""
+
+    def __init__(self):
+        self.gaps = [np.int64(1), np.int64(1)]
+
+    def geometric(self, q):
+        return self.gaps.pop(0) if self.gaps else np.int64(np.iinfo(np.int64).max)
+
+    def integers(self, low, high):
+        return low
+
+
+def test_skip_ahead_at_the_last_grid_point():
+    # a group hot only from k* = 2^53 - 1 (q = 2^-53) has gaps of order 2^53
+    # trials; its trial clock must neither overflow nor hit
+    everything = np.arange(len(box_index(R1.m, R1.N).plaq_edges))
+    ens = ChainEnsemble(R1, seed=41, chains=4)
+    ens._groups = [(2**53 - 1, 2.0**-53, everything)]
+    ens.run(2000)
+    assert ens.moves == 0 and ens._clock == 2000 < ens._due
+    # at the clamp: trials 0 and 1 hot, then 2^63 - 1 trials to the next, which
+    # int64 arithmetic would wrap round to a negative trial
+    ens = ChainEnsemble(R1, seed=41, chains=1)
+    ens._groups = [(2**53 - 1, 2.0**-53, everything)]
+    ens.rngs = [_ClampedGaps()]
+    assert ens._draws()[0].tolist() == [0, 1]
+    for _ in range(1000):
+        assert not len(ens._draws()[0])
+    assert ens._due == (2**63) // len(everything)
+
+
+class _CountingDraws:
+    """Wraps a chain's generator and counts the calls of its methods."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_quiet_sweep_makes_no_generator_call():
+    # the quiet path, by count: at R2-tilted, a sweep of the zero state before
+    # _due calls no generator method, and the sweep at _due does
+    ens = ChainEnsemble(R2, tilt=R2_LOOP, seed=43, chains=4)
+    assert ens._thin
+    ens.sweep()  # draws the first gaps
+    while ens.omega.any() or ens._clock >= ens._due:
+        ens.sweep()
+    ens.rngs = [_CountingDraws(rng) for rng in ens.rngs]
+    quiet = ens._due - ens._clock
+    ens.run(quiet)
+    assert [rng.calls for rng in ens.rngs] == [0] * 4 and not ens.omega.any()
+    ens.sweep()
+    assert sum(rng.calls for rng in ens.rngs) >= 2  # a hot draw and the gap after it
+
+
 def test_thinned_and_dense_routes_agree_at_r1(monkeypatch):
     # two-sample tests on R1 runs of each route: the normalized Wilson sample and
     # the values changed per sweep, compared through their batch means
@@ -690,7 +776,7 @@ def test_estimate_wilson_results_are_pinned():
     r1 = ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25)
     loop8 = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
     res = estimate_wilson(r1, loop8, sweeps=2000, seed=3)
-    assert (res.mean, res.std_error) == (1.0020459413204617, 0.0010027739148986262)
+    assert (res.mean, res.std_error) == (1.0020459413204617, 0.0012417132535661043)
 
 
 def test_no_moves_at_beta_zero():
