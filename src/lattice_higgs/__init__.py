@@ -2,8 +2,8 @@
 
 Exact and Monte Carlo evaluation of Wilson line and loop expectations via
 the high-temperature 2-form representation, together with the discrete
-exterior calculus the model is built on, numeric checks of the coupling
-function inequalities, and the explicit small-beta error constants.
+exterior calculus the model is built on, the coupling functions, and the
+explicit small-beta error constants.
 """
 
 from .cells import Chain, LatticeBox, OrientedCell, boundary, cell, coboundary, edge, plaquette, vertex

@@ -160,7 +160,7 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
         xi_kappa=xk,
         eta_kappa=et,
         alpha=al,
-        eta_power=_pow(et, L),
+        eta_power=perimeter_bound(params, L),
         prediction=pred,
         radius=c0 * pred * zb,
         c1p=c1p,

@@ -152,19 +152,11 @@ def lambda_weights(beta: float, kappa: float, n: int) -> List[float]:
 
 
 def alpha(beta: float, kappa: float, n: int) -> float:
-    """Weighted mean of r_kappa under the lambda weights (direct sum form).
+    """Weighted mean of r_kappa under the lambda weights.
 
-    Zero-weight terms are skipped so the kappa = 0 endpoint stays defined.
+    Zero weights are skipped so the kappa = 0 endpoint stays defined.
     """
-    num = 0.0
-    den = 0.0
-    for j in range(n):
-        w = phi(beta, j, n) * phi(kappa, j, n) ** 4
-        if w == 0.0:
-            continue
-        num += w * r_kappa(kappa, j, n)
-        den += w
-    return num / den
+    return sum(w * r_kappa(kappa, j, n) for j, w in enumerate(lambda_weights(beta, kappa, n)) if w)
 
 
 def alpha_z2_closed_form(beta: float, kappa: float) -> float:
@@ -235,145 +227,3 @@ def assumption_check(params: ModelParams) -> RegimeReport:
         small_hopping_slack=slack3,
         z2_form=z2,
     )
-
-
-# ---------------------------------------------------------------------------
-# Numeric checks of the coupling-function inequalities
-# ---------------------------------------------------------------------------
-
-SLACK = 1e-12  # absolute slack absorbing double-precision rounding
-
-
-@dataclass(frozen=True)
-class LemmaResult:
-    lemma: str
-    n: int
-    a: float
-    ok: bool
-    margin: float
-    detail: str = ""
-
-
-def _check(lemma, n, a, ok, margin, detail="") -> LemmaResult:
-    return LemmaResult(lemma, n, a, bool(ok), float(margin), detail)
-
-
-def check_exponential_expansion(a: float, n: int) -> List[LemmaResult]:
-    """exp(2a Re rho(g)) equals the character sum of phi_hat over [n]."""
-    out = []
-    for g in range(n):
-        lhs = math.exp(2 * a * rho(g, n).real)
-        rhs = sum((rho(g, n) ** j) * phi_hat(a, j, n) for j in range(n))
-        err = abs(lhs - rhs)
-        out.append(_check("expansion", n, a, err <= SLACK * max(1.0, abs(lhs)), err, f"g={g}"))
-    return out
-
-
-def check_symmetry(a: float, n: int) -> List[LemmaResult]:
-    out = []
-    for j in range(n):
-        err = abs(phi_hat(a, n - j, n) - phi_hat(a, j, n))
-        out.append(_check("symmetry", n, a, err <= SLACK, err, f"j={j}"))
-    return out
-
-
-def check_zero_dominates(a: float, n: int) -> List[LemmaResult]:
-    """phi_hat(j) < phi_hat(0) strictly for j != 0 and a > 0."""
-    out = []
-    for j in range(1, n):
-        gap = phi_hat(a, 0, n) - phi_hat(a, j, n)
-        out.append(_check("zero-dominates", n, a, gap > -SLACK and (a == 0 or gap > 0), gap, f"j={j}"))
-    return out
-
-
-def check_sandwich(a: float, n: int) -> List[LemmaResult]:
-    """Leading-order bracket for phi_hat(j), 0 < j ... <= n/2, a in (0, 1]."""
-    out = []
-    if not 0 < a <= 1:
-        return out
-    eps = epsilon(a, n)
-    for j in range(n // 2 + 1):
-        lead = (1 + (1 if 2 * j == n else 0)) * a**j / math.factorial(j)
-        diff = phi_hat(a, j, n) - lead
-        ok = diff > 0 and diff <= a**j / math.factorial(j) * eps + SLACK
-        out.append(_check("sandwich", n, a, ok, diff, f"j={j}"))
-    return out
-
-
-def check_ordering(a: float, n: int) -> List[LemmaResult]:
-    """phi_hat(1) >= phi_hat(2) >= ... >= phi_hat(floor(n/2)) when a(1+eps) <= 1."""
-    if a * (1 + epsilon(a, n)) > 1:
-        return []
-    out = []
-    for j in range(1, n // 2):
-        gap = phi_hat(a, j, n) - phi_hat(a, j + 1, n)
-        out.append(_check("ordering", n, a, gap >= -SLACK, gap, f"j={j}"))
-    return out
-
-
-def check_convexity(a: float, n: int) -> List[LemmaResult]:
-    """phi_hat(j+1) phi_hat(0) + phi_hat(j-1) phi_hat(0) >= 2 phi_hat(j) phi_hat(1)."""
-    if a * (1 + epsilon(a, n)) > 1:
-        return []
-    out = []
-    for j in range(n):
-        lhs = phi_hat(a, j + 1, n) * phi_hat(a, 0, n) + phi_hat(a, j - 1, n) * phi_hat(a, 0, n)
-        rhs = 2 * phi_hat(a, j, n) * phi_hat(a, 1, n)
-        out.append(_check("convexity", n, a, lhs - rhs >= -SLACK, lhs - rhs, f"j={j}"))
-    return out
-
-
-def check_alpha_bracket(beta: float, kappa: float, n: int) -> LemmaResult:
-    """1 <= alpha <= 1/(1 - zeta_beta xi_kappa^2) when kappa(1+eps) <= 1."""
-    al = alpha(beta, kappa, n)
-    ub = 1.0 / (1.0 - zeta(beta, n) * xi(kappa, n) ** 2)
-    ok = al >= 1 - SLACK and al <= ub + SLACK
-    return _check("alpha-bracket", n, kappa, ok, min(al - 1, ub - al), f"beta={beta:.4g}")
-
-
-def check_eta_relationships(a: float, n: int) -> List[LemmaResult]:
-    """eta_hat = xi = phi(1); eta = eta_hat for n in {2,3}; eta < eta_hat
-    whenever the explicit witness condition holds for some j."""
-    out = []
-    if a <= 0:
-        return out
-    eh = eta_hat(a, n)
-    err1 = abs(eh - phi(a, 1, n))
-    out.append(_check("eta-hat-id", n, a, err1 <= SLACK * max(1.0, eh), err1, "eta_hat == phi(1)"))
-    if a * (1 + epsilon(a, n)) <= 1:
-        err2 = abs(xi(a, n) - phi(a, 1, n))
-        out.append(_check("xi-id", n, a, err2 <= SLACK, err2, "xi == phi(1)"))
-    e = eta(a, n)
-    if n in (2, 3):
-        err3 = abs(e - eh)
-        out.append(_check("eta-eq", n, a, err3 <= SLACK, err3, "eta == eta_hat"))
-    elif a * (1 + epsilon(a, n)) <= 1:
-        eps = epsilon(a, n)
-        witnesses = [
-            j
-            for j in range(1, n // 2)
-            if (1 + eps) * (1 + (1 if 2 * (j + 1) == n else 0) + eps) <= j + 1
-        ]
-        if witnesses:
-            out.append(
-                _check("eta-strict", n, a, e < eh, eh - e, f"witnesses j={witnesses}")
-            )
-    return out
-
-
-def section3_suite(a_grid, n_values, betas=(0.0, 0.05, 0.2)) -> List[LemmaResult]:
-    """All coupling-function checks over a parameter grid."""
-    results: List[LemmaResult] = []
-    for n in n_values:
-        for a in a_grid:
-            results += check_exponential_expansion(a, n)
-            results += check_symmetry(a, n)
-            results += check_zero_dominates(a, n)
-            results += check_sandwich(a, n)
-            results += check_ordering(a, n)
-            results += check_convexity(a, n)
-            results += check_eta_relationships(a, n)
-            for beta in betas:
-                if a * (1 + epsilon(a, n)) <= 1:
-                    results.append(check_alpha_bracket(beta, a, n))
-    return results

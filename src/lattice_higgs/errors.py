@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the state-space guard."""
 
 
 class PreconditionError(ValueError):
@@ -7,3 +7,7 @@ class PreconditionError(ValueError):
 
 class GuardError(RuntimeError):
     """An enumeration would exceed the configured state-space guard."""
+
+
+# the most states an exact enumeration, or entries a sampler's table, may hold
+STATE_GUARD = 1 << 26

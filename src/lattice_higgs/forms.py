@@ -74,10 +74,6 @@ class FormZn(Chain):
         return f"FormZn(dim={self.dim}, n={self.n}, |supp|={len(self.coeffs)})"
 
 
-def zero_form(dim: int, n: int) -> FormZn:
-    return FormZn(dim, n)
-
-
 def d(form: FormZn, box: LatticeBox) -> FormZn:
     """Exterior derivative: (k+1)-form with d omega(c) = omega(boundary c)."""
     if form.dim > box.m - 1:

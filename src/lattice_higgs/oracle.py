@@ -43,11 +43,10 @@ import numpy as np
 
 from .cells import BoxIndex, LatticeBox, box_index, incidence, vertex
 from .couplings import ModelParams, phi, phi_table, rho
-from .errors import GuardError, PreconditionError
+from .errors import STATE_GUARD, GuardError, PreconditionError
 from .forms import FormZn, d, delta
 from .paths import LatticePath
 
-STATE_GUARD = 1 << 26
 _CHUNK = 1 << 16
 
 

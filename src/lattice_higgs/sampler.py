@@ -17,7 +17,7 @@ below u times the row total, for one uniform u.  The weights are those of
 the per-site formula of :meth:`ChainEnsemble.conditional_weights`,
 product for product, and are never divided through, so the table samples
 exactly as a per-site loop would.  The table holds n^6 floats, which
-bounds n to n^6 <= ``oracle.STATE_GUARD``, i.e. n <= 20.
+bounds n to n^6 <= ``errors.STATE_GUARD``, i.e. n <= 20.
 
 Randomness comes from per-chain Philox counter streams, and every
 trajectory is reproducible bit for bit from its seed.  A member's update
@@ -82,9 +82,8 @@ import numpy as np
 
 from .cells import PLAQ_SIGNS, BoxIndex, box_index, incidence
 from .couplings import ModelParams, phi_table
-from .errors import PreconditionError
+from .errors import STATE_GUARD, PreconditionError
 from .forms import FormZn
-from .oracle import STATE_GUARD
 from .paths import LatticePath
 
 # a class skips its quiet members only if that saves at least this many
@@ -177,7 +176,7 @@ class ChainEnsemble:
     docstring, each base row's first hot grid point, and the sweep's route,
     and reads the class layout from the shared ``box_index``.  It raises
     ``PreconditionError`` for fewer than one chain, and, before allocating
-    anything, for n^6 > ``oracle.STATE_GUARD`` (n >= 21).  A sweep takes
+    anything, for n^6 > ``errors.STATE_GUARD`` (n >= 21).  A sweep takes
     the dense or the thinned route of the module docstring: the dense one
     draws ``rng.random(P)`` per chain and updates every member, the thinned
     one skips from one hot draw to the next by geometric gaps and updates

@@ -12,7 +12,6 @@ from lattice_higgs.forms import (
     omega_E,
     omega_gamma,
     random_form,
-    zero_form,
 )
 from lattice_higgs.errors import PreconditionError
 
@@ -39,7 +38,7 @@ def test_form_reads_agree_on_both_orientations(n):
 
 def test_d_of_zero_is_zero():
     box = LatticeBox.centered(2, 1)
-    assert d(zero_form(0, 2), box).is_zero()
+    assert d(FormZn(0, 2), box).is_zero()
 
 
 def test_dd_zero_exhaustive_small():
@@ -96,12 +95,12 @@ def test_delta_matches_coboundary_sum():
 
 
 def test_delta_of_zero():
-    assert delta(zero_form(2, 5)).is_zero()
+    assert delta(FormZn(2, 5)).is_zero()
 
 
 def test_connected_components_cases():
     box = LatticeBox.centered(2, 2)
-    assert connected_components(zero_form(2, 2)) == []
+    assert connected_components(FormZn(2, 2)) == []
     # sharing an edge: one component
     w = FormZn(2, 2, {plaquette((0, 0), 1, 2): 1, plaquette((1, 0), 1, 2): 1})
     assert len(connected_components(w)) == 1
@@ -117,7 +116,7 @@ def test_components_partition_the_form():
     box = LatticeBox.centered(2, 3)
     w = random_form(box, 3, 0.3, seed=5)
     comps = connected_components(w)
-    total = zero_form(2, 3)
+    total = FormZn(2, 3)
     for c in comps:
         total = total + c
     assert total == w
@@ -133,13 +132,13 @@ def test_omega_gamma_filters_far_components():
     assert og.support == {near}
     og2 = omega_E(w, gamma_edges)
     assert og2.support == {near}
-    assert omega_gamma(zero_form(2, 2), gamma_edges).is_zero()
+    assert omega_gamma(FormZn(2, 2), gamma_edges).is_zero()
 
 
 def test_lhd_basics():
     box = LatticeBox.centered(2, 3)
     w = FormZn(2, 2, {plaquette((0, 0), 1, 2): 1, plaquette((2, 2), 1, 2): 1})
-    z = zero_form(2, 2)
+    z = FormZn(2, 2)
     assert lhd(z, w)
     assert lhd(w, w)
     one = FormZn(2, 2, {plaquette((0, 0), 1, 2): 1})
@@ -148,7 +147,7 @@ def test_lhd_basics():
     w2 = FormZn(2, 2, {plaquette((0, 0), 1, 2): 1, plaquette((1, 0), 1, 2): 1})
     assert not lhd(one, w2)
     with pytest.raises(ValueError):
-        lhd(zero_form(1, 2), w)
+        lhd(FormZn(1, 2), w)
 
 
 def test_lhd_partial_order_on_component_unions():
@@ -161,7 +160,7 @@ def test_lhd_partial_order_on_component_unions():
             continue
         k = len(comps)
         picks = sorted(rng.choice(k, size=min(3, k), replace=False))
-        union = lambda ids: sum((comps[i] for i in ids), zero_form(2, 2))
+        union = lambda ids: sum((comps[i] for i in ids), FormZn(2, 2))
         j1 = picks[:1]
         j2 = picks[:2]
         j3 = picks

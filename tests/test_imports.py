@@ -3,7 +3,9 @@ every name it imports.
 
 A ``_private`` name imported from a sibling module is a second home for
 that module's internals; the test suite itself may still import them.
-An import that nothing reads is a leftover of deleted code.
+An import that nothing reads is a leftover of deleted code, and so is a
+public name that nothing outside the tests reads, unless it is pinned
+in ``TEST_ONLY``.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lattice_higgs"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
 
 
 def private_imports(source: str):
@@ -105,5 +108,90 @@ def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _top_level(tree):
+    """(name, node) of each name a module's top level defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(t, ast.Name):
+                    yield t.id, node
+
+
+def _reads(tree):
+    """Names a tree reads: loaded names, attributes, imported names, and
+    strings that are identifiers (the tracer looks its targets up by string)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out |= {a.name for a in n.names}
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def unread_names(modules, others):
+    """Public top-level names of ``modules`` (name -> source) that no other
+    module, none of the ``others`` sources, no ``__all__`` and nothing else
+    in their own module reads."""
+    trees = {k: ast.parse(v) for k, v in modules.items()}
+    outside = set().union(*map(_reads, map(ast.parse, others)))
+    for tree in trees.values():
+        for name, node in _top_level(tree):
+            if name == "__all__":
+                outside |= {e.value for e in node.value.elts}
+    out = set()
+    for key, tree in trees.items():
+        seen = outside.union(*(_reads(t) for k, t in trees.items() if k != key))
+        for name, node in _top_level(tree):
+            if name.startswith("_") or name in seen:
+                continue
+            if name not in set().union(*(_reads(n) for n in tree.body if n is not node)):
+                out.add(name)
+    return out
+
+
+def test_lint_flags_names_nothing_reads():
+    modules = {
+        "a.py": "\n".join(
+            [
+                "__all__ = ['listed']",
+                "LIMIT = 3",
+                "def listed(): return LIMIT",
+                "def helper(): return 1",
+                "def used(): return helper()",
+                "def recursive(): return recursive()",
+                "def _private(): pass",
+                "def traced(): pass",
+                "class Unread: pass",
+            ]
+        ),
+        "b.py": "from .a import used\nimport a\nX: int = a.attr()\nTABLE = {}",
+    }
+    others = ["import a\nb.X\ngetattr(a, 'traced')"]
+    assert unread_names(modules, others) == {"recursive", "Unread", "TABLE"}
+
+
+# read only by the tests; a name added here says why in CHANGES.md
+TEST_ONLY = {
+    # cross-check routes
+    "phi_hat_double_series", "alpha_z2_closed_form", "delta_edge", "rectangle_p_gamma_count",
+    "action", "gauge_transform", "form_distribution", "activity", "wilson_hat",
+    # objects of the paper that the library does not compute with
+    "u_shaped_path", "v_set", "in_event_E",
+}
+
+
+def test_package_names_are_read_outside_the_tests():
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert unread_names(modules, [p.read_text() for p in BENCH]) == TEST_ONLY
+
+
 def test_lint_sees_the_package():
     assert {p.name for p in MODULES} >= {"bounds.py", "cells.py", "oracle.py", "sampler.py"}
+    assert {p.name for p in BENCH} >= {"tracing.py", "workloads.py"}

@@ -7,7 +7,7 @@ from lattice_higgs import oracle
 from lattice_higgs.cells import LatticeBox, incidence, plaquette, vertex
 from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi, phi_table
 from lattice_higgs.errors import GuardError, PreconditionError
-from lattice_higgs.forms import FormZn, connected_components, lhd, random_form, zero_form
+from lattice_higgs.forms import FormZn, connected_components, lhd, random_form
 from lattice_higgs.oracle import (
     STATE_GUARD,
     _all_digits,
@@ -151,7 +151,7 @@ def test_state_space_guard():
 
 def test_wilson_hat_basics():
     kappa, n = 0.3, 2
-    w0 = zero_form(2, n)
+    w0 = FormZn(2, n)
     assert wilson_hat(w0, LOOP, kappa) == pytest.approx(
         phi(kappa, 1, n) ** len(LOOP), rel=1e-14
     )
@@ -170,7 +170,7 @@ def test_wilson_hat_basics():
 def test_activity_values():
     n = 2
     p = params(0.2, 0.3)
-    assert activity(zero_form(2, n), p) == 1.0
+    assert activity(FormZn(2, n), p) == 1.0
     w = FormZn(2, n, {plaquette((0, 0), 1, 2): 1})
     want = math.tanh(2 * 0.2) * math.tanh(2 * 0.3) ** 4
     assert activity(w, p) == pytest.approx(want, rel=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from lattice_higgs.cells import Chain, LatticeBox, OrientedCell, boundary, edge, plaquette
 from lattice_higgs.couplings import ModelParams
 from lattice_higgs.errors import PreconditionError
-from lattice_higgs.forms import FormZn, zero_form
+from lattice_higgs.forms import FormZn
 from lattice_higgs.oracle import expect_form, expect_unitary, form_distribution
 from lattice_higgs.paths import (
     GammaStats,
@@ -128,7 +128,7 @@ def test_p_gamma_m3_counts():
 
 def test_corner_count_and_v_set():
     loop = rectangle_loop(RECT44)
-    z = zero_form(2, 2)
+    z = FormZn(2, 2)
     assert corner_count(z, loop) == 0
     assert v_set(z, loop) == set()
 
@@ -146,12 +146,12 @@ def test_corner_count_and_v_set():
 def test_v_set_needs_rectangle():
     seg = straight_path()
     with pytest.raises(PreconditionError):
-        v_set(zero_form(2, 2), seg)
+        v_set(FormZn(2, 2), seg)
 
 
 def test_in_event_E_cases():
     loop = rectangle_loop(RECT44)
-    assert in_event_E(zero_form(2, 2), loop)
+    assert in_event_E(FormZn(2, 2), loop)
     # isolated plaquette bordering gamma, not a corner
     w = FormZn(2, 2, {plaquette((-1, -2), 1, 2): 1})
     assert in_event_E(w, loop)

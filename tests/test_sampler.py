@@ -268,7 +268,7 @@ def _unit_loop(m):
 @pytest.mark.parametrize(
     "p, tilt, seed, chains, sweeps, digest, moves",
     [
-        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 0, 4, 100, "9f1dcbc35c350d60", 0),
+        (ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25), None, 0, 4, 1000, "9f1dcbc35c350d60", 72),
         (
             ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25),
             rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), lengths=(2, 2))),
@@ -282,8 +282,9 @@ def _unit_loop(m):
 def test_pinned_trajectory_digests(p, tilt, seed, chains, sweeps, digest, moves):
     # sha256 prefix of omega after a fixed run, and the values changed on the way,
     # pinned to the heat-bath trajectories; R1 and R2-tilted take the thinned route
-    # and end in the zero state, so their moves carry the pin; R1 draws nothing hot
-    # in these sweeps, and test_estimate_wilson_results_are_pinned pins its stream
+    # and end in the zero state, so their moves carry the pin; R1 runs 1,000 sweeps,
+    # as its first 100 draw nothing hot; each thinned pin was first reproduced by
+    # the dense sweep replayed on the recorded draws
     ens = ChainEnsemble(p, tilt=tilt, seed=seed, chains=chains)
     ens.run(sweeps)
     assert hashlib.sha256(ens.omega.tobytes()).hexdigest()[:16] == digest
