@@ -377,8 +377,9 @@ class BoxIndex:
     cells.  The cell label lists ``vertices``, ``edges``, ``plaqs`` are
     ``LatticeBox.cells`` in the same order, built on first read; the cell
     counts are the table lengths.  The heat-bath sweep's class layout,
-    ``plaq_classes``, ``plaq_class_pos`` and ``edge_class_pos``, is also
-    built on first read.
+    ``plaq_classes``, the maps between plaquettes and positions in their
+    concatenation (``pos_plaq``, ``pos_class``, ``plaq_class_pos``) and
+    ``edge_class_pos``, is also built on first read.
     """
 
     def __init__(self, box: LatticeBox):
@@ -449,9 +450,19 @@ class BoxIndex:
         return [np.flatnonzero(color == c) for c in np.unique(color)]
 
     @cached_property
+    def pos_plaq(self) -> np.ndarray:
+        """The plaquette at each position of the concatenated ``plaq_classes`` (P,)."""
+        return np.concatenate(self.plaq_classes)
+
+    @cached_property
+    def pos_class(self) -> np.ndarray:
+        """The class of each position of the concatenated ``plaq_classes`` (P,)."""
+        return np.repeat(np.arange(len(self.plaq_classes)), [len(c) for c in self.plaq_classes])
+
+    @cached_property
     def plaq_class_pos(self) -> np.ndarray:
         """Each plaquette's position in the concatenated ``plaq_classes`` (P,)."""
-        return np.argsort(np.concatenate(self.plaq_classes))
+        return np.argsort(self.pos_plaq)
 
     @cached_property
     def edge_class_pos(self) -> np.ndarray:

@@ -4,9 +4,9 @@ Each update resamples one plaquette value from its exact conditional given
 the rest; the coderivative is cached on edges and updated incrementally.
 The plaquettes split into 2 C(m, 2) classes, (plane {i, j}, (b_i + b_j)
 mod 2), whose members share no edges (``BoxIndex.plaq_classes``), so a
-class is updated as one exact vectorized block; the scan order (planes in
-canonical order, parity 0 before 1, members in canonical order) is fixed
-and deterministic.
+class is updated exactly as one vectorized block, or member by member in
+any order; the scan order (planes in canonical order, parity 0 before 1,
+members in canonical order) is fixed and deterministic.
 
 A plaquette's conditional depends only on its own value and the residues
 (delta + tilt) mod n on its 4 boundary edges, so it is read from one
@@ -33,38 +33,41 @@ update's own comparison.  Rounding is monotone, so the hot draws of a
 base row are those with k >= k*, the row's first hot grid point, found at
 construction; a draw is hot with probability q = (2^53 - k*) / 2^53.  A
 quiet member with a cold draw would be written back unchanged, so a sweep
-on the thinned route (below) updates, class by class, only the members of
-a *pool* of candidates, by the same table arithmetic.  The pool starts
-from the state, so an assigned state needs no hook: the plaquettes with a
-hot draw in some chain, the non-zero plaquettes, and the plaquettes on
-every edge whose delta is non-zero; the tilt adds none, as it only picks
-the base row.
-After each class, the plaquettes on the edges of every member that moved
-join it.  The invariant is that the pool holds every non-quiet or hot
-member of the class about to be updated; an extra candidate costs time
-only.  The pool is one set of plaquettes shared by all chains.  A class
-with no candidate is skipped.  When the pool covers so much of a class
-that skipping would not pay (fewer than ``_SKIP_MIN`` member updates
-saved, counting a candidate as four), that class and the rest of the
-sweep update their full member lists.  ``ChainEnsemble.moves`` counts the
-plaquettes whose value changed, so a caller can tell that a sweep left
-the state exactly as it was.
+on the thinned route (below) updates only the members of a *pool* of
+candidates, chain by chain.  Each chain has its own pool, which starts
+from its state, so an assigned state needs no hook: its hot draws, its
+non-zero plaquettes, and the plaquettes on those of their edges where its
+delta is non-zero (delta = delta omega vanishes off the edges of non-zero
+plaquettes); the tilt adds none, as it only picks the base row.  Class by
+class, each candidate takes one scalar step of the table arithmetic, and
+a member that moves adds the plaquettes on its 4 edges to the chain's
+pool, all of them in later classes.  The invariant is that the pool
+holds every non-quiet or hot member of the class about to be updated; a
+candidate that is quiet by its turn, with no hot draw, is passed over
+without a draw.  A class with no candidate is skipped.  When a chain's
+candidates in a class would cost more as steps than one vectorized update
+of the class (``_STEP_COST`` against ``_CLASS_COST``), that chain's row
+updates the class, and the rest of its sweep, through the full member
+lists.  ``ChainEnsemble.moves`` counts the plaquettes whose value changed,
+so a caller can tell that a sweep left the state exactly as it was.
 
 A sweep takes one of two routes, fixed at construction from the couplings,
 the box and the chain count (``_HOT_COST``, ``_CLASS_COST``).  The *dense*
 route, where hot draws are common, draws ``rng.random(P)`` once per chain
 and updates every member of every class, with no pool.  The *thinned*
 route, where a sweep expects few hot draws (the paper's Poisson regime of
-rare non-zero plaquettes), draws only what its pool uses.  Per chain and
+rare non-zero plaquettes), draws only what its pools use.  Per chain and
 base row (rows with equal k* together), the positions of all sweeps are
 one run of independent Bernoulli(q) trials, skipped through by geometric
 gaps (Bortz, Kalos and Lebowitz), each hot trial with a hot draw on
 [k*, 2^53) 2^-53, so a sweep that holds no hot trial draws nothing for
-them; then, when a class updates its candidates, a cold draw on
-[0, k*) 2^-53 for each candidate that is not hot.  Each draw is uniform
-given the hot positions, so a sweep has exactly the law of the dense
-sweep, and equals the dense sweep run on the draws it made, with 0.0 (a
-cold draw) where it made none; its stream differs from the dense route's.
+them; then a cold draw on [0, k*) 2^-53 for each candidate that is not
+hot and not quiet when its class is updated, so a chain with no candidate
+makes no generator call.  Each draw is uniform given the hot positions,
+and the only draws left out are cold draws of quiet members, which never
+move them, so a sweep has exactly the law of the dense sweep, and equals
+the dense sweep run on the draws it made, with any cold draw where it made
+none; its stream differs from the dense route's.
 
 The Wilson estimator samples only the O(1) normalized observable
 prod_e phi_kappa(delta omega + gamma) / (phi_kappa(delta omega) phi_kappa(1));
@@ -86,26 +89,28 @@ from .errors import STATE_GUARD, PreconditionError
 from .forms import FormZn
 from .paths import LatticePath
 
-# a class skips its quiet members only if that saves at least this many
-# member updates, a candidate counting as four (the measured break-even of
-# the extra gathers and pool scatters against one full class update)
-_SKIP_MIN = 512
+# a chain's class skips its quiet members only while its candidates' steps,
+# at _STEP_COST member updates each, cost less than updating all C members
+# through _update, C + _CLASS_COST (the break-even of 12-45 candidates at
+# C = 8-882 on a 2-core host)
+_STEP_COST = 60
 
 # the route's costs, in member updates: a dense sweep costs one per member
 # and chain plus _CLASS_COST per class; the thinned route adds about
-# _HOT_COST for each draw expected hot in a sweep, as a hot draw sets off
-# updates in most classes for about two sweeps (fitted to break-even points
-# on a 2-core host: 0.35-0.4 expected hot draws per sweep at m=2 N=1, 2, 4,
-# 1.3 at m=2 N=16, about 2 at m=3 N=4, over 10 at m=4 N=3, 4 chains)
+# _HOT_COST (m - 1) for each draw expected hot in a sweep, as a hot draw's
+# move makes candidates of the 2(m - 1) plaquettes on each of its edges
+# (fitted to break-even points on a 2-core host, 4 chains: 2.1-2.3 expected
+# hot draws per sweep at m=2 N=2, 4, 6.2 at m=2 N=16, 7.1 at m=3 N=4, 21 at
+# m=4 N=3; at m=2 N=1 the thinned route is faster at any beta up to 0.5)
 _CLASS_COST = 900
-_HOT_COST = 5000
+_HOT_COST = 900
 
 # batch means: each chain's kept sweeps split into this many batches
 BATCHES_PER_CHAIN = 16
 
 # Generator.random draws k * 2^-53 for k uniform on [0, 2^53)
 _GRID = 2**53
-_NO_HOT = np.empty(0, dtype=np.intp)  # no hot draw position
+_NO_HOT = ((), ())  # no hot draw
 
 
 @dataclass(frozen=True)
@@ -146,15 +151,14 @@ def _first_hot(first: float, last: float) -> int:
     ``ChainEnsemble._update``, or 2^53 if there is none: on a base row with
     these first and last columns, the draws k 2^-53 of ``Generator.random``
     that move a quiet member are exactly those with k >= this bound, since
-    rounding is monotone."""
-    lo, hi = 0, _GRID
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if first < mid / _GRID * last:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    rounding is monotone.  The estimate floor(first / last 2^53) is within a
+    few units of it, and unit steps of the same comparison close the gap."""
+    k = min(int(first / last * _GRID), _GRID)
+    while k < _GRID and not first < k / _GRID * last:
+        k += 1
+    while k > 0 and first < (k - 1) / _GRID * last:
+        k -= 1
+    return k
 
 
 def _wrap(x: np.ndarray, n: int) -> np.ndarray:
@@ -179,11 +183,12 @@ class ChainEnsemble:
     anything, for n^6 > ``errors.STATE_GUARD`` (n >= 21).  A sweep takes
     the dense or the thinned route of the module docstring: the dense one
     draws ``rng.random(P)`` per chain and updates every member, the thinned
-    one skips from one hot draw to the next by geometric gaps and updates
-    only a pool of candidates, in which the tilt puts none.  Both routes
-    have the dense sweep's law and are reproducible per seed; the thinned
-    route's stream differs from the dense route's.  ``moves`` counts the
-    plaquette values changed so far, ``sweeps`` the sweeps run.
+    one skips from one hot draw to the next by geometric gaps and gives
+    each chain with a candidate its own pool, whose members take scalar
+    steps class by class; the tilt puts no candidate in a pool.  Both
+    routes have the dense sweep's law and are reproducible per seed; the
+    thinned route's stream differs from the dense route's.  ``moves``
+    counts the plaquette values changed so far, ``sweeps`` the sweeps run.
     ``snapshot`` and ``conditional_weights`` raise ``PreconditionError``
     for a chain outside [0, K).
     """
@@ -219,37 +224,49 @@ class ChainEnsemble:
             else np.zeros(E, dtype=np.int16)
         )
         self._cum = _conditional_table(self.phi_b, self.phi_k, n)
-        # per class: its slice of the sweep's draws, flat ranks into omega
-        # (K, C) and delta (K, C, 4) across all chains, and its members' ranks
-        chain = np.arange(chains)[:, None]
-        self._blocks = []
-        lo = 0
-        for cls in self.idx.plaq_classes:
-            e = self.idx.plaq_edges[cls]
-            draws = slice(lo, lo + len(cls))
-            self._blocks.append((draws, chain * P + cls, chain[:, :, None] * E + e, self.tilt[e], cls))
-            lo += len(cls)
+        idx = self.idx
+        classes = idx.plaq_classes
+        self._bounds = np.cumsum([0] + [len(cls) for cls in classes]).tolist()  # class k: [b_k, b_k+1)
         # each draw position's base row, the one its member reads while its own
-        # value and delta are 0, by its first and last column; keyed class by
-        # class, as a (P, 4) int64 temporary would raise the memory peak
-        base = np.concatenate([tl @ n ** np.arange(4) for _, _, _, tl, _ in self._blocks])
+        # value and delta are 0, by its first and last column; row 0 off the
+        # plaquettes on the tilt's edges
+        base = np.zeros(P, dtype=np.intp)
+        on = np.unique(idx.edge_class_pos[self.tilt.nonzero()[0]])
+        base[on] = self.tilt[idx.plaq_edges[idx.pos_plaq[on]]] @ n ** np.arange(4)
         self._base_first, self._base_last = self._cum[base, 0], self._cum[base, -1]
         # per first hot grid point k* < 2^53 of some base row: k*, the chance
         # q = (2^53 - k*) / 2^53 that a draw is hot there, and the draw
         # positions whose base row has that k*
         rows, row_of = np.unique(base, return_inverse=True)
-        kstar = np.array([_first_hot(self._cum[r, 0], self._cum[r, -1]) for r in rows])[row_of]
+        kstar = np.array([_first_hot(float(self._cum[r, 0]), float(self._cum[r, -1])) for r in rows])[row_of]
         self._groups = [
             (k, (_GRID - k) / _GRID, np.flatnonzero(kstar == k)) for k in np.unique(kstar) if k < _GRID
         ]
         # the route: thinned while the draws expected hot in a sweep, summed
         # over the chains, cost less than the dense sweep they replace
         hot = chains * sum(q * len(at) for _, q, at in self._groups)
-        self._thin = hot * _HOT_COST < chains * P + _CLASS_COST * len(self._blocks)
-        self._u = None if self._thin else np.empty((chains, P))  # the dense route's draws
-        # the thinned route's _draws calls, the first call with a hot trial, and
-        # per chain and group the next hot trial, drawn on the first call
-        self._clock, self._due, self._next = 0, 0, None
+        self._thin = hot * _HOT_COST * (params.m - 1) < chains * P + _CLASS_COST * len(classes)
+        if self._thin:
+            # the thinned route's _draws calls, the first call with a hot trial, and
+            # per chain and group the next hot trial, drawn on the first call
+            self._clock, self._due, self._next = 0, 0, None
+            # flat views for the per-candidate steps' scalar reads (no copies)
+            self._cum_v = memoryview(self._cum.reshape(-1))
+            self._pe = memoryview(idx.plaq_edges.reshape(-1))
+            self._tl = memoryview(self.tilt)
+            self._pos_plaq, self._pos_class = memoryview(idx.pos_plaq), memoryview(idx.pos_class)
+            self._plaq_pos = memoryview(idx.plaq_class_pos)
+            self._ecp = memoryview(idx.edge_class_pos.reshape(-1))
+            self._first_v, self._last_v = memoryview(self._base_first), memoryview(self._base_last)
+        else:
+            # per class: its slice of the sweep's draws, flat ranks into omega
+            # (K, C) and delta (K, C, 4) across all chains, and the tilt there
+            chain = np.arange(chains)[:, None]
+            self._blocks = []
+            for lo, hi, cls in zip(self._bounds, self._bounds[1:], classes):
+                e = idx.plaq_edges[cls]
+                self._blocks.append((slice(lo, hi), chain * P + cls, chain[:, :, None] * E + e, self.tilt[e]))
+            self._u = np.empty((chains, P))  # the dense route's draws
         self.moves = 0
 
     # -- single-site conditional, exposed for tests and exactness checks ----
@@ -273,113 +290,169 @@ class ChainEnsemble:
     # -- sweeps --------------------------------------------------------------
 
     def sweep(self):
+        self.sweeps += 1
+        if self._thin:
+            keys, vals = self._draws()
+            quiet = not np.count_nonzero(self.omega)  # then delta = delta omega is 0 too
+            if quiet and not keys:
+                return  # every member quiet and cold: the sweep would write the state back
         # the scatters write through flat views, which needs C-contiguous state
         self.omega = np.ascontiguousarray(self.omega)
         self.delta = np.ascontiguousarray(self.delta)
-        self.sweeps += 1
-        hot, uniforms = self._draws()
-        if hot is None:
-            # the dense route: every class updates its full member list
-            for draws, p_flat, e_flat, tl, _ in self._blocks:
-                self._update(p_flat, e_flat, tl, uniforms(draws))
+        if not self._thin:
+            u = self._uniforms()
+            for draws, p_flat, e_flat, tl in self._blocks:
+                self._update(p_flat, e_flat, tl, u[:, draws])
             return
-        quiet = not np.count_nonzero(self.omega)  # then delta = delta omega is 0 too
-        if quiet and not len(hot):
-            return  # every member quiet and cold: the sweep would write the state back
-        idx = self.idx
-        # the pool, by draw position: hot draws, and every plaquette near a
-        # non-zero delta or itself non-zero
-        pool = np.zeros(len(self._base_first), dtype=bool)
-        pool[hot] = True
+        # per chain with a candidate: its candidates' draw positions, class by
+        # class, and its hot draws by draw position
+        P, E, classes = self.omega.shape[1], self.delta.shape[1], len(self._bounds) - 1
+        pos_class, pools = self._pos_class, {}
+        for key, u in zip(keys, vals):
+            chain, pos = divmod(key, P)
+            if chain not in pools:
+                pools[chain] = [set() for _ in range(classes)], {}
+            pools[chain][0][pos_class[pos]].add(pos)
+            pools[chain][1][pos] = u
+        om, dl = memoryview(self.omega.reshape(-1)), memoryview(self.delta.reshape(-1))
         if not quiet:
-            pool[idx.plaq_class_pos.compress(self.omega.any(axis=0))] = True
-            pool[idx.edge_class_pos.compress(self.delta.any(axis=0), axis=0)] = True
-        dense = False
-        for draws, p_flat, e_flat, tl, cls in self._blocks:
-            if not dense:
-                j = pool[draws].nonzero()[0]
-                if not len(j):
-                    continue
-                dense = self.k * (len(cls) - 4 * len(j)) < _SKIP_MIN
-            if dense:
-                # the full member list; no later class needs the pool
-                self._update(p_flat, e_flat, tl, uniforms(np.arange(draws.start, draws.stop)))
+            # each non-zero plaquette, and the plaquettes on those of its edges where
+            # delta is non-zero: delta = delta omega is 0 off the edges of non-zero ones
+            pe, ecp, w, pos_of = self._pe, self._ecp, self.idx.edge_class_pos.shape[1], self._plaq_pos
+            # through a bool array: numpy's nonzero is several times faster on one
+            for key in (self.omega.reshape(-1) != 0).nonzero()[0].tolist():
+                chain, rank = divmod(key, P)
+                if chain not in pools:
+                    pools[chain] = [set() for _ in range(classes)], {}
+                pool, pos = pools[chain][0], pos_of[rank]
+                pool[pos_class[pos]].add(pos)
+                for e in pe[4 * rank : 4 * rank + 4]:
+                    if dl[chain * E + e]:
+                        for q in ecp[e * w : e * w + w]:
+                            pool[pos_class[q]].add(q)
+        for chain in sorted(pools):
+            self._sweep_chain(om, dl, chain, *pools[chain])
+
+    def _sweep_chain(self, om, dl, chain, pool, hot):
+        """One chain's thinned sweep: class by class, the candidates of
+        ``pool`` (per class, a set of draw positions) take the per-candidate
+        step, and a member that moves adds the plaquettes on its edges, all in
+        later classes, to the pool.  ``hot`` holds the chain's hot draws by
+        draw position; ``om``, ``dl`` are flat views of omega and delta."""
+        bounds, pos_class, pos_plaq = self._bounds, self._pos_class, self._pos_plaq
+        pe, ecp, w = self._pe, self._ecp, self.idx.edge_class_pos.shape[1]
+        for c, cands in enumerate(pool):
+            if not cands:
                 continue
-            moved = self._update(p_flat[:, j], e_flat[:, j], tl[j], uniforms(draws.start + j))
-            moved = j[moved.any(axis=0)]
-            pool[idx.edge_class_pos[idx.plaq_edges[cls[moved]]]] = True
+            if _STEP_COST * len(cands) > bounds[c + 1] - bounds[c] + _CLASS_COST:
+                # skipping would not pay: this class and the chain's later classes
+                # update their full member lists
+                P, E = len(pos_plaq), len(self.tilt)
+                for k in range(c, len(pool)):
+                    cls = self.idx.plaq_classes[k]
+                    e = self.idx.plaq_edges[cls]
+                    self._update(chain * P + cls, chain * E + e, self.tilt[e], self._row(chain, k, hot))
+                return
+            for pos in sorted(cands):
+                if self._step(om, dl, chain, pos, hot):
+                    r = 4 * pos_plaq[pos]
+                    for e in pe[r : r + 4]:
+                        for q in ecp[e * w : e * w + w]:
+                            if q > pos:  # in a later class: none shares an edge in its own
+                                pool[pos_class[q]].add(q)
+
+    def _step(self, om, dl, chain, pos, hot) -> bool:
+        """Heat-bath update of the member at draw position ``pos`` of one chain,
+        by ``_update``'s table arithmetic on scalars, with its hot draw if
+        ``hot`` has one and else a cold draw, made only if the member is not
+        quiet (a quiet member with a cold draw stays); returns whether it moved.
+        ``om``, ``dl`` are flat views of omega and delta."""
+        n, cum, pe, tl = self.n, self._cum_v, self._pe, self._tl
+        rank = self._pos_plaq[pos]
+        i, e0, r = chain * len(self._pos_plaq) + rank, chain * len(tl), 4 * rank
+        ea, eb, ec, ed = pe[r], pe[r + 1], pe[r + 2], pe[r + 3]
+        own, da, db, dc, dd = om[i], dl[e0 + ea], dl[e0 + eb], dl[e0 + ec], dl[e0 + ed]
+        u = hot.get(pos)
+        if u is None:
+            if not (own or da or db or dc or dd):
+                return False
+            u = self._cold(chain, pos)
+        # row own n^4 + sum_k a_k n^k, a_k = (delta + tilt) mod n on edge k, by Horner
+        row = (((own * n + (dd + tl[ed]) % n) * n + (dc + tl[ec]) % n) * n + (db + tl[eb]) % n) * n
+        row = (row + (da + tl[ea]) % n) * n
+        r = u * cum[row + n - 1]
+        new = 0  # the columns below r; the row is non-decreasing, and the last never counts
+        while new < n - 1 and cum[row + new] < r:
+            new += 1
+        if new == own:
+            return False
+        om[i] = new
+        change = new - own  # delta += change * PLAQ_SIGNS on the 4 edges
+        dl[e0 + ea] = (da + change) % n
+        dl[e0 + eb] = (db - change) % n
+        dl[e0 + ec] = (dc - change) % n
+        dl[e0 + ed] = (dd + change) % n
+        self.moves += 1
+        return True
+
+    def _uniforms(self) -> np.ndarray:
+        """The dense route's (K, P) draws: one ``rng.random(P)`` per chain."""
+        u = self._u
+        for chain, rng in enumerate(self.rngs):
+            rng.random(out=u[chain])
+        return u
 
     def _draws(self):
-        """The sweep's randomness as ``(hot, uniforms)``.
+        """The thinned route's hot draws as ``(keys, draws)``: chain * P + draw
+        position of each hot draw, and the draw.
 
-        ``uniforms(pos)`` returns the (K, len(pos)) draws at draw positions
-        ``pos``; a sweep asks for each position at most once.  On the dense
-        route ``hot`` is None and the draws are one ``rng.random(P)`` per
-        chain.  On the thinned route ``hot`` lists the draw positions whose
-        draw is hot, once for each chain it is hot in: per chain and group,
-        trial call * len + position is hot with chance q, the next hot trial
-        is kept on a clock of ``_draws`` calls, and a call before ``_due``,
-        the first that holds one, makes no generator call.  A hot draw on
-        [k*, 2^53) 2^-53 is made with its hit, a cold one on [0, k*) 2^-53
-        of its base row only when asked for, so the draws have the law of
-        the dense route's, though not its stream.
+        Per chain and group, trial call * len + position is hot with chance q,
+        the next hot trial is kept on a clock of ``_draws`` calls, and a call
+        before ``_due``, the first that holds one, makes no generator call.  A
+        hot draw is uniform on [k*, 2^53) 2^-53 of its base row; with the cold
+        draws of ``_cold`` and ``_row`` the draws have the law of the dense
+        route's, though not its stream.
         """
-        if not self._thin:
-            u = self._u
-            for chain, rng in enumerate(self.rngs):
-                rng.random(out=u[chain])
-            return None, lambda pos: u[:, pos]
         call, self._clock = self._clock, self._clock + 1
         if call < self._due:
-            return _NO_HOT, self._cold_uniforms
+            return _NO_HOT
         if self._next is None:
             self._next = [[int(rng.geometric(q)) - 1 for _, q, _ in self._groups] for rng in self.rngs]
         P = len(self._base_first)
-        keys, vals = [], []  # chain * P + draw position of each hot draw, and the draw
+        keys, vals = [], []
         self._due = math.inf
         for offset, rng, trials in zip(range(0, self.k * P, P), self.rngs, self._next):
             for g, (kstar, q, members) in enumerate(self._groups):
                 start = call * len(members)
                 while trials[g] < start + len(members):  # Python ints: no overflow
-                    keys.append(offset + members[trials[g] - start])
+                    keys.append(offset + int(members[trials[g] - start]))
                     vals.append(rng.integers(kstar, _GRID) / _GRID)
                     trials[g] += int(rng.geometric(q))
                 self._due = min(self._due, trials[g] // len(members))
-        if not keys:
-            return _NO_HOT, self._cold_uniforms
-        keys = np.array(keys)
-        order = keys.argsort()
-        keys, vals = keys[order], np.array(vals)[order]
-        offsets = np.arange(self.k)[:, None] * P
+        return keys, vals
 
-        def uniforms(pos):
-            flat = offsets + pos
-            i = np.minimum(keys.searchsorted(flat), len(keys) - 1)
-            hot = keys[i] == flat
-            u = self._cold_uniforms(pos, hot)
-            u[hot] = vals[i[hot]]
-            return u
+    def _cold(self, chain, pos) -> float:
+        """A draw of one chain at draw position ``pos``, uniform on the grid and
+        cold on its base row: a uniform draw, redrawn until it is cold."""
+        rng, first, last = self.rngs[chain], self._first_v[pos], self._last_v[pos]
+        u = rng.random()
+        while u * last > first:
+            u = rng.random()
+        return u
 
-        return keys % P, uniforms
-
-    def _cold_uniforms(self, pos, hot=None):
-        """(K, len(pos)) draws at draw positions ``pos``, each uniform on the
-        grid and cold on its base row, except where ``hot`` is set: those are
-        drawn uniform and left for the caller to replace."""
-        u = np.empty((self.k, len(pos)))
-        for chain, rng in enumerate(self.rngs):
-            rng.random(out=u[chain])
-        first, last = self._base_first[pos], self._base_last[pos]
-        # a cold draw is a uniform draw conditioned to be cold: redraw until it is
-        redo = u * last > first
-        if hot is not None:
-            redo &= ~hot
-        if redo.any():
-            for chain in np.flatnonzero(redo.any(axis=1)):
-                again = np.flatnonzero(redo[chain])
-                while len(again):
-                    u[chain, again] = self.rngs[chain].random(len(again))
-                    again = again[u[chain, again] * last[again] > first[again]]
+    def _row(self, chain, k, hot) -> np.ndarray:
+        """One chain's draws at the draw positions of class k: the hot draws of
+        ``hot``, and elsewhere draws cold on their base rows, as ``_cold``'s."""
+        lo, hi = self._bounds[k], self._bounds[k + 1]
+        rng, first, last = self.rngs[chain], self._base_first[lo:hi], self._base_last[lo:hi]
+        u = rng.random(hi - lo)
+        again = np.flatnonzero(u * last > first)
+        while len(again):
+            u[again] = rng.random(len(again))
+            again = again[u[again] * last[again] > first[again]]
+        for pos, v in hot.items():
+            if lo <= pos < hi:
+                u[pos - lo] = v
         return u
 
     def _update(self, p_flat, e_flat, tl, u) -> np.ndarray:
