@@ -15,7 +15,7 @@ along a face loses the plaquettes beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -104,12 +104,15 @@ class LatticePath:
         if self.m != m:
             raise PreconditionError(f"{self} lies in Z^{self.m}, not in Z^{m}")
 
-    @property
+    @cached_property
     def ends(self) -> np.ndarray:
-        """(|gamma|, 2, m) coordinates of each support edge's tail and head, in chain order."""
+        """(|gamma|, 2, m) coordinates of each support edge's tail and head, in
+        chain order; built on first use, and read-only."""
         tails = np.array([e.base for e in self.chain.coeffs])
         steps = np.eye(self.m, dtype=tails.dtype)[[e.dirs[0] - 1 for e in self.chain.coeffs]]
-        return np.stack([tails, tails + steps], axis=1)
+        ends = np.stack([tails, tails + steps], axis=1)
+        ends.flags.writeable = False
+        return ends
 
     @property
     def endpoints(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

@@ -44,12 +44,9 @@ a member that moves adds the plaquettes on its 4 edges to the chain's
 pool, all of them in later classes.  The invariant is that the pool
 holds every non-quiet or hot member of the class about to be updated; a
 candidate that is quiet by its turn, with no hot draw, is passed over
-without a draw.  A class with no candidate is skipped.  When a chain's
-candidates in a class would cost more as steps than one vectorized update
-of the class (``_STEP_COST`` against ``_CLASS_COST``), that chain's row
-updates the class, and the rest of its sweep, through the full member
-lists.  ``ChainEnsemble.moves`` counts the plaquettes whose value changed,
-so a caller can tell that a sweep left the state exactly as it was.
+without a draw.  A class with no candidate is skipped.
+``ChainEnsemble.moves`` counts the plaquettes whose value changed, so a
+caller can tell that a sweep left the state exactly as it was.
 
 A sweep takes one of two routes, fixed at construction from the couplings,
 the box and the chain count (``_HOT_COST``, ``_CLASS_COST``).  The *dense*
@@ -84,16 +81,10 @@ from typing import Optional
 import numpy as np
 
 from .cells import PLAQ_SIGNS, BoxIndex, box_index, incidence
-from .couplings import ModelParams, phi_table
+from .couplings import ModelParams, phi, phi_table
 from .errors import STATE_GUARD, PreconditionError
 from .forms import FormZn
 from .paths import LatticePath
-
-# a chain's class skips its quiet members only while its candidates' steps,
-# at _STEP_COST member updates each, cost less than updating all C members
-# through _update, C + _CLASS_COST (the break-even of 12-45 candidates at
-# C = 8-882 on a 2-core host)
-_STEP_COST = 60
 
 # the route's costs, in member updates: a dense sweep costs one per member
 # and chain plus _CLASS_COST per class; the thinned route adds about
@@ -180,7 +171,9 @@ class ChainEnsemble:
     docstring, each base row's first hot grid point, and the sweep's route,
     and reads the class layout from the shared ``box_index``.  It raises
     ``PreconditionError`` for fewer than one chain, and, before allocating
-    anything, for n^6 > ``errors.STATE_GUARD`` (n >= 21).  A sweep takes
+    anything, for n^6 > ``errors.STATE_GUARD`` (n >= 21), and, before the
+    route's state, for a base row of total weight 0 (a tilt at kappa = 0,
+    where the zero state has weight 0).  A sweep takes
     the dense or the thinned route of the module docstring: the dense one
     draws ``rng.random(P)`` per chain and updates every member, the thinned
     one skips from one hot draw to the next by geometric gaps and gives
@@ -234,6 +227,8 @@ class ChainEnsemble:
         on = np.unique(idx.edge_class_pos[self.tilt.nonzero()[0]])
         base[on] = self.tilt[idx.plaq_edges[idx.pos_plaq[on]]] @ n ** np.arange(4)
         self._base_first, self._base_last = self._cum[base, 0], self._cum[base, -1]
+        if not self._base_last.all():
+            raise PreconditionError(f"a base row next to the tilt has total weight 0 at kappa = {params.kappa}")
         # per first hot grid point k* < 2^53 of some base row: k*, the chance
         # q = (2^53 - k*) / 2^53 that a draw is hot there, and the draw
         # positions whose base row has that k*
@@ -339,20 +334,9 @@ class ChainEnsemble:
         step, and a member that moves adds the plaquettes on its edges, all in
         later classes, to the pool.  ``hot`` holds the chain's hot draws by
         draw position; ``om``, ``dl`` are flat views of omega and delta."""
-        bounds, pos_class, pos_plaq = self._bounds, self._pos_class, self._pos_plaq
+        pos_class, pos_plaq = self._pos_class, self._pos_plaq
         pe, ecp, w = self._pe, self._ecp, self.idx.edge_class_pos.shape[1]
-        for c, cands in enumerate(pool):
-            if not cands:
-                continue
-            if _STEP_COST * len(cands) > bounds[c + 1] - bounds[c] + _CLASS_COST:
-                # skipping would not pay: this class and the chain's later classes
-                # update their full member lists
-                P, E = len(pos_plaq), len(self.tilt)
-                for k in range(c, len(pool)):
-                    cls = self.idx.plaq_classes[k]
-                    e = self.idx.plaq_edges[cls]
-                    self._update(chain * P + cls, chain * E + e, self.tilt[e], self._row(chain, k, hot))
-                return
+        for cands in pool:
             for pos in sorted(cands):
                 if self._step(om, dl, chain, pos, hot):
                     r = 4 * pos_plaq[pos]
@@ -410,8 +394,8 @@ class ChainEnsemble:
         the next hot trial is kept on a clock of ``_draws`` calls, and a call
         before ``_due``, the first that holds one, makes no generator call.  A
         hot draw is uniform on [k*, 2^53) 2^-53 of its base row; with the cold
-        draws of ``_cold`` and ``_row`` the draws have the law of the dense
-        route's, though not its stream.
+        draws of ``_cold`` the draws have the law of the dense route's, though
+        not its stream.
         """
         call, self._clock = self._clock, self._clock + 1
         if call < self._due:
@@ -438,21 +422,6 @@ class ChainEnsemble:
         u = rng.random()
         while u * last > first:
             u = rng.random()
-        return u
-
-    def _row(self, chain, k, hot) -> np.ndarray:
-        """One chain's draws at the draw positions of class k: the hot draws of
-        ``hot``, and elsewhere draws cold on their base rows, as ``_cold``'s."""
-        lo, hi = self._bounds[k], self._bounds[k + 1]
-        rng, first, last = self.rngs[chain], self._base_first[lo:hi], self._base_last[lo:hi]
-        u = rng.random(hi - lo)
-        again = np.flatnonzero(u * last > first)
-        while len(again):
-            u[again] = rng.random(len(again))
-            again = again[u[again] * last[again] > first[again]]
-        for pos, v in hot.items():
-            if lo <= pos < hi:
-                u[pos - lo] = v
         return u
 
     def _update(self, p_flat, e_flat, tl, u) -> np.ndarray:
@@ -554,14 +523,18 @@ def estimate_wilson(
 
     ``sweeps`` counts per-chain sweeps; burn-in defaults to 10% of sweeps.
     The un-tilted measure is sampled; multiply by xi_kappa^{|gamma|} to
-    recover the raw Wilson expectation.  Raises ``PreconditionError`` for a
-    negative burn-in, fewer than 32 batches in total, or fewer kept sweeps
-    than ``BATCHES_PER_CHAIN`` (a batch needs at least one sweep).
+    recover the raw Wilson expectation.  Raises ``PreconditionError``,
+    before any ensemble is built, for phi_kappa(1) = 0 (kappa = 0, where the
+    normalized observable is undefined), a negative burn-in, fewer than 32
+    batches in total, or fewer kept sweeps than ``BATCHES_PER_CHAIN`` (a
+    batch needs at least one sweep).
 
     The observable is evaluated again only after a sweep that moved some
     plaquette (``ChainEnsemble.moves``); otherwise delta, and so every
     sample, is exactly the previous one, which is reused.
     """
+    if phi(params.kappa, 1, params.n) == 0:
+        raise PreconditionError(f"phi_kappa(1) = 0 at kappa = {params.kappa}: the normalized observable is undefined")
     idx = box_index(params.m, params.N)
     _check_margin(params, gamma, idx)
     if burn_in is None:

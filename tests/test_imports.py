@@ -5,7 +5,8 @@ A ``_private`` name imported from a sibling module is a second home for
 that module's internals; the test suite itself may still import them.
 An import that nothing reads is a leftover of deleted code, and so is a
 public name that nothing outside the tests reads, unless it is pinned
-in ``TEST_ONLY``.
+in ``TEST_ONLY``, and a private top-level name or private method that no
+package module reads.
 """
 
 import ast
@@ -119,11 +120,25 @@ def _top_level(tree):
                     yield t.id, node
 
 
-def _reads(tree):
-    """Names a tree reads: loaded names, attributes, imported names, and
-    strings that are identifiers (the tracer looks its targets up by string)."""
-    out = set()
-    for n in ast.walk(tree):
+def _linted(tree):
+    """(name, node) of each top-level name and private method of a module,
+    leaving out the language's dunder names."""
+    for name, node in _top_level(tree):
+        methods = node.body if isinstance(node, ast.ClassDef) else []
+        defs = [(m.name, m) for m in methods if isinstance(m, ast.FunctionDef) and m.name.startswith("_")]
+        yield from ((k, v) for k, v in defs + [(name, node)] if not k.endswith("__"))
+
+
+def _reads(tree, skip=None):
+    """Names a tree reads outside the subtree ``skip``: loaded names, attributes,
+    imported names, and strings that are identifiers (the tracer looks its
+    targets up by string)."""
+    out, todo = set(), [tree]
+    while todo:
+        n = todo.pop()
+        if n is skip:
+            continue
+        todo.extend(ast.iter_child_nodes(n))
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
@@ -136,9 +151,10 @@ def _reads(tree):
 
 
 def unread_names(modules, others):
-    """Public top-level names of ``modules`` (name -> source) that no other
-    module, none of the ``others`` sources, no ``__all__`` and nothing else
-    in their own module reads."""
+    """Names of ``modules`` (name -> source) that nothing reads outside their
+    own definition: public top-level names that no module, none of the
+    ``others`` sources and no ``__all__`` reads, and private top-level names
+    and private methods that no module reads."""
     trees = {k: ast.parse(v) for k, v in modules.items()}
     outside = set().union(*map(_reads, map(ast.parse, others)))
     for tree in trees.values():
@@ -147,11 +163,11 @@ def unread_names(modules, others):
                 outside |= {e.value for e in node.value.elts}
     out = set()
     for key, tree in trees.items():
-        seen = outside.union(*(_reads(t) for k, t in trees.items() if k != key))
-        for name, node in _top_level(tree):
-            if name.startswith("_") or name in seen:
+        seen = set().union(*(_reads(t) for k, t in trees.items() if k != key))
+        for name, node in _linted(tree):
+            if name in seen or (name in outside and not name.startswith("_")):
                 continue
-            if name not in set().union(*(_reads(n) for n in tree.body if n is not node)):
+            if name not in _reads(tree, skip=node):
                 out.add(name)
     return out
 
@@ -167,14 +183,21 @@ def test_lint_flags_names_nothing_reads():
                 "def used(): return helper()",
                 "def recursive(): return recursive()",
                 "def _private(): pass",
+                "def _read(): pass",
                 "def traced(): pass",
                 "class Unread: pass",
+                "class Kept:",
+                "    def __init__(self): self._called(_read)",
+                "    def _called(self, f): pass",
+                "    def _recursive(self): return self._recursive()",
+                "    def _bench_only(self): pass",
             ]
         ),
-        "b.py": "from .a import used\nimport a\nX: int = a.attr()\nTABLE = {}",
+        "b.py": "from .a import used, Kept\nimport a\nX: int = a.attr()\nTABLE = {}",
     }
-    others = ["import a\nb.X\ngetattr(a, 'traced')"]
-    assert unread_names(modules, others) == {"recursive", "Unread", "TABLE"}
+    others = ["import a\nb.X\ngetattr(a, 'traced')\na.Kept()._bench_only()"]
+    want = {"recursive", "Unread", "TABLE", "_private", "_recursive", "_bench_only"}
+    assert unread_names(modules, others) == want
 
 
 # read only by the tests; a name added here says why in CHANGES.md

@@ -48,6 +48,16 @@ def test_open_path_endpoints():
     assert x1 == (-2, -2) and x2 == (0, -2)
 
 
+def test_ends_are_built_once_and_read_only():
+    # one array per path, which callers share, so none of them may write it
+    p = rectangle_open_path(RECT44, start=0, count=2)
+    ends = p.ends
+    assert p.ends is ends and not ends.flags.writeable
+    assert ends.tolist() == [[[-2, -2], [-1, -2]], [[-1, -2], [0, -2]]]
+    with pytest.raises(ValueError):
+        ends[0, 0, 0] = 5
+
+
 def test_path_validation_rejects_bad_coefficients():
     with pytest.raises(ValueError):
         LatticePath(Chain(1, {edge((0, 0), 1): 2}), "open")

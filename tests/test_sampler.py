@@ -353,6 +353,27 @@ def test_negative_burn_in_precondition():
         estimate_wilson(params(0.1, 0.3), LOOP, sweeps=100, burn_in=-5, seed=0)
 
 
+def test_estimator_rejects_kappa_zero(monkeypatch):
+    # phi_kappa(1) = 0 makes the normalized observable 0 / 0; rejected before
+    # any ensemble is built
+    built = []
+    monkeypatch.setattr(sampler, "ChainEnsemble", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(PreconditionError, match="phi_kappa"):
+        estimate_wilson(ModelParams(m=2, n=2, N=4, beta=0.1, kappa=0.0), LOOP, sweeps=200, seed=0)
+    assert built == []
+
+
+def test_tilted_ensemble_rejects_kappa_zero():
+    # at kappa = 0 a base row next to the tilt has total weight 0; untilted, the
+    # zero state has positive weight and no draw moves it
+    p = ModelParams(m=2, n=2, N=2, beta=0.1, kappa=0.0)
+    with pytest.raises(PreconditionError, match="total weight 0"):
+        ChainEnsemble(p, tilt=LOOP)
+    ens = ChainEnsemble(p, seed=1, chains=2)
+    ens.run(20)
+    assert ens.moves == 0 and ens.validate_cache()
+
+
 # -- the dense sweep, kept as the reference for the sweep that skips quiet plaquettes --
 
 
@@ -406,8 +427,8 @@ def dense_sweep(ens, blocks, u):
 def _record_draws(ens, monkeypatch):
     """Per sweep of ``ens``, a (K, P) array of the draws it made, by chain and
     draw position, and NaN where none was made.  On the thinned route these
-    are the hot draws of ``_draws``, and the cold draws of ``_cold`` and
-    ``_row``; each position is drawn at most once a sweep."""
+    are the hot draws of ``_draws`` and the cold draws of ``_cold``; each
+    position is drawn at most once a sweep."""
     sweeps = []
     if not ens._thin:
         uniforms = ens._uniforms
@@ -420,7 +441,7 @@ def _record_draws(ens, monkeypatch):
         monkeypatch.setattr(ens, "_uniforms", recording_uniforms)
         return sweeps
     P = ens.omega.shape[1]
-    draws, cold, row = ens._draws, ens._cold, ens._row
+    draws, cold = ens._draws, ens._cold
 
     def record(chain, pos, got):
         assert np.isnan(sweeps[-1][chain, pos])  # each position is drawn at most once a sweep
@@ -434,17 +455,8 @@ def _record_draws(ens, monkeypatch):
             record(*divmod(key, P), v)
         return keys, vals
 
-    def recording_row(chain, k, hot):
-        got = row(chain, k, hot)
-        u = sweeps[-1][chain, ens._bounds[k] : ens._bounds[k + 1]]
-        fresh = np.isnan(u)  # elsewhere the chain's hot draws, which the row keeps
-        assert np.array_equal(got[~fresh], u[~fresh])
-        u[fresh] = got[fresh]
-        return got
-
     monkeypatch.setattr(ens, "_draws", recording_draws)
     monkeypatch.setattr(ens, "_cold", lambda chain, pos: record(chain, pos, cold(chain, pos)))
-    monkeypatch.setattr(ens, "_row", recording_row)
     return sweeps
 
 
@@ -466,16 +478,8 @@ def _replay(ref, blocks, recorded):
 
 
 def _skip_always(monkeypatch):
-    """The thinned route at any couplings, never falling back to full member lists."""
+    """The thinned route at any couplings."""
     monkeypatch.setattr(sampler, "_HOT_COST", 0)
-    monkeypatch.setattr(sampler, "_STEP_COST", 0)
-
-
-def _fall_back_always(monkeypatch):
-    """The thinned route at any couplings, each chain falling back to full member
-    lists from its first class with a candidate."""
-    monkeypatch.setattr(sampler, "_HOT_COST", 0)
-    monkeypatch.setattr(sampler, "_STEP_COST", math.inf)
 
 
 def _all_ones(ens):
@@ -493,7 +497,7 @@ R2 = ModelParams(m=4, n=2, N=3, beta=1e-5, kappa=0.25)
 R2_LOOP = rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), lengths=(2, 2)))
 
 
-@pytest.mark.parametrize("route", ["as-built", "skip-always", "fall-back-always"])
+@pytest.mark.parametrize("route", ["as-built", "skip-always"])
 @pytest.mark.parametrize(
     "p, tilt, chains, sweeps, start",
     [
@@ -512,20 +516,20 @@ R2_LOOP = rectangle_loop(RectDescriptor(corner=(-1, -1, 0, 0), axes=(1, 2), leng
 )
 def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, monkeypatch):
     # the sweep reproduces, after every sweep, the omega and delta of the dense
-    # sweep run on the draws it used (a cold draw where it drew none); "skip-always" takes
-    # the thinned route and never falls back to full member lists, so small boxes
-    # and large couplings exercise the skips too, and "fall-back-always" takes it
-    # and falls back in every chain with a candidate
+    # sweep run on the draws it used (a cold draw where it drew none); "skip-always"
+    # takes the thinned route, so small boxes and large couplings exercise the
+    # skips too.  The thinned route has one kernel: every candidate takes _step,
+    # and _update is never called, not even from a dense start
     if route == "skip-always":
         _skip_always(monkeypatch)
-    if route == "fall-back-always":
-        _fall_back_always(monkeypatch)
     ens = ChainEnsemble(p, tilt=tilt, seed=5, chains=chains)
     ref = ChainEnsemble(p, tilt=tilt, seed=5, chains=chains)
     if start is not None:
         start(ens)
         start(ref)
     recorded = _record_draws(ens, monkeypatch)
+    updates, update = [], ens._update
+    monkeypatch.setattr(ens, "_update", lambda *args: updates.append(args) or update(*args))
     blocks = dense_blocks(ref)
     moves = 0
     for _ in range(sweeps):
@@ -537,6 +541,7 @@ def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, mo
         moves += int(np.count_nonzero(ref.omega != before))
     assert ens.moves == moves
     assert ens.sweeps == ref.sweeps == sweeps
+    assert not (ens._thin and updates)
 
 
 class _StubDraws:
@@ -686,17 +691,15 @@ def test_tilt_adds_no_candidates(monkeypatch):
 # -- the thinned route's law: it draws the dense sweep's hot positions and uniforms --
 
 
-@pytest.mark.parametrize("route", ["as-built", "skip-always", "fall-back-always", "dense"])
+@pytest.mark.parametrize("route", ["as-built", "skip-always", "dense"])
 @pytest.mark.parametrize("tilted", [False, True])
 @pytest.mark.parametrize("n", [2, 3])
 def test_sweep_samples_form_distribution(n, tilted, route, monkeypatch):
     # configuration frequencies of many short chains against exact enumeration;
-    # "dense" takes the dense route, the other two named routes the thinned one,
-    # and "as-built" the one the route rule picks
+    # "dense" takes the dense route, "skip-always" the thinned one, and
+    # "as-built" the one the route rule picks
     if route == "skip-always":
         _skip_always(monkeypatch)
-    if route == "fall-back-always":
-        _fall_back_always(monkeypatch)
     if route == "dense":
         monkeypatch.setattr(sampler, "_HOT_COST", math.inf)
     p = params(0.4, 0.4, n=n)
