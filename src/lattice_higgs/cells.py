@@ -18,6 +18,7 @@ tables, read through :meth:`BoxIndex.path` and :func:`incidence`.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
@@ -384,6 +385,7 @@ class BoxIndex:
 
     def __init__(self, box: LatticeBox):
         self.box = box
+        self._paths = weakref.WeakKeyDictionary()  # LatticePath -> its ``path`` pair
         m = box.m
         self._lo = np.array(box.lo)
         self._shape = np.array(box.hi) - self._lo + 1
@@ -495,12 +497,19 @@ class BoxIndex:
     def path(self, gamma: LatticePath) -> Tuple[np.ndarray, np.ndarray]:
         """(edge ranks, coefficients) of gamma's support, in the chain's order.
 
-        Raises PreconditionError if gamma's dimension is not the box's, or
-        if any edge of gamma is not in the box.
+        Built once per path and index, and read-only.  Raises
+        PreconditionError if gamma's dimension is not the box's, or if any
+        edge of gamma is not in the box.
         """
-        gamma.require_dim(self.box.m)
-        coeffs = gamma.chain.coeffs
-        return self.ids(coeffs), np.fromiter(coeffs.values(), dtype=np.int16, count=len(coeffs))
+        pair = self._paths.get(gamma)
+        if pair is None:
+            gamma.require_dim(self.box.m)
+            coeffs = gamma.chain.coeffs
+            pair = self.ids(coeffs), np.fromiter(coeffs.values(), dtype=np.int16, count=len(coeffs))
+            for a in pair:
+                a.flags.writeable = False
+            self._paths[gamma] = pair
+        return pair
 
     def gamma_coeffs(self, gamma: LatticePath) -> np.ndarray:
         """gamma's coefficient on every edge of the box (0 off its support)."""

@@ -6,28 +6,34 @@ Three enumerations, each a ground truth for the others:
 * the unitary-gauge measure over gauge configurations only,
 * the 2-form measure with the product activity weight.
 
-Every route enumerates every configuration, split in two halves ("meet
-in the middle").  The cells, in canonical order, split into a high and a
-low half (:func:`_digits`); the two-field route pairs sigma with phi.
-Since :func:`incidence` is linear, each operator is applied once per
-half, and its rows fall into three classes:
+The unitary-gauge and 2-form routes enumerate every configuration, split
+in two halves ("meet in the middle").  The cells, in canonical order,
+split into a high and a low half (:func:`_digits`).  Since
+:func:`incidence` is linear, each operator is applied once per half, and
+its rows fall into three classes:
 
 * rows that read the high half only and rows that read the low half only
   fold, with the single-cell terms, into one weight per half-row;
 * straddling rows, which read both halves, are the only terms evaluated
   on every (hi, lo) pair.
 
-On the gauge side a straddling cosine, and the two-field Higgs term
-cos(sigma_e - dphi_e), is a sum of products of per-half cosines and
-sines, so a block of pairs costs one matrix product and one exp; the
-Wilson phase splits the same way by angle addition.  On the 2-form side
-a straddling edge is a lookup of phi_kappa per pair.  Pairs run in blocks
-of at most ``_CHUNK``; block sums are reduced with compensated (fsum)
-accumulation, so results are deterministic.
+On the gauge side a straddling cosine is a sum of products of per-half
+cosines and sines, so a block of pairs costs one matrix product and one
+exp; the Wilson phase splits the same way by angle addition.  On the
+2-form side a straddling edge is a lookup of phi_kappa per pair.  Pairs
+run in blocks of at most ``_CHUNK``.
 
-No gauge is fixed: the two-field route sums over phi as well, so its
+The two-field route sums sigma by a per-edge transfer instead: its Higgs
+weight is a product over edges of an n x n matrix T[sigma_e, d phi_e],
+so applying T along each edge axis of a sigma-tensor sums sigma for
+every d phi at once, in about E n^(E+1) multiply-adds rather than
+n^(E+V) exponentials; each of the n^V Higgs configurations then reads
+its value.  No gauge is fixed: the route sums over phi as well, so its
 agreement with the unitary-gauge route stays an independent check of
 the unitary-gauge reduction.
+
+Sums are reduced with compensated (fsum) accumulation, so results are
+deterministic.
 
 The vectorized routes read the box's cells from ``cells.BoxIndex`` and
 take every derivative with ``cells.incidence``; :func:`action` takes its
@@ -223,29 +229,51 @@ def expect_unitary(observable, params: ModelParams) -> float:
 
 
 def expect_full(observable, params: ModelParams) -> float:
-    """Expectation under the two-field measure; enumerates sigma x phi.
+    """Expectation under the two-field measure; sums sigma by a per-edge transfer.
 
-    The halves are sigma and phi: the plaquette term reads sigma only and
-    every edge's Higgs term reads both.
+    The Higgs weight is a product over edges, prod_e T[sigma_e, t_e] with
+    T[s, t] = exp(2 kappa cos(2 pi (s - t) / n)) and t = d phi.  Each of the
+    three sigma-tensors c in {w, w cos hol, w sin hol} on Z_n^E (w the
+    plaquette weight, hol the observable's holonomy) is multiplied by T
+    along each of its E edge axes, which gives
+    G_c(t) = sum_sigma c(sigma) prod_e T[sigma_e, t_e] for every t at once,
+    in E n^(E+1) multiply-adds per tensor.  Each of the n^V Higgs
+    configurations then reads G_c at t = d phi and adds its endpoint phase
+    phi(v1) - phi(v2).  No gauge is fixed and every phi is summed.
+
+    Raises GuardError when n^E or n^V exceeds ``STATE_GUARD``, and
+    PreconditionError when the weights overflow a float.
     """
     idx = box_index(params.m, params.N)
     coeffs, ends_v = _wilson(idx, observable)
     E, V, n = len(idx.edge_verts), len(idx._rank[0]), params.n
-    if n ** (E + V) > STATE_GUARD:
-        raise GuardError(f"two-field enumeration needs {n}^{E + V} states")
+    if max(n**E, n**V) > STATE_GUARD:
+        raise GuardError(f"two-field enumeration holds {n}^{E} gauge and {n}^{V} Higgs states")
     cos_t, sin_t = _cos_table(n), _sin_table(n)
-    sig, phis = _all_digits(n, E), _all_digits(n, V)
-    w_sig = np.exp(2 * params.beta * cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, n)].sum(axis=1))
-    dphi = incidence(phis, idx.edge_verts, idx.edge_vert_signs, n)
-    # Higgs term: cos(sigma_e - dphi_e) = cos sigma_e cos dphi_e + sin sigma_e sin dphi_e
-    x_sig = np.hstack([cos_t[sig], sin_t[sig]])
-    x_phi = np.hstack([cos_t[dphi], sin_t[dphi]])
-    # the observable's phase is hol(sigma) - (phi(v2) - phi(v1))
+    sig = _all_digits(n, E)
+    w = np.exp(2 * params.beta * cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, n)].sum(axis=1))
+    hol = (sig @ coeffs) % n
+    g = np.stack([w, w * cos_t[hol], w * sin_t[hol]])
+    transfer = np.exp(2 * params.kappa * cos_t[np.subtract.outer(np.arange(n), np.arange(n)) % n])
+    phis = _all_digits(n, V)
+    t = incidence(phis, idx.edge_verts, idx.edge_vert_signs, n) @ n ** np.arange(E - 1, -1, -1)
     ends = np.zeros(len(phis), dtype=np.int64)
     if ends_v is not None:
         ends = (phis[:, ends_v[0]].astype(np.int64) - phis[:, ends_v[1]]) % n
-    hol = (sig @ coeffs) % n
-    return _pair_expectation(w_sig, hol, x_sig, np.ones(len(phis)), ends, x_phi, 2 * params.kappa, n)
+    cos_e, sin_e = cos_t[ends], sin_t[ends]
+    # a weight that overflows leaves inf or nan in a sum, caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(E):
+            # contract the last edge axis, then rotate it to the front: after E
+            # steps the axes are t_0, ..., t_{E-1} again, in counter order
+            g = (g.reshape(3, -1, n) @ transfer).transpose(0, 2, 1).reshape(3, -1)
+        den, g_re, g_im = g[:, t]
+        num_re, num_im = g_re * cos_e - g_im * sin_e, g_im * cos_e + g_re * sin_e
+        if not np.isfinite([den.sum(), num_re.sum(), num_im.sum()]).all():
+            raise PreconditionError("the Boltzmann weights overflow a float; the couplings are too large")
+    nr, ni, dn = (math.fsum(x.tolist()) for x in (num_re, num_im, den))
+    _check_imag(ni, dn)
+    return nr / dn
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from lattice_higgs.cells import LatticeBox, boundary, coboundary, edge
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, d, delta, random_form
 from lattice_higgs.oracle import BoxIndex, incidence
+from lattice_higgs.paths import RectDescriptor, rectangle_loop
 
 BOXES = [LatticeBox.centered(m, N) for m, N in ((2, 1), (2, 2), (2, 16), (3, 1), (3, 3), (4, 1), (4, 3))] + [
     LatticeBox(3, (0, 0, 0), (1, 1, 1)),
@@ -79,3 +80,20 @@ def test_ids_reject_cells_outside_the_box():
     for bad in (edge((1, 1), 1), edge((5, 0), 2)):
         with pytest.raises(PreconditionError):
             idx.ids([idx.edges[0], bad])
+
+
+def test_path_pair_is_built_once_and_read_only():
+    # one pair per (index, path), which every estimate_wilson call shares
+    idx = BoxIndex(LatticeBox.centered(2, 2))
+    loop = rectangle_loop(RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(2, 1)))
+    ranks, coef = idx.path(loop)
+    again = idx.path(loop)
+    assert again[0] is ranks and again[1] is coef
+    assert np.array_equal(ranks, idx.ids(loop.chain.coeffs))
+    assert coef.tolist() == list(loop.chain.coeffs.values())
+    for a in (ranks, coef):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # another index of the same box ranks the path again, to the same values
+    other = BoxIndex(idx.box).path(loop)
+    assert other[0] is not ranks and np.array_equal(other[0], ranks)

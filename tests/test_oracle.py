@@ -82,15 +82,17 @@ def test_expectation_of_one_is_one():
 
 
 def test_unitary_gauge_identity():
-    # full two-field enumeration equals unitary-gauge enumeration
+    # full two-field enumeration equals unitary-gauge enumeration; n = 3 is
+    # the first n whose Higgs phases have a sine part
     rng = np.random.default_rng(8)
-    for gamma in (LOOP, OPEN2):
-        for _ in range(3):
-            beta, kappa = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-            p = params(beta, kappa)
-            assert expect_full(gamma, p) == pytest.approx(
-                expect_unitary(gamma, p), abs=1e-10
-            )
+    for n in (2, 3):
+        for gamma in (LOOP, OPEN2):
+            for _ in range(3):
+                beta, kappa = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+                p = params(beta, kappa, n=n)
+                assert expect_full(gamma, p) == pytest.approx(
+                    expect_unitary(gamma, p), abs=1e-10
+                )
 
 
 def test_high_temperature_identity_spot():
@@ -119,8 +121,7 @@ def test_beta_zero_product_law():
         for kappa in (0.2, 0.45):
             p = params(0.0, kappa, n=n)
             want_loop = eta_hat(kappa, n) ** len(LOOP)
-            if n == 2:  # the two-field state space fits the guard only at n = 2
-                assert expect_full(LOOP, p) == pytest.approx(want_loop, abs=1e-12)
+            assert expect_full(LOOP, p) == pytest.approx(want_loop, abs=1e-12)
             assert expect_unitary(LOOP, p) == pytest.approx(want_loop, abs=1e-12)
             assert expect_form(LOOP, p) == pytest.approx(want_loop, abs=1e-12)
             want_open = eta_hat(kappa, n) ** len(OPEN2)
@@ -147,6 +148,16 @@ def test_callable_observable_rejected():
 def test_state_space_guard():
     with pytest.raises(GuardError):
         expect_unitary(None, ModelParams(m=2, n=2, N=4, beta=0.1, kappa=0.1))
+
+
+def test_two_field_guard_counts_gauge_and_higgs_states(monkeypatch):
+    # N = 2 has 2^40 gauge states: refused before any digit table is built
+    def no_tables(*args):
+        raise AssertionError("expect_full allocated before its guard")
+
+    monkeypatch.setattr(oracle, "_all_digits", no_tables)
+    with pytest.raises(GuardError):
+        expect_full(LOOP, ModelParams(m=2, n=2, N=2, beta=0.1, kappa=0.1))
 
 
 def test_wilson_hat_basics():
@@ -243,7 +254,7 @@ def test_wilson_line_open_in_two_field_model():
     assert expect_full(OPEN2, p) == pytest.approx(expect_unitary(OPEN2, p), abs=1e-10)
 
 
-# -- the previous chunked enumerations, the reference for the split-half routes --
+# -- the previous chunked enumerations, the reference for the split-half and transfer routes --
 
 _CHUNK = 1 << 16  # the reference's own block size; monkeypatching oracle._CHUNK leaves it
 
@@ -365,7 +376,6 @@ def form_chunked(observable, params: ModelParams) -> float:
 SPLIT = {
     "expect_unitary": (expect_unitary, unitary_chunked),
     "expect_form": (expect_form, form_chunked),
-    "expect_full": (expect_full, full_chunked),
 }
 OBSERVABLES = dict(none=None, loop=LOOP, open2=OPEN2, loop_hi=LOOP_HI, open_hi=OPEN_HI, big=BIG)
 # (beta, kappa, observables): every observable at a generic point, two at each zero coupling
@@ -374,7 +384,7 @@ COUPLING_CASES = [
     (0.0, 0.35, ("loop", "open_hi")),
     (0.4, 0.0, ("open2", "big")),
 ]
-# (route, (m, n, N), _CHUNK): each chunk splits the pairs into several blocks,
+# (route, (m, n, N), _CHUNK) of the pairing routes: each chunk splits the pairs into several blocks,
 # and all but the (2, 2, 1) form point end on a ragged block
 REFERENCE_POINTS = [
     ("expect_unitary", (2, 2, 1), 7),  # 64 x 64 pairs: lo blocks of 7, last of 1
@@ -384,7 +394,6 @@ REFERENCE_POINTS = [
     ("expect_form", (2, 4, 1), 7),
     ("expect_form", (2, 5, 1), 7),
     ("expect_form", (2, 2, 2), 250),  # 256 x 256: lo blocks of 250, last of 6
-    ("expect_full", (2, 2, 1), 3 * 512 + 1),  # 4096 sigma x 512 phi: hi blocks of 3, last of 1
 ]
 
 
@@ -402,6 +411,26 @@ def test_split_routes_match_chunked_reference(monkeypatch, route, box, chunk):
         for name in names:
             got, want = split(OBSERVABLES[name], p), reference(OBSERVABLES[name], p)
             assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
+
+
+def test_full_matches_chunked_reference():
+    for beta, kappa, names in COUPLING_CASES:
+        p = ModelParams(m=2, n=2, N=1, beta=beta, kappa=kappa)
+        for name in names:
+            got, want = expect_full(OBSERVABLES[name], p), full_chunked(OBSERVABLES[name], p)
+            assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_full_never_pairs_sigma_with_phi(monkeypatch, n):
+    # the per-edge transfer sums sigma for every d phi at once: no pair blocks
+    def no_pairs(*args):
+        raise AssertionError("expect_full entered _pair_blocks")
+
+    monkeypatch.setattr(oracle, "_pair_blocks", no_pairs)
+    p = params(0.3, 0.45, n=n)
+    for gamma in (None, LOOP, OPEN2):
+        assert math.isfinite(expect_full(gamma, p))
 
 
 # Near STATE_GUARD the reference takes 5-55 s a call, so its values there are
@@ -481,7 +510,7 @@ def test_high_temperature_identity_n4():
         assert abs(expect_unitary(gamma, p) - expect_form(gamma, p)) < 1e-10
 
 
-@pytest.mark.parametrize("route, n", [(expect_unitary, 3), (expect_full, 2)])
+@pytest.mark.parametrize("route, n", [(expect_unitary, 3), (expect_full, 2), (expect_full, 3)])
 def test_exact_routes_raise_when_weights_overflow(route, n):
     loop = rectangle_loop(RectDescriptor((0, 0), (1, 2), (1, 1)))
     at = lambda kappa: ModelParams(m=2, n=n, N=1, beta=0.1, kappa=kappa)
