@@ -14,21 +14,25 @@ its rows fall into three classes:
 
 * rows that read the high half only and rows that read the low half only
   fold, with the single-cell terms, into one weight per half-row;
-* straddling rows, which read both halves, are the only terms evaluated
-  on every (hi, lo) pair.
+* the s straddling rows, which read both halves, give each half-row a
+  key: its residues on them, read as a base-n number.
 
-On the gauge side a straddling cosine is a sum of products of per-half
-cosines and sines, so a block of pairs costs one matrix product and one
-exp; the Wilson phase splits the same way by angle addition.  On the
-2-form side a straddling edge is a lookup of phi_kappa per pair.  Pairs
-run in blocks of at most ``_CHUNK``.
+The low half-rows are binned by key into a tensor on Z_n^s, and one
+transfer (:func:`_transfer`) applies the straddling factor
+M[b, a] = f((a + b) mod n) along each of its s axes.  Each high half-row
+then reads the result at its own key.  The work is the two halves' rows
+plus s n^(s+1) multiply-adds, not one term per (hi, lo) pair.  On the
+gauge side f is exp(2 beta cos(2 pi j / n)) and the Wilson phase splits
+by angle addition; on the 2-form side f is phi_kappa.  The
+coupling-free half tables are cached per (m, N, n).
 
-The two-field route sums sigma by a per-edge transfer instead: its Higgs
-weight is a product over edges of an n x n matrix T[sigma_e, d phi_e],
-so applying T along each edge axis of a sigma-tensor sums sigma for
-every d phi at once, in about E n^(E+1) multiply-adds rather than
-n^(E+V) exponentials; each of the n^V Higgs configurations then reads
-its value.  No gauge is fixed: the route sums over phi as well, so its
+The two-field route sums sigma by the same transfer over all E edges:
+its Higgs weight is a product over edges of an n x n matrix
+T[sigma_e, d phi_e], so applying T along each edge axis of a
+sigma-tensor sums sigma for every d phi at once, in about E n^(E+1)
+multiply-adds rather than n^(E+V) exponentials; each of the n^V Higgs
+configurations then reads its value.  Its n^E and n^V tables are not
+cached: near the guard they reach gigabytes.  No gauge is fixed: the route sums over phi as well, so its
 agreement with the unitary-gauge route stays an independent check of
 the unitary-gauge reduction.
 
@@ -43,6 +47,7 @@ derivatives through ``forms`` instead, independent of ``incidence``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -52,9 +57,6 @@ from .couplings import ModelParams, phi, phi_table, rho
 from .errors import STATE_GUARD, GuardError, PreconditionError
 from .forms import FormZn, d, delta
 from .paths import LatticePath
-
-_CHUNK = 1 << 16
-
 
 # ---------------------------------------------------------------------------
 # The action of field configurations (dict reference route)
@@ -130,15 +132,6 @@ def _row_classes(table: np.ndarray, sign: np.ndarray, k_hi: int):
     return ~reads_lo, reads_lo & ~reads_hi, reads_hi & reads_lo
 
 
-def _pair_blocks(n_hi: int, n_lo: int):
-    """(hi slice, lo slice) blocks covering every pair once, at most _CHUNK pairs each."""
-    lo_step = min(n_lo, _CHUNK)
-    hi_step = max(1, _CHUNK // lo_step)
-    for a in range(0, n_hi, hi_step):
-        for b in range(0, n_lo, lo_step):
-            yield slice(a, a + hi_step), slice(b, b + lo_step)
-
-
 def _cos_table(n: int) -> np.ndarray:
     return np.cos(2 * np.pi * np.arange(n) / n)
 
@@ -147,39 +140,109 @@ def _sin_table(n: int) -> np.ndarray:
     return np.sin(2 * np.pi * np.arange(n) / n)
 
 
-def _pair_expectation(w_hi, hol_hi, x_hi, w_lo, hol_lo, x_lo, coupling: float, n: int) -> float:
-    """Weighted mean of rho(hol_hi[a] + hol_lo[b]) over all pairs (a, b).
-
-    A pair weighs w_hi[a] w_lo[b] exp(coupling * x_hi[a] . x_lo[b]).  The
-    phase is taken apart by angle addition, so a block costs one matrix
-    product for the coupling, one exp and one product with three lo-side
-    vectors.
-    """
-    cos_t, sin_t = _cos_table(n), _sin_table(n)
-    c_hi, s_hi = w_hi * cos_t[hol_hi], w_hi * sin_t[hol_hi]
-    lo_vecs = np.stack([w_lo, w_lo * cos_t[hol_lo], w_lo * sin_t[hol_lo]], axis=1)
-    num_re, num_im, den = [], [], []
-    # a weight that overflows leaves inf or nan in a block sum, caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in _pair_blocks(len(w_hi), len(w_lo)):
-            g = x_hi[a] @ x_lo[b].T
-            g *= coupling
-            np.exp(g, out=g)
-            tot, cos_lo, sin_lo = (g @ lo_vecs[b]).T
-            den.append(float(w_hi[a] @ tot))
-            num_re.append(float(c_hi[a] @ cos_lo - s_hi[a] @ sin_lo))
-            num_im.append(float(s_hi[a] @ cos_lo + c_hi[a] @ sin_lo))
-    if not np.isfinite([num_re, num_im, den]).all():
-        raise PreconditionError("the Boltzmann weights overflow a float; the couplings are too large")
-    nr, ni, dn = math.fsum(num_re), math.fsum(num_im), math.fsum(den)
-    _check_imag(ni, dn)
-    return nr / dn
-
-
 def _check_imag(num_im: float, scale: float):
     # the accumulated numerator must be real relative to the partition function
     if abs(num_im) > 1e-9 * abs(scale):
         raise AssertionError(f"expected a real accumulation, got imag {num_im} at scale {scale}")
+
+
+def _ratio(num_re: np.ndarray, num_im: np.ndarray, den: np.ndarray) -> float:
+    """fsum(num_re) / fsum(den), once the sums are finite and the numerator real."""
+    if not np.isfinite([den.sum(), num_re.sum(), num_im.sum()]).all():
+        raise PreconditionError("the Boltzmann weights overflow a float; the couplings are too large")
+    nr, ni, dn = (math.fsum(x.tolist()) for x in (num_re, num_im, den))
+    _check_imag(ni, dn)
+    return nr / dn
+
+
+def _transfer(g: np.ndarray, matrix: np.ndarray, k: int) -> np.ndarray:
+    """h[..., a] = sum_b g[..., b] prod_j matrix[b_j, a_j] over Z_n^k.
+
+    The last axis of ``g`` holds the n^k points of Z_n^k in counter order.
+    Each step contracts the last digit axis with ``matrix`` and rotates it
+    to the front, so after k steps the digits are back in counter order;
+    k = 0 returns ``g``.
+    """
+    n, lead = len(matrix), g.shape[:-1]
+    for _ in range(k):
+        g = (g.reshape(*lead, -1, n) @ matrix).swapaxes(-1, -2).reshape(*lead, -1)
+    return g
+
+
+def _sum_matrix(f: np.ndarray) -> np.ndarray:
+    """M[b, a] = f[(a + b) mod n]: a straddling row's factor at hi residue a and lo residue b."""
+    n = len(f)
+    return f[np.add.outer(np.arange(n), np.arange(n)) % n]
+
+
+def _keys(residues: np.ndarray, n: int) -> np.ndarray:
+    """Each row's residues on the straddling rows read as one base-n counter value."""
+    return residues.astype(np.int64) @ n ** np.arange(residues.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _split(table: np.ndarray, sign: np.ndarray, k: int, n: int, route: str):
+    """(k_hi, row classes) of an operator on k cells; GuardError before any table is built.
+
+    A split-half route holds the n^k configurations it enumerates and the
+    n^s key tensor of the s straddling rows.
+    """
+    k_hi = k - k // 2
+    classes = _row_classes(table, sign, k_hi)
+    s = int(classes[2].sum())
+    if n**k + n**s > STATE_GUARD:
+        raise GuardError(f"{route} enumeration holds {n}^{k} states and {n}^{s} straddling keys")
+    return k_hi, classes
+
+
+@lru_cache(maxsize=8)
+def _gauge_halves(m: int, N: int, n: int):
+    """Coupling-free tables of the unitary-gauge route: (hi, lo, s).
+
+    Each half is (sigma digits, cosine sum over the plaquettes only that
+    half reads, cosine sum over its own edges, key on the s straddling
+    plaquettes), one row per half-configuration, all read-only.
+    """
+    idx = box_index(m, N)
+    E = len(idx.edge_verts)
+    k_hi, (hi_rows, lo_rows, mid) = _split(idx.plaq_edges, idx.plaq_signs, E, n, "unitary")
+    cos_t = _cos_table(n)
+
+    def half(sig, rows, cells):
+        dsig = incidence(sig, idx.plaq_edges, idx.plaq_signs, n)
+        a_w, a_e = cos_t[dsig[:, rows]].sum(axis=1), cos_t[sig[:, cells]].sum(axis=1)
+        return _frozen(sig, a_w, a_e, _keys(dsig[:, mid], n))
+
+    hi, lo = _digits(n, E)
+    return half(hi, hi_rows, slice(0, k_hi)), half(lo, lo_rows, slice(k_hi, E)), int(mid.sum())
+
+
+@lru_cache(maxsize=8)
+def _form_halves(m: int, N: int, n: int):
+    """Coupling-free tables of the 2-form route: (hi, lo, edge classes).
+
+    hi is (digits of its own plaquettes, delta's residues on the hi-only
+    edges, key on the straddling edges); lo is (digits of its own
+    plaquettes, residues on the lo-only edges, residues on the straddling
+    edges); the classes are the (hi-only, lo-only, straddling) edge masks.
+    One row per half-configuration, all read-only.
+    """
+    idx = box_index(m, N)
+    P = len(idx.plaq_edges)
+    k_hi, (hi_rows, lo_rows, mid) = _split(idx.edge_plaqs, idx.edge_plaq_signs, P, n, "form")
+    hi, lo = _digits(n, P)
+    d_hi = incidence(hi, idx.edge_plaqs, idx.edge_plaq_signs, n)
+    d_lo = incidence(lo, idx.edge_plaqs, idx.edge_plaq_signs, n)
+    return (
+        _frozen(hi[:, :k_hi].copy(), d_hi[:, hi_rows].copy(), _keys(d_hi[:, mid], n)),
+        _frozen(lo[:, k_hi:].copy(), d_lo[:, lo_rows].copy(), d_lo[:, mid].copy()),
+        _frozen(hi_rows, lo_rows, mid),
+    )
 
 
 def _wilson(idx: BoxIndex, observable) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -201,31 +264,37 @@ def _wilson(idx: BoxIndex, observable) -> Tuple[np.ndarray, Optional[np.ndarray]
 def expect_unitary(observable, params: ModelParams) -> float:
     """Expectation under the unitary-gauge measure by full enumeration of sigma.
 
-    ``observable`` is a LatticePath (Wilson line/loop) or None for the constant 1.
+    ``observable`` is a LatticePath (Wilson line/loop) or None for the
+    constant 1.  The edges split into two halves.  Each half-row weighs
+    w = exp(2 beta (its own plaquettes' cosines) + 2 kappa (its edges'
+    cosines)) and carries its holonomy h.  The lo rows are binned by their
+    key on the s straddling plaquettes into three tensors on Z_n^s,
+    c in {w, w cos h, w sin h}; :func:`_transfer` with
+    M[b, a] = exp(2 beta cos(2 pi (a + b) / n)) adds each straddling
+    plaquette's factor, and every hi row reads the result at its own key.
+    The phase combines by angle addition.
+
+    Raises GuardError when n^E + n^s exceeds ``STATE_GUARD``, and
+    PreconditionError when the weights overflow a float.
     """
     idx = box_index(params.m, params.N)
     coeffs, _ = _wilson(idx, observable)
-    E, n = len(idx.edge_verts), params.n
-    if n**E > STATE_GUARD:
-        raise GuardError(f"unitary enumeration needs {n}^{E} states")
+    n = params.n
+    (*hi, key_hi), (*lo, key_lo), s = _gauge_halves(params.m, params.N, n)
     cos_t, sin_t = _cos_table(n), _sin_table(n)
-    hi, lo = _digits(n, E)
-    k_hi = E - E // 2
-    hi_rows, lo_rows, mid = _row_classes(idx.plaq_edges, idx.plaq_signs, k_hi)
 
-    def half(sig, rows, cells):
+    def half(sig, a_w, a_e):
         # sum over positive plaquettes and edges of Re rho; both orientations double it
-        dsig = incidence(sig, idx.plaq_edges, idx.plaq_signs, n)
-        a_w = cos_t[dsig[:, rows]].sum(axis=1)
-        w = np.exp(2 * params.beta * a_w + 2 * params.kappa * cos_t[sig[:, cells]].sum(axis=1))
-        return w, (sig @ coeffs) % n, dsig[:, mid]
+        w = np.exp(2 * params.beta * a_w + 2 * params.kappa * a_e)
+        hol = (sig @ coeffs) % n
+        return w, w * cos_t[hol], w * sin_t[hol]
 
-    w_hi, hol_hi, d_hi = half(hi, hi_rows, slice(0, k_hi))
-    w_lo, hol_lo, d_lo = half(lo, lo_rows, slice(k_hi, E))
-    # straddling plaquettes: cos(a + b) = cos a cos b - sin a sin b
-    x_hi = np.hstack([cos_t[d_hi], sin_t[d_hi]])
-    x_lo = np.hstack([cos_t[d_lo], -sin_t[d_lo]])
-    return _pair_expectation(w_hi, hol_hi, x_hi, w_lo, hol_lo, x_lo, 2 * params.beta, n)
+    # a weight that overflows leaves inf or nan in a sum, caught in _ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_hi, c_hi, s_hi = half(*hi)
+        g = np.stack([np.bincount(key_lo, c, minlength=n**s) for c in half(*lo)])
+        den, c_lo, s_lo = _transfer(g, _sum_matrix(np.exp(2 * params.beta * cos_t)), s)[:, key_hi]
+        return _ratio(c_hi * c_lo - s_hi * s_lo, s_hi * c_lo + c_hi * s_lo, w_hi * den)
 
 
 def expect_full(observable, params: ModelParams) -> float:
@@ -235,7 +304,7 @@ def expect_full(observable, params: ModelParams) -> float:
     T[s, t] = exp(2 kappa cos(2 pi (s - t) / n)) and t = d phi.  Each of the
     three sigma-tensors c in {w, w cos hol, w sin hol} on Z_n^E (w the
     plaquette weight, hol the observable's holonomy) is multiplied by T
-    along each of its E edge axes, which gives
+    along each of its E edge axes (:func:`_transfer`), which gives
     G_c(t) = sum_sigma c(sigma) prod_e T[sigma_e, t_e] for every t at once,
     in E n^(E+1) multiply-adds per tensor.  Each of the n^V Higgs
     configurations then reads G_c at t = d phi and adds its endpoint phase
@@ -256,24 +325,15 @@ def expect_full(observable, params: ModelParams) -> float:
     g = np.stack([w, w * cos_t[hol], w * sin_t[hol]])
     transfer = np.exp(2 * params.kappa * cos_t[np.subtract.outer(np.arange(n), np.arange(n)) % n])
     phis = _all_digits(n, V)
-    t = incidence(phis, idx.edge_verts, idx.edge_vert_signs, n) @ n ** np.arange(E - 1, -1, -1)
+    t = _keys(incidence(phis, idx.edge_verts, idx.edge_vert_signs, n), n)
     ends = np.zeros(len(phis), dtype=np.int64)
     if ends_v is not None:
         ends = (phis[:, ends_v[0]].astype(np.int64) - phis[:, ends_v[1]]) % n
     cos_e, sin_e = cos_t[ends], sin_t[ends]
-    # a weight that overflows leaves inf or nan in a sum, caught below
+    # a weight that overflows leaves inf or nan in a sum, caught in _ratio
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(E):
-            # contract the last edge axis, then rotate it to the front: after E
-            # steps the axes are t_0, ..., t_{E-1} again, in counter order
-            g = (g.reshape(3, -1, n) @ transfer).transpose(0, 2, 1).reshape(3, -1)
-        den, g_re, g_im = g[:, t]
-        num_re, num_im = g_re * cos_e - g_im * sin_e, g_im * cos_e + g_re * sin_e
-        if not np.isfinite([den.sum(), num_re.sum(), num_im.sum()]).all():
-            raise PreconditionError("the Boltzmann weights overflow a float; the couplings are too large")
-    nr, ni, dn = (math.fsum(x.tolist()) for x in (num_re, num_im, den))
-    _check_imag(ni, dn)
-    return nr / dn
+        den, g_re, g_im = _transfer(g, transfer, E)[:, t]
+        return _ratio(g_re * cos_e - g_im * sin_e, g_im * cos_e + g_re * sin_e, den)
 
 
 # ---------------------------------------------------------------------------
@@ -286,39 +346,31 @@ def expect_form(observable, params: ModelParams) -> float:
 
     ``observable``: a LatticePath evaluates the high-temperature Wilson
     observable (via the uncancelled product, valid also at kappa = 0);
-    None gives 1.
+    None gives 1.  The plaquettes split into two halves.  Per tilt (none
+    for the denominator, the path's coefficients for the numerator) each
+    half-row weighs its own plaquettes' phi_beta times phi_kappa on the
+    edges only it reads; the lo rows are binned by their tilted residues
+    on the s straddling edges into one tensor on Z_n^s, :func:`_transfer`
+    with M[b, a] = phi_kappa((a + b) mod n) adds each straddling edge's
+    factor, and every hi row reads the result at its own key.
+
+    Raises GuardError when n^P + n^s exceeds ``STATE_GUARD``.
     """
     idx = box_index(params.m, params.N)
     coeffs, _ = _wilson(idx, observable)
-    P, n = len(idx.plaq_edges), params.n
-    if n**P > STATE_GUARD:
-        raise GuardError(f"form enumeration needs {n}^{P} states")
+    n = params.n
+    (om_hi, d_hi, key_hi), (om_lo, d_lo, d_mid), (hi_rows, lo_rows, mid) = _form_halves(params.m, params.N, n)
     phi_b = phi_table(params.beta, n)
     phi_k = phi_table(params.kappa, n)
-    hi, lo = _digits(n, P)
-    k_hi = P - P // 2
-    hi_rows, lo_rows, mid = _row_classes(idx.edge_plaqs, idx.edge_plaq_signs, k_hi)
-    d_hi = incidence(hi, idx.edge_plaqs, idx.edge_plaq_signs, n)
-    d_lo = incidence(lo, idx.edge_plaqs, idx.edge_plaq_signs, n)
-    b_hi = phi_b[hi[:, :k_hi]].prod(axis=1)
-    b_lo = phi_b[lo[:, k_hi:]].prod(axis=1)
+    b_hi, b_lo = phi_b[om_hi].prod(axis=1), phi_b[om_lo].prod(axis=1)
+    matrix, s = _sum_matrix(phi_k), d_mid.shape[1]
 
     def total(tilt):
         # a hi-only edge takes its tilt on the hi side, every other edge on the lo side
-        t_hi = np.where(hi_rows, tilt, 0)
-        s_hi, s_lo = (d_hi + t_hi) % n, (d_lo + (tilt - t_hi)) % n
-        w_hi = b_hi * phi_k[s_hi[:, hi_rows]].prod(axis=1)
-        w_lo = b_lo * phi_k[s_lo[:, lo_rows]].prod(axis=1)
-        # per straddling edge, phi_kappa at (each hi residue + each lo row's residue)
-        shifted = [phi_k[(np.arange(n)[:, None] + s_lo[:, r]) % n] for r in np.flatnonzero(mid)]
-        keys = s_hi[:, mid]
-        sums = []
-        for a, b in _pair_blocks(len(w_hi), len(w_lo)):
-            w = np.ones((len(w_hi[a]), len(w_lo[b])))
-            for j, tab in enumerate(shifted):
-                w *= tab[keys[a, j], b]
-            sums.append(float(w_hi[a] @ (w @ w_lo[b])))
-        return math.fsum(sums)
+        w_hi = b_hi * phi_k[(d_hi + tilt[hi_rows]) % n].prod(axis=1)
+        w_lo = b_lo * phi_k[(d_lo + tilt[lo_rows]) % n].prod(axis=1)
+        g = np.bincount(_keys((d_mid + tilt[mid]) % n, n), w_lo, minlength=n**s)
+        return math.fsum((w_hi * _transfer(g, matrix, s)[key_hi]).tolist())
 
     den = total(np.zeros(len(idx.edge_plaqs), dtype=np.int64))
     num = den if observable is None else total(coeffs % n)

@@ -14,9 +14,11 @@ from lattice_higgs.oracle import (
     _check_imag,
     _cos_table,
     _digits,
-    _pair_blocks,
+    _form_halves,
+    _gauge_halves,
     _row_classes,
     _sin_table,
+    _transfer,
     _wilson,
     action,
     activity,
@@ -256,7 +258,7 @@ def test_wilson_line_open_in_two_field_model():
 
 # -- the previous chunked enumerations, the reference for the split-half and transfer routes --
 
-_CHUNK = 1 << 16  # the reference's own block size; monkeypatching oracle._CHUNK leaves it
+_CHUNK = 1 << 16  # the reference's own block size
 
 
 def _digit_chunks(n: int, k: int, chunk: int = _CHUNK):
@@ -384,16 +386,15 @@ COUPLING_CASES = [
     (0.0, 0.35, ("loop", "open_hi")),
     (0.4, 0.0, ("open2", "big")),
 ]
-# (route, (m, n, N), _CHUNK) of the pairing routes: each chunk splits the pairs into several blocks,
-# and all but the (2, 2, 1) form point end on a ragged block
+# (route, (m, n, N)) of the split-half routes
 REFERENCE_POINTS = [
-    ("expect_unitary", (2, 2, 1), 7),  # 64 x 64 pairs: lo blocks of 7, last of 1
-    ("expect_unitary", (2, 3, 1), 2 * 729 + 1),  # 729 x 729: hi blocks of 2, last of 1
-    ("expect_form", (2, 2, 1), 7),  # 4 x 4: one hi row per block
-    ("expect_form", (2, 3, 1), 7),
-    ("expect_form", (2, 4, 1), 7),
-    ("expect_form", (2, 5, 1), 7),
-    ("expect_form", (2, 2, 2), 250),  # 256 x 256: lo blocks of 250, last of 6
+    ("expect_unitary", (2, 2, 1)),  # 64 x 64 half-rows, 3 straddling plaquettes
+    ("expect_unitary", (2, 3, 1)),  # 729 x 729
+    ("expect_form", (2, 2, 1)),  # 4 x 4 half-rows, 3 straddling edges
+    ("expect_form", (2, 3, 1)),
+    ("expect_form", (2, 4, 1)),
+    ("expect_form", (2, 5, 1)),
+    ("expect_form", (2, 2, 2)),  # 256 x 256 half-rows, 4 straddling edges
 ]
 
 
@@ -401,9 +402,8 @@ def _point_id(route, box, *rest):
     return "-".join([route, "x".join(map(str, box)), *map(str, rest)])
 
 
-@pytest.mark.parametrize("route, box, chunk", REFERENCE_POINTS, ids=[_point_id(*pt) for pt in REFERENCE_POINTS])
-def test_split_routes_match_chunked_reference(monkeypatch, route, box, chunk):
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+@pytest.mark.parametrize("route, box", REFERENCE_POINTS, ids=[_point_id(*pt) for pt in REFERENCE_POINTS])
+def test_split_routes_match_chunked_reference(route, box):
     split, reference = SPLIT[route]
     m, n, N = box
     for beta, kappa, names in COUPLING_CASES:
@@ -421,16 +421,44 @@ def test_full_matches_chunked_reference():
             assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
 
 
+def _recording_transfer(monkeypatch):
+    """Patch oracle._transfer to record (tensor shape, k) of each call."""
+    calls = []
+
+    def recording(g, matrix, k):
+        calls.append((g.shape, k))
+        return _transfer(g, matrix, k)
+
+    monkeypatch.setattr(oracle, "_transfer", recording)
+    return calls
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_full_never_pairs_sigma_with_phi(monkeypatch, n):
-    # the per-edge transfer sums sigma for every d phi at once: no pair blocks
-    def no_pairs(*args):
-        raise AssertionError("expect_full entered _pair_blocks")
-
-    monkeypatch.setattr(oracle, "_pair_blocks", no_pairs)
+    # sigma is summed for every d phi at once, by one transfer over all E edge axes
+    calls = _recording_transfer(monkeypatch)
     p = params(0.3, 0.45, n=n)
+    E = len(box_index(2, 1).edge_verts)
     for gamma in (None, LOOP, OPEN2):
         assert math.isfinite(expect_full(gamma, p))
+    assert calls == [((3, n**E), E)] * 3
+
+
+@pytest.mark.parametrize("route, box", REFERENCE_POINTS, ids=[_point_id(*pt) for pt in REFERENCE_POINTS])
+def test_split_routes_transfer_over_straddling_keys_only(monkeypatch, route, box):
+    # each call bins one half by its key on the s straddling rows: a tensor of n^s entries
+    m, n, N = box
+    idx = box_index(m, N)
+    if route == "expect_unitary":  # cells are edges, straddling rows plaquettes
+        table, sign, k = idx.plaq_edges, idx.plaq_signs, len(idx.edge_verts)
+    else:  # cells are plaquettes, straddling rows edges
+        table, sign, k = idx.edge_plaqs, idx.edge_plaq_signs, len(idx.plaq_edges)
+    s = int(_row_classes(table, sign, k - k // 2)[2].sum())
+    assert 0 < s <= k - k // 2
+    calls = _recording_transfer(monkeypatch)
+    SPLIT[route][0](LOOP, ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45))
+    want = [((3, n**s), s)] if route == "expect_unitary" else [((n**s,), s)] * 2
+    assert calls == want
 
 
 # Near STATE_GUARD the reference takes 5-55 s a call, so its values there are
@@ -450,17 +478,12 @@ PINNED_NEAR_GUARD = [
     ("expect_form", (2, 3, 2), "loop", 0.0, 0.35, 0.021387072067831126),
     ("expect_form", (2, 3, 2), "open_hi", 0.4, 0.0, 0.0),
 ]
-PINNED_CHUNK = {
-    (2, 4, 1): 3 * 4096 + 1,  # 4096 x 4096 pairs: hi blocks of 3, last of 1
-    (2, 3, 2): 2 * 6561 + 1,  # 6561 x 6561 pairs: hi blocks of 2, last of 1
-}
 
 
 @pytest.mark.parametrize(
     "route, box, name, beta, kappa, want", PINNED_NEAR_GUARD, ids=[_point_id(*pt[:5]) for pt in PINNED_NEAR_GUARD]
 )
-def test_split_routes_match_pinned_reference_near_guard(monkeypatch, route, box, name, beta, kappa, want):
-    monkeypatch.setattr(oracle, "_CHUNK", PINNED_CHUNK[box])
+def test_split_routes_match_pinned_reference_near_guard(route, box, name, beta, kappa, want):
     m, n, N = box
     got = SPLIT[route][0](OBSERVABLES[name], ModelParams(m=m, n=n, N=N, beta=beta, kappa=kappa))
     assert abs(got - want) <= 1e-12
@@ -493,15 +516,74 @@ def test_split_digits_visit_each_row_once(n, k):
     np.testing.assert_array_equal(rows, np.concatenate([d for _, d in _digit_chunks(n, k)]))
 
 
-@pytest.mark.parametrize("n_hi, n_lo, chunk", [(1, 1, 7), (4, 4, 7), (9, 9, 7), (5, 3, 7), (3, 8, 5), (64, 64, 1 << 16)])
-def test_pair_blocks_cover_each_pair_once(monkeypatch, n_hi, n_lo, chunk):
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    seen = np.zeros((n_hi, n_lo), dtype=int)
-    for a, b in _pair_blocks(n_hi, n_lo):
-        block = seen[a, b]
-        assert 0 < block.size <= chunk
-        block += 1
-    assert (seen == 1).all()
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_transfer_matches_direct_sum(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    g = rng.normal(size=(2, n**k))
+    matrix = rng.normal(size=(n, n))  # not symmetric: the sum reads matrix[b_j, a_j]
+    digits = (np.arange(n**k)[:, None] // n ** np.arange(k - 1, -1, -1)) % n  # one row per counter value
+    # want[:, a] = sum_b g[:, b] prod_j matrix[b_j, a_j], over every pair of counter values
+    factors = np.ones((n**k, n**k))
+    for j in range(k):
+        factors *= matrix[digits[:, None, j], digits[None, :, j]]
+    np.testing.assert_allclose(_transfer(g, matrix, k), g @ factors, rtol=1e-12, atol=1e-12)
+    if k == 0:
+        assert _transfer(g, matrix, k) is g
+
+
+HALF_TABLES = [(_gauge_halves, (2, 3, 1)), (_form_halves, (2, 2, 2))]
+
+
+@pytest.mark.parametrize("build, box", HALF_TABLES, ids=["gauge", "form"])
+def test_half_tables_are_read_only(build, box):
+    arrays = [a for part in build(*box) if isinstance(part, tuple) for a in part]
+    assert arrays and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][0] = 1
+
+
+def _split_values(box):
+    m, n, N = box
+    p = ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45)
+    return [route(g, p) for route in (expect_unitary, expect_form) for g in (LOOP, OPEN2, BIG)]
+
+
+def test_half_tables_give_the_same_bits_in_any_call_order():
+    first = _split_values((2, 3, 1))
+    small = _split_values((2, 2, 1))
+    assert _split_values((2, 3, 1)) == first
+    box_index.cache_clear()
+    assert _split_values((2, 3, 1)) == first
+    for build, _ in HALF_TABLES:
+        build.cache_clear()
+    assert _split_values((2, 2, 1)) == small
+    assert _split_values((2, 3, 1)) == first
+
+
+@pytest.mark.parametrize("route, build", [(expect_unitary, _gauge_halves), (expect_form, _form_halves)])
+def test_split_guard_counts_states_and_keys(monkeypatch, route, build):
+    # at m=2 n=2 N=1 the unitary route holds 2^12 states (edges) and 2^3 keys (straddling
+    # plaquettes), the form route 2^4 states (plaquettes) and 2^2 keys (straddling edges)
+    k, s = (12, 3) if route is expect_unitary else (4, 2)
+    p = params(0.3, 0.45)
+    build.cache_clear()
+    monkeypatch.setattr(oracle, "STATE_GUARD", 2**k + 2**s - 1)
+    with pytest.raises(GuardError):
+        route(LOOP, p)
+    monkeypatch.setattr(oracle, "STATE_GUARD", 2**k + 2**s)
+    assert math.isfinite(route(LOOP, p))
+    build.cache_clear()
+
+
+@pytest.mark.parametrize("route", [expect_unitary, expect_form])
+def test_split_guard_refuses_before_any_table(monkeypatch, route):
+    def no_tables(*args):
+        raise AssertionError("a split-half route allocated before its guard")
+
+    monkeypatch.setattr(oracle, "_digits", no_tables)
+    with pytest.raises(GuardError):
+        route(LOOP, ModelParams(m=2, n=2, N=4, beta=0.1, kappa=0.1))
 
 
 def test_high_temperature_identity_n4():
@@ -510,7 +592,9 @@ def test_high_temperature_identity_n4():
         assert abs(expect_unitary(gamma, p) - expect_form(gamma, p)) < 1e-10
 
 
-@pytest.mark.parametrize("route, n", [(expect_unitary, 3), (expect_full, 2), (expect_full, 3)])
+@pytest.mark.parametrize(
+    "route, n", [(expect_unitary, 2), (expect_unitary, 3), (expect_unitary, 4), (expect_full, 2), (expect_full, 3)]
+)
 def test_exact_routes_raise_when_weights_overflow(route, n):
     loop = rectangle_loop(RectDescriptor((0, 0), (1, 2), (1, 1)))
     at = lambda kappa: ModelParams(m=2, n=n, N=1, beta=0.1, kappa=kappa)
