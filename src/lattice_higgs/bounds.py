@@ -3,7 +3,10 @@
 Every constant is a literal transcription of the corresponding display
 formula; an independent re-transcription lives in the test suite and the
 two are compared numerically.  Powers with path-length exponents are
-evaluated in log space so |gamma| in the hundreds cannot underflow.
+evaluated as exp(k log base), for one exponent or an array of them.  That
+does not widen the float range: like base**k, the result underflows to 0
+once k log(base) falls below about -745 (``_pow(0.06, 300)`` is 0.0), so at
+|gamma| in the hundreds a small xi_kappa gives a prediction of 0.
 
 The closed forms of the three appendix tail sums are zeta_beta
 xi_kappa^{|gamma|} times c1', c1'' and c1''''; both routes share the
@@ -13,27 +16,30 @@ precondition (16m)^2 zeta_beta < xi_kappa < 1 of :func:`constants`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
+
+import numpy as np
 
 from .couplings import ModelParams, alpha, assumption_check, eta, xi, zeta
 from .errors import PreconditionError
 from .paths import GammaStats
 
 
-def _pow(base: float, k: float) -> float:
+def _pow(base: float, k):
+    """base^k = exp(k log base) for base >= 0, elementwise over an array of exponents k."""
     if base < 0:
         raise ValueError("negative base")
     if base == 0.0:
-        return 0.0 if k > 0 else 1.0
-    return math.exp(k * math.log(base))
+        return (np.asarray(k) <= 0) * 1.0
+    return np.exp(k * math.log(base))
 
 
-def _geo(q: float, a: int, b: int) -> float:
-    """The truncated geometric series sum_{k=a}^{b-1} q^k for 0 < q < 1 (0 if b <= a)."""
-    if b <= a:
-        return 0.0
-    return _pow(q, a) * -math.expm1((b - a) * math.log(q)) / (1 - q)
+def _geo(q: float, a, b):
+    """The truncated geometric series sum_{k=a}^{b-1} q^k for 0 < q < 1 (0 if b <= a), elementwise."""
+    return _pow(q, a) * -np.expm1(np.maximum(b - a, 0) * math.log(q)) / (1 - q)
 
 
 def _pow1p(x: float, k: float) -> float:
@@ -149,9 +155,9 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
     c2 = c2i + c2ii + c2iii
 
     al = alpha(params.beta, params.kappa, n)
-    c0 = c1 * _pow(al, -Pg) + c2
+    c0 = c1 * float(_pow(al, -Pg)) + c2
 
-    pred = _pow(xk, L) * _pow(al, Pg)
+    pred = float(_pow(xk, L) * _pow(al, Pg))
     et = eta(params.kappa, n)
     return BoundReport(
         params=params,
@@ -181,7 +187,7 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
 
 def perimeter_bound(params: ModelParams, gamma_length: int) -> float:
     """The perimeter-law lower bound eta_kappa^{|gamma|}."""
-    return _pow(eta(params.kappa, params.n), gamma_length)
+    return float(_pow(eta(params.kappa, params.n), gamma_length))
 
 
 def prediction(params: ModelParams, stats: GammaStats) -> Tuple[float, float]:
@@ -203,6 +209,44 @@ def prediction(params: ModelParams, stats: GammaStats) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _tail_terms(L: int, Pc: int):
+    """Coupling-free terms of the three tail sums at |gamma| = L, |P_gamma,c| = Pc.
+
+    One (i, j, prefactor) triple of read-only arrays per series, the
+    binomial prefactors as floats.  Only valid terms are listed: outside
+    them some exponents of x go negative and the powers can overflow.
+
+    * b1: 0 <= i <= Pc and max(1, 2i) <= j <= L, C(L, j - 2i) C(Pc, i);
+    * b2: 0 <= i <= Pc and max(2i + 1, 2) <= j <= L,
+      (j - 1) C(L, j - 2i - 1) C(Pc, i);
+    * b3: i = 0 and 0 <= j < L, (j + 1) C(L, j + 1).
+    """
+
+    def series(pairs, pref):
+        arrays = (
+            np.array([i for i, _ in pairs], dtype=np.int64),
+            np.array([j for _, j in pairs], dtype=np.int64),
+            np.array([float(pref(i, j)) for i, j in pairs], dtype=np.float64),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    comb, rows = math.comb, range(Pc + 1)
+    return (
+        series(
+            [(i, j) for i in rows for j in range(max(1, 2 * i), L + 1)],
+            lambda i, j: comb(L, j - 2 * i) * comb(Pc, i),
+        ),
+        series(
+            [(i, j) for i in rows for j in range(max(2 * i + 1, 2), L + 1)],
+            lambda i, j: (j - 1) * comb(L, j - 2 * i - 1) * comb(Pc, i),
+        ),
+        series([(0, j) for j in range(L)], lambda i, j: (j + 1) * comb(L, j + 1)),
+    )
+
+
 def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     """(numeric, closed-form bound) pairs for the three tail sums.
 
@@ -218,61 +262,46 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     * b1, k from k0 = j - i + 1 to k0 + K, threshold t = 2j - 3i: below t
       (lo = 3j - 3i - k) it is G x^(L + j - 3i) geo(r/x, k0, min(t, k0 + K)),
       from t on (lo = j) G x^(L - j) geo(r, max(t, k0), k0 + K);
-    * b2, one term per (i, j): r^(j - i) x^(L + lo - 2j) G;
+    * b2, one term per (i, j): r^(j - i) x^(L + lo - 2j) G, where
+      lo = max(j, 2j - 2i) is 2j - 2i since j >= 2i + 1;
     * b3, kh from j + 2 to j + 2 + K, threshold t = j + 6: below t
       G x^(L + 3j + 6) geo(r/x, j + 2, t), from t on
       G x^(L + 2j) geo(r, t, j + 2 + K).
+
+    Each series is one array expression over its cached terms
+    (:func:`_tail_terms`), reduced with ``math.fsum``.
 
     The closed forms are zeta_beta xi_kappa^L times c1', c1'' and c1''''
     of :func:`constants`, and their precondition is the one of
     :func:`constants`: ``PreconditionError`` unless (16m)^2 zeta_beta <
     xi_kappa < 1, which gives 0 < r < x < 1.  At beta = 0 every sum and
-    bound is exactly 0.
+    bound is exactly 0.  K must be an integer >= 50; anything else raises
+    ``PreconditionError`` first.
     """
-    if K < 50:
-        raise PreconditionError("truncation K must be >= 50")
+    if not isinstance(K, numbers.Integral) or K < 50:
+        raise PreconditionError(f"truncation K must be an integer >= 50, got {K!r}")
     m, n = params.m, params.n
     zb = zeta(params.beta, n)
     xk = xi(params.kappa, n)
     L, Pc = stats.length, stats.p_gamma_c
-    M = (16 * m) ** 2
     if zb == 0.0:
         return [(0.0, 0.0)] * 3
     c1p, c1pp, _, c1pppp = _c1_parts(m, zb, xk, L, Pc)
 
-    r, x = M * zb, xk
+    r, x = (16 * m) ** 2 * zb, xk
     G = _geo(x, 0, K)
-    xL = _pow(x, L)
+    (i1, j1, w1), (i2, j2, w2), (_, j3, w3) = _tail_terms(L, Pc)
 
-    b1 = 0.0
-    for i in range(Pc + 1):
-        for j in range(max(1, 2 * i), L + 1):
-            pref = math.comb(L, j - 2 * i) * math.comb(Pc, i)
-            if pref == 0:
-                continue
-            k0, t = j - i + 1, 2 * j - 3 * i
-            inner = _pow(x, L + j - 3 * i) * _geo(r / x, k0, min(t, k0 + K))
-            inner += _pow(x, L - j) * _geo(r, max(t, k0), k0 + K)
-            b1 += pref * G * inner
+    k0, d = j1 - i1 + 1, j1 - 2 * i1 - 1  # d = t - k0
+    inner = _pow(x, L + j1 - 3 * i1) * _geo(r / x, k0, k0 + np.minimum(d, K))
+    inner += _pow(x, L - j1) * _geo(r, k0 + np.maximum(d, 0), k0 + K)
+    b1 = math.fsum((w1 * G * inner).tolist())
 
-    b2 = 0.0
-    for i in range(Pc + 1):
-        for j in range(max(2 * i + 1, 2), L + 1):
-            pref = (j - 1) * math.comb(L, j - 2 * i - 1) * math.comb(Pc, i)
-            if pref == 0:
-                continue
-            lo = max(j, 2 * j - 2 * i)
-            b2 += pref * _pow(r, j - i) * _pow(x, L + lo - 2 * j) * G
+    b2 = math.fsum((w2 * _pow(r, j2 - i2) * _pow(x, L - 2 * i2) * G).tolist())
 
-    b3 = 0.0
-    for j in range(L + 1):
-        pref = math.comb(L, j + 1) * (j + 1)
-        if pref == 0:
-            continue
-        t = j + 6
-        inner = _pow(x, L + 3 * j + 6) * _geo(r / x, j + 2, t)
-        inner += _pow(x, L + 2 * j) * _geo(r, t, j + 2 + K)
-        b3 += pref * G * inner
+    inner = _pow(x, L + 3 * j3 + 6) * _geo(r / x, j3 + 2, j3 + 6)
+    inner += _pow(x, L + 2 * j3) * _geo(r, j3 + 6, j3 + 2 + K)
+    b3 = math.fsum((w3 * G * inner).tolist())
 
-    scale = xL * zb
+    scale = float(_pow(x, L)) * zb
     return [(b1, scale * c1p), (b2, scale * c1pp), (b3, scale * c1pppp)]

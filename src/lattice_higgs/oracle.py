@@ -31,8 +31,10 @@ its Higgs weight is a product over edges of an n x n matrix
 T[sigma_e, d phi_e], so applying T along each edge axis of a
 sigma-tensor sums sigma for every d phi at once, in about E n^(E+1)
 multiply-adds rather than n^(E+V) exponentials; each of the n^V Higgs
-configurations then reads its value.  Its n^E and n^V tables are not
-cached: near the guard they reach gigabytes.  No gauge is fixed: the route sums over phi as well, so its
+configurations then reads its value.  Its n^E and n^V tensors are built
+per call by broadcasting per-cell tables of at most n^4 entries, which
+are cached per (m, N, n); the tensors are not: near the guard they reach
+gigabytes.  No gauge is fixed: the route sums over phi as well, so its
 agreement with the unitary-gauge route stays an independent check of
 the unitary-gauge reduction.
 
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -150,7 +152,7 @@ def _ratio(num_re: np.ndarray, num_im: np.ndarray, den: np.ndarray) -> float:
     """fsum(num_re) / fsum(den), once the sums are finite and the numerator real."""
     if not np.isfinite([den.sum(), num_re.sum(), num_im.sum()]).all():
         raise PreconditionError("the Boltzmann weights overflow a float; the couplings are too large")
-    nr, ni, dn = (math.fsum(x.tolist()) for x in (num_re, num_im, den))
+    nr, ni, dn = (math.fsum(x.ravel().tolist()) for x in (num_re, num_im, den))
     _check_imag(ni, dn)
     return nr / dn
 
@@ -245,20 +247,40 @@ def _form_halves(m: int, N: int, n: int):
     )
 
 
-def _wilson(idx: BoxIndex, observable) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """(signed edge coefficients, endpoint vertex ranks (v1, v2)) of a Wilson observable.
-
-    The constant 1 (None) has zero coefficients, and it and a closed path
-    have no endpoints (None).
-    """
+def _wilson(idx: BoxIndex, observable) -> np.ndarray:
+    """Signed edge coefficients of a Wilson observable; all zero for the constant 1 (None)."""
     if observable is None:
-        return np.zeros(len(idx.edge_verts), dtype=np.int64), None
+        return np.zeros(len(idx.edge_verts), dtype=np.int64)
     if not isinstance(observable, LatticePath):
         raise TypeError("observable must be None or a LatticePath")
-    coeffs = idx.gamma_coeffs(observable).astype(np.int64)
-    if observable.kind == "closed":
-        return coeffs, None
-    return coeffs, idx.ids(vertex(x) for x in observable.endpoints)
+    return idx.gamma_coeffs(observable).astype(np.int64)
+
+
+@lru_cache(maxsize=8)
+def _full_tables(m: int, N: int, n: int):
+    """Coupling-free per-cell tables of the two-field route, all read-only.
+
+    (edge digits, plaquette cosines, vertex digits, edge key terms): cell
+    c's digit is arange(n) along axis c of the (n,)*E gauge or (n,)*V Higgs
+    axes; a plaquette's cosine cos(2 pi (d sigma)_p / n) and an edge's key
+    term n^(E-1-e) (d phi)_e live on the axes of the cells they read, so
+    summing them by broadcasting gives the cosine sum of every sigma and the
+    counter value of d phi for every phi.  No table has more than n^4 entries.
+    """
+    idx = box_index(m, N)
+    E, V = len(idx.edge_verts), len(idx._rank[0])
+    cos_t = _cos_table(n)
+
+    def axes(k):
+        return [np.arange(n).reshape([n if a == c else 1 for a in range(k)]) for c in range(k)]
+
+    def derivative(digits, cols, signs):
+        return sum(int(s) * digits[c] for c, s in zip(cols, signs) if s) % n
+
+    sig, phis = axes(E), axes(V)
+    plaq = [cos_t[derivative(sig, *row)] for row in zip(idx.plaq_edges, idx.plaq_signs)]
+    keys = [n ** (E - 1 - e) * derivative(phis, *row) for e, row in enumerate(zip(idx.edge_verts, idx.edge_vert_signs))]
+    return tuple(_frozen(*part) for part in (sig, plaq, phis, keys))
 
 
 def expect_unitary(observable, params: ModelParams) -> float:
@@ -278,7 +300,7 @@ def expect_unitary(observable, params: ModelParams) -> float:
     PreconditionError when the weights overflow a float.
     """
     idx = box_index(params.m, params.N)
-    coeffs, _ = _wilson(idx, observable)
+    coeffs = _wilson(idx, observable)
     n = params.n
     (*hi, key_hi), (*lo, key_lo), s = _gauge_halves(params.m, params.N, n)
     cos_t, sin_t = _cos_table(n), _sin_table(n)
@@ -308,27 +330,34 @@ def expect_full(observable, params: ModelParams) -> float:
     G_c(t) = sum_sigma c(sigma) prod_e T[sigma_e, t_e] for every t at once,
     in E n^(E+1) multiply-adds per tensor.  Each of the n^V Higgs
     configurations then reads G_c at t = d phi and adds its endpoint phase
-    phi(v1) - phi(v2).  No gauge is fixed and every phi is summed.
+    phi(v1) - phi(v2).  No gauge is fixed and every phi is summed.  The
+    cosine sum, hol, t and the endpoint phase are broadcast from the
+    per-cell tables of :func:`_full_tables`.
 
     Raises GuardError when n^E or n^V exceeds ``STATE_GUARD``, and
     PreconditionError when the weights overflow a float.
     """
     idx = box_index(params.m, params.N)
-    coeffs, ends_v = _wilson(idx, observable)
+    coeffs = _wilson(idx, observable)
     E, V, n = len(idx.edge_verts), len(idx._rank[0]), params.n
     if max(n**E, n**V) > STATE_GUARD:
         raise GuardError(f"two-field enumeration holds {n}^{E} gauge and {n}^{V} Higgs states")
+    sig, plaq, phis, keys = _full_tables(params.m, params.N, n)
     cos_t, sin_t = _cos_table(n), _sin_table(n)
-    sig = _all_digits(n, E)
-    w = np.exp(2 * params.beta * cos_t[incidence(sig, idx.plaq_edges, idx.plaq_signs, n)].sum(axis=1))
-    hol = (sig @ coeffs) % n
-    g = np.stack([w, w * cos_t[hol], w * sin_t[hol]])
+    a_w = np.zeros((n,) * E)
+    for table in plaq:
+        a_w += table
+    w = np.exp(2 * params.beta * a_w)
+    hol = sum(int(c) * sig[e] for e, c in enumerate(coeffs) if c) % n
+    g = np.stack([w, w * cos_t[hol], w * sin_t[hol]]).reshape(3, -1)
     transfer = np.exp(2 * params.kappa * cos_t[np.subtract.outer(np.arange(n), np.arange(n)) % n])
-    phis = _all_digits(n, V)
-    t = _keys(incidence(phis, idx.edge_verts, idx.edge_vert_signs, n), n)
-    ends = np.zeros(len(phis), dtype=np.int64)
-    if ends_v is not None:
-        ends = (phis[:, ends_v[0]].astype(np.int64) - phis[:, ends_v[1]]) % n
+    t = np.zeros((n,) * V, dtype=np.int64)
+    for table in keys:
+        t += table
+    ends = 0
+    if observable is not None and observable.kind != "closed":
+        v1, v2 = idx.ids(vertex(x) for x in observable.endpoints)
+        ends = (phis[v1] - phis[v2]) % n
     cos_e, sin_e = cos_t[ends], sin_t[ends]
     # a weight that overflows leaves inf or nan in a sum, caught in _ratio
     with np.errstate(over="ignore", invalid="ignore"):
@@ -357,7 +386,7 @@ def expect_form(observable, params: ModelParams) -> float:
     Raises GuardError when n^P + n^s exceeds ``STATE_GUARD``.
     """
     idx = box_index(params.m, params.N)
-    coeffs, _ = _wilson(idx, observable)
+    coeffs = _wilson(idx, observable)
     n = params.n
     (om_hi, d_hi, key_hi), (om_lo, d_lo, d_mid), (hi_rows, lo_rows, mid) = _form_halves(params.m, params.N, n)
     phi_b = phi_table(params.beta, n)
@@ -384,7 +413,7 @@ def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):
     """
     idx = box_index(params.m, params.N)
     P, n = len(idx.plaq_edges), params.n
-    shift, _ = _wilson(idx, tilt)
+    shift = _wilson(idx, tilt)
     if n**P > 1 << 16:
         raise GuardError("exact distribution limited to 2^16 configurations")
     phi_b = phi_table(params.beta, n)

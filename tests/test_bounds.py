@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_higgs.bounds import appendix_sums, constants, perimeter_bound, prediction
+from lattice_higgs.bounds import _tail_terms, appendix_sums, constants, perimeter_bound, prediction
 from lattice_higgs.cells import LatticeBox
 from lattice_higgs.couplings import ModelParams, alpha, assumption_check, eta, eta_hat, xi, zeta
 from lattice_higgs.errors import PreconditionError
@@ -178,8 +178,11 @@ def appendix_sums_term_by_term(p: ModelParams, st: GammaStats, K: int = 60):
     L, Pc = st.length, st.p_gamma_c
     M = (16 * p.m) ** 2
 
-    def xpow(k):
-        return math.exp(k * math.log(xk))
+    # x^k for every exponent the sums read; each inner sum adds its K terms in order
+    xpow = [math.exp(k * math.log(xk)) for k in range(5 * L + K + 8)]
+
+    def xsum(a):
+        return sum(xpow[a : a + K])
 
     b1 = 0.0
     for i in range(Pc + 1):
@@ -193,7 +196,7 @@ def appendix_sums_term_by_term(p: ModelParams, st: GammaStats, K: int = 60):
                 if mk == 0.0:
                     break
                 lo = max(j, 3 * j - 3 * i - k)
-                s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
+                s = xsum(L + lo - 2 * j)
                 inner += mk * s
             b1 += pref * inner
 
@@ -205,7 +208,7 @@ def appendix_sums_term_by_term(p: ModelParams, st: GammaStats, K: int = 60):
                 continue
             mk = (M * zb) ** (j - i)
             lo = max(j, 2 * j - 2 * i)
-            s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
+            s = xsum(L + lo - 2 * j)
             b2 += pref * mk * s
 
     b3 = 0.0
@@ -219,7 +222,7 @@ def appendix_sums_term_by_term(p: ModelParams, st: GammaStats, K: int = 60):
             if mk == 0.0:
                 break
             lo = 4 * j + max(0, j + 6 - kh)
-            s = sum(xpow(L + kp - 2 * j) for kp in range(lo, lo + K))
+            s = xsum(L + lo - 2 * j)
             inner += mk * s
         b3 += pref * inner
 
@@ -230,6 +233,12 @@ def edge_point(kappa: float) -> ModelParams:
     """m = 2, n = 2 with (16m)^2 zeta_beta / xi_kappa = 0.999."""
     beta = 0.5 * math.atanh(0.999 * math.tanh(2 * kappa) / 1024)
     return ModelParams(m=2, n=2, N=16, beta=beta, kappa=kappa)
+
+
+# no corner plaquettes, and a length past K + 1, where the last geometric series of b1
+# is empty for some terms; only the length and corner count enter the sums
+STATS_PC0 = GammaStats(length=12, p_gamma=24, p_gamma_c=0, ell1=3, ell2=3)
+STATS_L60 = GammaStats(length=60, p_gamma=120, p_gamma_c=2, ell1=15, ell2=15)
 
 
 def test_appendix_sums_match_term_by_term():
@@ -243,11 +252,44 @@ def test_appendix_sums_match_term_by_term():
         # of both geometric directions are a few percent, so K shows
         edge_point(0.9),
     ]
-    for p in points:
-        got = [num for num, _ in appendix_sums(p, DESK_STATS, K=60)]
-        want = appendix_sums_term_by_term(p, DESK_STATS, K=60)
-        for a, b in zip(got, want):
-            assert abs(a - b) <= 1e-12 * abs(b), (p, a, b)
+    for st in (DESK_STATS, STATS_PC0, STATS_L60):
+        for K in (50, 60, 120):
+            for p in points:
+                got = [num for num, _ in appendix_sums(p, st, K=K)]
+                want = appendix_sums_term_by_term(p, st, K=K)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * abs(b), (p, st, K, a, b)
+
+
+def test_tail_terms_are_read_only():
+    arrays = [a for series in _tail_terms(DESK_STATS.length, DESK_STATS.p_gamma_c) for a in series]
+    assert len(arrays) == 9 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[2][0] = 1.0
+
+
+def test_tail_terms_give_the_same_bits_in_any_call_order():
+    def values():
+        return [appendix_sums(p, st, K=K) for st in (DESK_STATS, STATS_PC0) for K in (50, 120) for p in (DESK, edge_point(0.9))]
+
+    first = values()
+    appendix_sums(DESK, STATS_L60, K=60)
+    assert values() == first
+    _tail_terms.cache_clear()
+    appendix_sums(DESK, STATS_L60, K=60)
+    assert values() == first
+    _tail_terms.cache_clear()
+    assert values()[::-1] == [appendix_sums(p, st, K=K) for st in (STATS_PC0, DESK_STATS) for K in (120, 50) for p in (edge_point(0.9), DESK)]
+
+
+@pytest.mark.parametrize("K", [60.5, 60.0, math.inf, math.nan, -math.inf, "60", None, 49, np.float64(60)])
+def test_truncation_must_be_an_integer_of_at_least_50(K):
+    with pytest.raises(PreconditionError):
+        appendix_sums(DESK, DESK_STATS, K=K)
+
+
+def test_truncation_accepts_numpy_integers():
+    assert appendix_sums(DESK, DESK_STATS, K=np.int64(60)) == appendix_sums(DESK, DESK_STATS, K=60)
 
 
 def test_appendix_sums_dominated_and_stable():

@@ -15,6 +15,7 @@ from lattice_higgs.oracle import (
     _cos_table,
     _digits,
     _form_halves,
+    _full_tables,
     _gauge_halves,
     _row_classes,
     _sin_table,
@@ -153,13 +154,32 @@ def test_state_space_guard():
 
 
 def test_two_field_guard_counts_gauge_and_higgs_states(monkeypatch):
-    # N = 2 has 2^40 gauge states: refused before any digit table is built
+    # N = 2 has 2^40 gauge states: refused before any per-cell table is built
     def no_tables(*args):
         raise AssertionError("expect_full allocated before its guard")
 
-    monkeypatch.setattr(oracle, "_all_digits", no_tables)
+    monkeypatch.setattr(oracle, "_full_tables", no_tables)
     with pytest.raises(GuardError):
         expect_full(LOOP, ModelParams(m=2, n=2, N=2, beta=0.1, kappa=0.1))
+
+
+def test_endpoint_ranks_are_looked_up_by_the_two_field_route_only(monkeypatch):
+    # once the path cache is warm, only expect_full reads BoxIndex.ids, for an open path's ends
+    p = params(0.3, 0.45)
+    routes = (expect_unitary, expect_form, lambda g, q: form_distribution(q, tilt=g)[1])
+    for route in routes:
+        route(OPEN2, p)
+
+    def no_ids(cells):
+        raise AssertionError("endpoint ranks looked up")
+
+    monkeypatch.setattr(box_index(2, 1), "ids", no_ids)
+    for route in routes:
+        for g in (OPEN2, LOOP, None):
+            route(g, p)
+    expect_full(LOOP, p)
+    with pytest.raises(AssertionError, match="endpoint ranks"):
+        expect_full(OPEN2, p)
 
 
 def test_wilson_hat_basics():
@@ -283,7 +303,7 @@ def unitary_chunked(observable, params: ModelParams, chunk: int = _CHUNK) -> flo
     E = len(idx.edge_verts)
     if params.n**E > STATE_GUARD:
         raise GuardError(f"unitary enumeration needs {params.n}^{E} states")
-    coeffs, _ = _wilson(idx, observable)
+    coeffs = _wilson(idx, observable)
     cos_t, sin_t = _cos_table(params.n), _sin_table(params.n)
     num_re, num_im, den = [], [], []
     for _, sig in _digit_chunks(params.n, E, chunk):
@@ -310,7 +330,9 @@ def full_chunked(observable, params: ModelParams) -> float:
     E, V, n = len(idx.edge_verts), len(idx._rank[0]), params.n
     if n ** (E + V) > STATE_GUARD:
         raise GuardError(f"two-field enumeration needs {n}^{E + V} states")
-    coeffs, ends_v = _wilson(idx, observable)
+    coeffs, ends_v = _wilson(idx, observable), None
+    if observable is not None and observable.kind != "closed":
+        ends_v = idx.ids(vertex(x) for x in observable.endpoints)
     cos_t, sin_t = _cos_table(n), _sin_table(n)
 
     sig_blocks = list(_digit_chunks(n, E, chunk=min(_CHUNK, n**E)))
@@ -357,7 +379,7 @@ def form_chunked(observable, params: ModelParams, chunk: int = _CHUNK) -> float:
         raise GuardError(f"form enumeration needs {n}^{P} states")
     phi_b = phi_table(params.beta, n)
     phi_k = phi_table(params.kappa, n)
-    coeffs, _ = _wilson(idx, observable)
+    coeffs = _wilson(idx, observable)
     tilt = coeffs.astype(np.int16) % n if observable is not None else None
     num, den = [], []
     for _, om in _digit_chunks(n, P, chunk):
@@ -533,10 +555,10 @@ def test_transfer_matches_direct_sum(n, k):
         assert _transfer(g, matrix, k) is g
 
 
-HALF_TABLES = [(_gauge_halves, (2, 3, 1)), (_form_halves, (2, 2, 2))]
+HALF_TABLES = [(_gauge_halves, (2, 3, 1)), (_form_halves, (2, 2, 2)), (_full_tables, (2, 1, 2))]
 
 
-@pytest.mark.parametrize("build, box", HALF_TABLES, ids=["gauge", "form"])
+@pytest.mark.parametrize("build, box", HALF_TABLES, ids=["gauge", "form", "full"])
 def test_half_tables_are_read_only(build, box):
     arrays = [a for part in build(*box) if isinstance(part, tuple) for a in part]
     assert arrays and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
@@ -560,6 +582,16 @@ def test_half_tables_give_the_same_bits_in_any_call_order():
         build.cache_clear()
     assert _split_values((2, 2, 1)) == small
     assert _split_values((2, 3, 1)) == first
+
+
+def test_full_tables_give_the_same_bits_in_any_call_order():
+    p2, p3 = params(0.3, 0.45), params(0.3, 0.45, n=3)
+    first = [expect_full(g, p2) for g in (LOOP, OPEN2, BIG, None)]
+    expect_full(OPEN2, p3)
+    assert [expect_full(g, p2) for g in (LOOP, OPEN2, BIG, None)] == first
+    _full_tables.cache_clear()
+    box_index.cache_clear()
+    assert [expect_full(g, p2) for g in (None, BIG, OPEN2, LOOP)] == first[::-1]
 
 
 @pytest.mark.parametrize("route, build", [(expect_unitary, _gauge_halves), (expect_form, _form_halves)])
