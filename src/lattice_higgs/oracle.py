@@ -1,30 +1,32 @@
-"""Brute-force exact expectations on small boxes.
+"""Exact expectations on small boxes.
 
-Three enumerations, each a ground truth for the others:
+Three routes, each a ground truth for the others:
 
-* the two-field measure over (gauge, Higgs) configurations,
-* the unitary-gauge measure over gauge configurations only,
-* the 2-form measure with the product activity weight.
+* the two-field measure over (gauge, Higgs) configurations, by a
+  per-edge transfer,
+* the unitary-gauge measure over gauge configurations only, by
+  split-half enumeration,
+* the 2-form measure with the product activity weight, by plaquette
+  elimination.
 
-The unitary-gauge and 2-form routes enumerate every configuration, split
-in two halves ("meet in the middle").  The cells, in canonical order,
-split into a high and a low half (:func:`_digits`).  Since
-:func:`incidence` is linear, each operator is applied once per half, and
-its rows fall into three classes:
+The unitary-gauge route enumerates every configuration, split in two
+halves ("meet in the middle").  The edges, in canonical order, split
+into a high and a low half (:func:`_digits`).  Since :func:`incidence`
+is linear, d is applied once per half, and the plaquettes fall into
+three classes:
 
-* rows that read the high half only and rows that read the low half only
-  fold, with the single-cell terms, into one weight per half-row;
-* the s straddling rows, which read both halves, give each half-row a
-  key: its residues on them, read as a base-n number.
+* plaquettes that read the high half only and plaquettes that read the
+  low half only fold, with the edge terms, into one weight per half-row;
+* the s straddling plaquettes, which read both halves, give each
+  half-row a key: its residues on them, read as a base-n number.
 
 The low half-rows are binned by key into a tensor on Z_n^s, and one
 transfer (:func:`_transfer`) applies the straddling factor
-M[b, a] = f((a + b) mod n) along each of its s axes.  Each high half-row
-then reads the result at its own key.  The work is the two halves' rows
-plus s n^(s+1) multiply-adds, not one term per (hi, lo) pair.  On the
-gauge side f is exp(2 beta cos(2 pi j / n)) and the Wilson phase splits
-by angle addition; on the 2-form side f is phi_kappa.  The
-coupling-free half tables are cached per (m, N, n).
+M[b, a] = f((a + b) mod n), f(j) = exp(2 beta cos(2 pi j / n)), along
+each of its s axes.  Each high half-row then reads the result at its own
+key, and the Wilson phase splits by angle addition.  The work is the two
+halves' rows plus s n^(s+1) multiply-adds, not one term per (hi, lo)
+pair.  The coupling-free half tables are cached per (m, N, n).
 
 The two-field route sums sigma by the same transfer over all E edges:
 its Higgs weight is a product over edges of an n x n matrix
@@ -38,8 +40,20 @@ gigabytes.  No gauge is fixed: the route sums over phi as well, so its
 agreement with the unitary-gauge route stays an independent check of
 the unitary-gauge reduction.
 
-Sums are reduced with compensated (fsum) accumulation, so results are
-deterministic.
+The 2-form weight is phi_beta on every plaquette times phi_kappa on
+every edge of delta omega, and an edge's factor reads only the
+plaquettes that contain it.  So the route eliminates plaquettes in
+canonical order (variable or bucket elimination, Dechter 1999): a tensor
+over the open plaquettes, those added whose edges have not all closed,
+carries every factor still to come.  Each step adds one plaquette,
+multiplies in the factors of the edges it closes and sums out the
+plaquettes it leaves with no open edge.  The work is the sum over steps
+of n^(open plaquettes), not n^P: the frontier is 2N + 1 plaquettes wide
+at m = 2 and 17 at m = 3, N = 1.  The coupling-free plan, the per-step
+residue tables and shapes, is cached per (m, N, n).
+
+The split-half and two-field routes reduce their sums with compensated
+(fsum) accumulation; every route gives the same bits on every call.
 
 The vectorized routes read the box's cells from ``cells.BoxIndex`` and
 take every derivative with ``cells.incidence``; :func:`action` takes its
@@ -54,7 +68,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cells import BoxIndex, LatticeBox, box_index, incidence, vertex
+from .cells import BoxIndex, LatticeBox, box_index, incidence
 from .couplings import ModelParams, phi, phi_table, rho
 from .errors import STATE_GUARD, GuardError, PreconditionError
 from .forms import FormZn, d, delta
@@ -161,13 +175,22 @@ def _transfer(g: np.ndarray, matrix: np.ndarray, k: int) -> np.ndarray:
     """h[..., a] = sum_b g[..., b] prod_j matrix[b_j, a_j] over Z_n^k.
 
     The last axis of ``g`` holds the n^k points of Z_n^k in counter order.
-    Each step contracts the last digit axis with ``matrix`` and rotates it
-    to the front, so after k steps the digits are back in counter order;
-    k = 0 returns ``g``.
+    Each step contracts the c trailing digits, n^c <= 16, with the c-fold
+    Kronecker power of ``matrix`` (the last step takes what is left) and
+    rotates them to the front, so after the last step the digits are back
+    in counter order; k = 0 returns ``g``.
     """
     n, lead = len(matrix), g.shape[:-1]
-    for _ in range(k):
-        g = (g.reshape(*lead, -1, n) @ matrix).swapaxes(-1, -2).reshape(*lead, -1)
+    c = 1
+    while c < k and n ** (c + 1) <= 16:
+        c += 1
+    powers = [None, matrix]  # powers[j][b, a] = prod over j digits of matrix[b_i, a_i]
+    for j in range(2, c + 1):
+        powers.append(np.multiply.outer(powers[-1], matrix).swapaxes(1, 2).reshape(n**j, n**j))
+    while k:
+        step = min(c, k)
+        g = (g.reshape(*lead, -1, n**step) @ powers[step]).swapaxes(-1, -2).reshape(*lead, -1)
+        k -= step
     return g
 
 
@@ -222,29 +245,6 @@ def _gauge_halves(m: int, N: int, n: int):
 
     hi, lo = _digits(n, E)
     return half(hi, hi_rows, slice(0, k_hi)), half(lo, lo_rows, slice(k_hi, E)), int(mid.sum())
-
-
-@lru_cache(maxsize=8)
-def _form_halves(m: int, N: int, n: int):
-    """Coupling-free tables of the 2-form route: (hi, lo, edge classes).
-
-    hi is (digits of its own plaquettes, delta's residues on the hi-only
-    edges, key on the straddling edges); lo is (digits of its own
-    plaquettes, residues on the lo-only edges, residues on the straddling
-    edges); the classes are the (hi-only, lo-only, straddling) edge masks.
-    One row per half-configuration, all read-only.
-    """
-    idx = box_index(m, N)
-    P = len(idx.plaq_edges)
-    k_hi, (hi_rows, lo_rows, mid) = _split(idx.edge_plaqs, idx.edge_plaq_signs, P, n, "form")
-    hi, lo = _digits(n, P)
-    d_hi = incidence(hi, idx.edge_plaqs, idx.edge_plaq_signs, n)
-    d_lo = incidence(lo, idx.edge_plaqs, idx.edge_plaq_signs, n)
-    return (
-        _frozen(hi[:, :k_hi].copy(), d_hi[:, hi_rows].copy(), _keys(d_hi[:, mid], n)),
-        _frozen(lo[:, k_hi:].copy(), d_lo[:, lo_rows].copy(), d_lo[:, mid].copy()),
-        _frozen(hi_rows, lo_rows, mid),
-    )
 
 
 def _wilson(idx: BoxIndex, observable) -> np.ndarray:
@@ -356,7 +356,7 @@ def expect_full(observable, params: ModelParams) -> float:
         t += table
     ends = 0
     if observable is not None and observable.kind != "closed":
-        v1, v2 = idx.ids(vertex(x) for x in observable.endpoints)
+        v1, v2 = idx.endpoint_ranks(observable)
         ends = (phis[v1] - phis[v2]) % n
     cos_e, sin_e = cos_t[ends], sin_t[ends]
     # a weight that overflows leaves inf or nan in a sum, caught in _ratio
@@ -370,40 +370,88 @@ def expect_full(observable, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _form_plan(m: int, N: int, n: int):
+    """Coupling-free plan of the 2-form elimination: (residues, columns, starts, steps).
+
+    Plaquette t is added at step t; edge e closes at the step of its last
+    plaquette, and plaquette q is summed out at the step where its last
+    edge closes.  Step t's factor lives on the axes it touches: t and the
+    open plaquettes of its closing edges.  Over each row of those axes'
+    digits the plan lists, for every closing edge, delta's residue and
+    the edge as the tilt column, then t's digit offset by 2n and column E
+    (tilt 0), so that a lookup in [phi_kappa, phi_kappa, phi_beta] and one
+    product per row (``starts``) give the factor.  Each of ``steps`` is
+    (its rows' slice, the broadcast shape of its factor over the open
+    axes, the axes it sums out).  The arrays are read-only.
+
+    Raises GuardError, before any table is built, when the tensor of
+    2 n^w entries at the widest frontier w exceeds ``STATE_GUARD``.
+    """
+    idx = box_index(m, N)
+    ep, es = idx.edge_plaqs, idx.edge_plaq_signs
+    P, E = len(idx.plaq_edges), len(ep)
+    last = np.where(es != 0, ep, -1).max(axis=1)  # every edge of a box lies in a plaquette
+    done = last[idx.plaq_edges].max(axis=1)
+    # the plaquettes open at step t, t included: those added by t and not summed out before it
+    summed_before = np.r_[0, np.cumsum(np.bincount(done, minlength=P))[:-1]]
+    width = int((np.arange(1, P + 1) - summed_before).max())
+    if 2 * n**width > STATE_GUARD:
+        raise GuardError(f"form elimination holds 2 x {n}^{width} entries at its widest frontier")
+    res, cols, starts, steps, front = [], [], [], [], []
+    row = entry = 0
+    for t in range(P):
+        front.append(t)
+        closing = np.flatnonzero(last == t)
+        axes = sorted({t, *ep[closing][es[closing] != 0].tolist()})
+        digits = _all_digits(n, len(axes))
+        local = np.searchsorted(axes, ep[closing])  # the padding (sign 0) reads axis 0
+        r = np.c_[incidence(digits, local, es[closing], n), digits[:, -1].astype(np.intp) + 2 * n]
+        res.append(r.ravel())
+        cols.append(np.tile(np.r_[closing, E], len(r)))
+        starts.append(entry + r.shape[1] * np.arange(len(r)))
+        out = tuple(1 + i for i, q in enumerate(front) if done[q] == t)
+        steps.append((slice(row, row + len(r)), (2, *(n if q in axes else 1 for q in front)), out))
+        row, entry = row + len(r), entry + r.size
+        front = [q for q in front if done[q] != t]
+    return _frozen(*map(np.concatenate, (res, cols, starts))), tuple(steps)
+
+
 def expect_form(observable, params: ModelParams) -> float:
-    """Expectation under the 2-form measure.
+    """Expectation under the 2-form measure, by eliminating plaquettes in canonical order.
 
     ``observable``: a LatticePath evaluates the high-temperature Wilson
     observable (via the uncancelled product, valid also at kappa = 0);
-    None gives 1.  The plaquettes split into two halves.  Per tilt (none
-    for the denominator, the path's coefficients for the numerator) each
-    half-row weighs its own plaquettes' phi_beta times phi_kappa on the
-    edges only it reads; the lo rows are binned by their tilted residues
-    on the s straddling edges into one tensor on Z_n^s, :func:`_transfer`
-    with M[b, a] = phi_kappa((a + b) mod n) adds each straddling edge's
-    factor, and every hi row reads the result at its own key.
+    None gives 1.  One tensor over the open plaquettes carries a leading
+    (denominator, numerator) axis: the numerator tilts each edge's residue
+    by the path's coefficient.  Step t multiplies in plaquette t's
+    phi_beta and phi_kappa of every edge whose last plaquette t is, then
+    sums out each plaquette whose edges have all closed (:func:`_form_plan`).
+    Every factor for every step comes from one lookup and one
+    ``multiply.reduceat``; each step is then one product and, where it
+    sums out, one sum and a rescale.  The rescale divides both rows by the
+    denominator's maximum, which is never 0 (the zero form weighs 1), so
+    the ratio needs no log Z.  The route reads only the incidence of edges
+    and plaquettes, so it is the same for every m.
 
-    Raises GuardError when n^P + n^s exceeds ``STATE_GUARD``.
+    Raises GuardError when the tensor would hold more than ``STATE_GUARD``
+    entries.
     """
     idx = box_index(params.m, params.N)
     coeffs = _wilson(idx, observable)
     n = params.n
-    (om_hi, d_hi, key_hi), (om_lo, d_lo, d_mid), (hi_rows, lo_rows, mid) = _form_halves(params.m, params.N, n)
-    phi_b = phi_table(params.beta, n)
-    phi_k = phi_table(params.kappa, n)
-    b_hi, b_lo = phi_b[om_hi].prod(axis=1), phi_b[om_lo].prod(axis=1)
-    matrix, s = _sum_matrix(phi_k), d_mid.shape[1]
-
-    def total(tilt):
-        # a hi-only edge takes its tilt on the hi side, every other edge on the lo side
-        w_hi = b_hi * phi_k[(d_hi + tilt[hi_rows]) % n].prod(axis=1)
-        w_lo = b_lo * phi_k[(d_lo + tilt[lo_rows]) % n].prod(axis=1)
-        g = np.bincount(_keys((d_mid + tilt[mid]) % n, n), w_lo, minlength=n**s)
-        return math.fsum((w_hi * _transfer(g, matrix, s)[key_hi]).tolist())
-
-    den = total(np.zeros(len(idx.edge_plaqs), dtype=np.int64))
-    num = den if observable is None else total(coeffs % n)
-    return num / den
+    lut = np.concatenate([phi_table(params.kappa, n)] * 2 + [phi_table(params.beta, n)])
+    (res, cols, starts), steps = _form_plan(params.m, params.N, n)
+    tilt = np.zeros((2, len(coeffs) + 1), dtype=np.intp)
+    tilt[1, :-1] = coeffs % n
+    factors = np.multiply.reduceat(lut[res + tilt[:, cols]], starts, axis=1)
+    g = np.ones(2)
+    for rows, shape, out in steps:
+        g = g[..., None] * factors[:, rows].reshape(shape)
+        if out:  # only a sum grows the entries: every factor is at most 1
+            g = g.sum(axis=out)
+            g /= g[0].max()
+    return float(g[1] / g[0])
 
 
 def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):

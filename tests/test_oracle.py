@@ -1,11 +1,12 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from lattice_higgs import oracle
 from lattice_higgs.cells import LatticeBox, incidence, plaquette, vertex
-from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi, phi_table
+from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi, phi_table, xi
 from lattice_higgs.errors import GuardError, PreconditionError
 from lattice_higgs.forms import FormZn, connected_components, lhd, random_form
 from lattice_higgs.oracle import (
@@ -14,11 +15,12 @@ from lattice_higgs.oracle import (
     _check_imag,
     _cos_table,
     _digits,
-    _form_halves,
+    _form_plan,
     _full_tables,
     _gauge_halves,
     _row_classes,
     _sin_table,
+    _sum_matrix,
     _transfer,
     _wilson,
     action,
@@ -31,7 +33,7 @@ from lattice_higgs.oracle import (
     gauge_transform,
     wilson_hat,
 )
-from lattice_higgs.paths import RectDescriptor, rectangle_loop, rectangle_open_path
+from lattice_higgs.paths import LatticePath, RectDescriptor, rectangle_loop, rectangle_open_path
 from lattice_higgs.forms import omega_gamma
 
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
@@ -41,6 +43,8 @@ RECT_HI = RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(1, 1))
 LOOP_HI = rectangle_loop(RECT_HI)  # boundary of plaquette rank 0
 OPEN_HI = rectangle_open_path(RECT_HI, start=0, count=2)
 BIG = rectangle_loop(RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(2, 2)))
+LOOP_3D = rectangle_loop(RectDescriptor(corner=(-1, 0, -1), axes=(1, 3), lengths=(2, 1)))
+OPEN_3D = rectangle_open_path(RectDescriptor(corner=(0, -1, 0), axes=(2, 3), lengths=(1, 1)), start=1, count=3)
 
 
 def params(beta, kappa, n=2, m=2, N=1):
@@ -164,22 +168,42 @@ def test_two_field_guard_counts_gauge_and_higgs_states(monkeypatch):
 
 
 def test_endpoint_ranks_are_looked_up_by_the_two_field_route_only(monkeypatch):
-    # once the path cache is warm, only expect_full reads BoxIndex.ids, for an open path's ends
+    # once the path cache is warm, only expect_full reads BoxIndex.ids, for an open path's ends;
+    # a new path object has no cached end ranks
     p = params(0.3, 0.45)
+    fresh = rectangle_open_path(RECT, start=0, count=2)
     routes = (expect_unitary, expect_form, lambda g, q: form_distribution(q, tilt=g)[1])
     for route in routes:
-        route(OPEN2, p)
+        route(fresh, p)
 
     def no_ids(cells):
         raise AssertionError("endpoint ranks looked up")
 
     monkeypatch.setattr(box_index(2, 1), "ids", no_ids)
     for route in routes:
-        for g in (OPEN2, LOOP, None):
+        for g in (fresh, LOOP, None):
             route(g, p)
     expect_full(LOOP, p)
     with pytest.raises(AssertionError, match="endpoint ranks"):
-        expect_full(OPEN2, p)
+        expect_full(fresh, p)
+
+
+def test_endpoint_ranks_are_built_once_per_path(monkeypatch):
+    # a warm second call reads neither the path's end points nor BoxIndex.ids
+    p = params(0.3, 0.45)
+    fresh = rectangle_open_path(RECT, start=1, count=2)
+    first = expect_full(fresh, p)
+
+    def unread(*args):
+        raise AssertionError("end points rebuilt")
+
+    monkeypatch.setattr(LatticePath, "endpoints", property(unread))
+    monkeypatch.setattr(box_index(2, 1), "ids", unread)
+    assert expect_full(fresh, p) == first
+    ranks = box_index(2, 1).endpoint_ranks(fresh)
+    assert not ranks.flags.writeable
+    with pytest.raises(AssertionError, match="end points rebuilt"):
+        box_index(2, 1).endpoint_ranks(rectangle_open_path(RECT, start=1, count=2))
 
 
 def test_wilson_hat_basics():
@@ -395,12 +419,77 @@ def form_chunked(observable, params: ModelParams, chunk: int = _CHUNK) -> float:
     return math.fsum(num) / math.fsum(den)
 
 
-# -- the split-half routes against the reference --------------------------
+# -- the keyed split-half 2-form route, the reference for the elimination route --
+# It reads oracle's helpers through the module, so a test that patches them there reaches it.
+
+
+@lru_cache(maxsize=8)
+def _form_halves(m: int, N: int, n: int):
+    """Coupling-free tables of the 2-form route: (hi, lo, edge classes).
+
+    hi is (digits of its own plaquettes, delta's residues on the hi-only
+    edges, key on the straddling edges); lo is (digits of its own
+    plaquettes, residues on the lo-only edges, residues on the straddling
+    edges); the classes are the (hi-only, lo-only, straddling) edge masks.
+    One row per half-configuration, all read-only.
+    """
+    idx = box_index(m, N)
+    P = len(idx.plaq_edges)
+    k_hi, (hi_rows, lo_rows, mid) = oracle._split(idx.edge_plaqs, idx.edge_plaq_signs, P, n, "form")
+    hi, lo = oracle._digits(n, P)
+    d_hi = incidence(hi, idx.edge_plaqs, idx.edge_plaq_signs, n)
+    d_lo = incidence(lo, idx.edge_plaqs, idx.edge_plaq_signs, n)
+    return (
+        oracle._frozen(hi[:, :k_hi].copy(), d_hi[:, hi_rows].copy(), oracle._keys(d_hi[:, mid], n)),
+        oracle._frozen(lo[:, k_hi:].copy(), d_lo[:, lo_rows].copy(), d_lo[:, mid].copy()),
+        oracle._frozen(hi_rows, lo_rows, mid),
+    )
+
+
+def form_split(observable, params: ModelParams) -> float:
+    """Expectation under the 2-form measure, by split-half enumeration.
+
+    ``observable``: a LatticePath evaluates the high-temperature Wilson
+    observable (via the uncancelled product, valid also at kappa = 0);
+    None gives 1.  The plaquettes split into two halves.  Per tilt (none
+    for the denominator, the path's coefficients for the numerator) each
+    half-row weighs its own plaquettes' phi_beta times phi_kappa on the
+    edges only it reads; the lo rows are binned by their tilted residues
+    on the s straddling edges into one tensor on Z_n^s, ``_transfer``
+    with M[b, a] = phi_kappa((a + b) mod n) adds each straddling edge's
+    factor, and every hi row reads the result at its own key.
+
+    Raises GuardError when n^P + n^s exceeds ``STATE_GUARD``.
+    """
+    idx = box_index(params.m, params.N)
+    coeffs = _wilson(idx, observable)
+    n = params.n
+    (om_hi, d_hi, key_hi), (om_lo, d_lo, d_mid), (hi_rows, lo_rows, mid) = _form_halves(params.m, params.N, n)
+    phi_b = phi_table(params.beta, n)
+    phi_k = phi_table(params.kappa, n)
+    b_hi, b_lo = phi_b[om_hi].prod(axis=1), phi_b[om_lo].prod(axis=1)
+    matrix, s = _sum_matrix(phi_k), d_mid.shape[1]
+
+    def total(tilt):
+        # a hi-only edge takes its tilt on the hi side, every other edge on the lo side
+        w_hi = b_hi * phi_k[(d_hi + tilt[hi_rows]) % n].prod(axis=1)
+        w_lo = b_lo * phi_k[(d_lo + tilt[lo_rows]) % n].prod(axis=1)
+        g = np.bincount(oracle._keys((d_mid + tilt[mid]) % n, n), w_lo, minlength=n**s)
+        return math.fsum((w_hi * oracle._transfer(g, matrix, s)[key_hi]).tolist())
+
+    den = total(np.zeros(len(idx.edge_plaqs), dtype=np.int64))
+    num = den if observable is None else total(coeffs % n)
+    return num / den
+
+
+# -- the exact routes against the references ------------------------------
+# keyed by the measure: the unitary-gauge measure and the 2-form measure
 
 SPLIT = {
     "expect_unitary": (expect_unitary, unitary_chunked),
     "expect_form": (expect_form, form_chunked),
 }
+HALVES = {"expect_unitary": expect_unitary, "expect_form": form_split}  # the split-half route of each
 OBSERVABLES = dict(none=None, loop=LOOP, open2=OPEN2, loop_hi=LOOP_HI, open_hi=OPEN_HI, big=BIG)
 # (beta, kappa, observables): every observable at a generic point, two at each zero coupling
 COUPLING_CASES = [
@@ -408,8 +497,9 @@ COUPLING_CASES = [
     (0.0, 0.35, ("loop", "open_hi")),
     (0.4, 0.0, ("open2", "big")),
 ]
-# (route, (m, n, N), block size of the reference's enumeration) of the split-half routes;
-# every block size leaves the reference a ragged last block
+# (measure, (m, n, N), block size of the chunked reference's enumeration); every block
+# size leaves the reference a ragged last block; the half-rows and straddling rows are
+# those of the split-half route
 REFERENCE_POINTS = [
     ("expect_unitary", (2, 2, 1), 7),  # 64 x 64 half-rows, 3 straddling plaquettes; 4096 states: last block of 1
     ("expect_unitary", (2, 3, 1), 2 * 729 + 1),  # 729 x 729; 531441 states: last block of 365
@@ -479,9 +569,13 @@ def test_split_routes_transfer_over_straddling_keys_only(monkeypatch, route, box
     s = int(_row_classes(table, sign, k - k // 2)[2].sum())
     assert 0 < s <= k - k // 2
     calls = _recording_transfer(monkeypatch)
-    SPLIT[route][0](LOOP, ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45))
+    p = ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45)
+    HALVES[route](LOOP, p)
     want = [((3, n**s), s)] if route == "expect_unitary" else [((n**s,), s)] * 2
     assert calls == want
+    calls.clear()
+    expect_form(LOOP, p)  # elimination makes no transfer
+    assert calls == []
 
 
 # Near STATE_GUARD the reference takes 5-55 s a call, so its values there are
@@ -508,13 +602,30 @@ PINNED_NEAR_GUARD = [
 )
 def test_split_routes_match_pinned_reference_near_guard(route, box, name, beta, kappa, want):
     m, n, N = box
-    got = SPLIT[route][0](OBSERVABLES[name], ModelParams(m=m, n=n, N=N, beta=beta, kappa=kappa))
-    assert abs(got - want) <= 1e-12
+    p = ModelParams(m=m, n=n, N=N, beta=beta, kappa=kappa)
+    for exact in {SPLIT[route][0], HALVES[route]}:
+        assert abs(exact(OBSERVABLES[name], p) - want) <= 1e-12
+
+
+# every 2-form point above: the chunked reference's boxes and the pinned box near the guard
+ELIMINATION_POINTS = [box for route, box, _ in REFERENCE_POINTS if route == "expect_form"] + [(2, 3, 2)]
+
+
+@pytest.mark.parametrize("box", ELIMINATION_POINTS, ids=["x".join(map(str, box)) for box in ELIMINATION_POINTS])
+def test_elimination_matches_split_half_reference(box):
+    m, n, N = box
+    pinned = [(b, k, (name,)) for route, at, name, b, k, _ in PINNED_NEAR_GUARD if route == "expect_form" and at == box]
+    for beta, kappa, names in COUPLING_CASES + pinned:
+        p = ModelParams(m=m, n=n, N=N, beta=beta, kappa=kappa)
+        for name in names:
+            got, want = expect_form(OBSERVABLES[name], p), form_split(OBSERVABLES[name], p)
+            assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
 
 
 @pytest.mark.parametrize("N", [1, 2])
 def test_reference_observables_tilt_every_row_class(N):
-    # the form points above put tilts on hi-only, lo-only and straddling edges
+    # the form points above put tilts on the split-half reference's hi-only, lo-only and
+    # straddling edges
     idx = box_index(2, N)
     P = len(idx.plaq_edges)
     classes = _row_classes(idx.edge_plaqs, idx.edge_plaq_signs, P - P // 2)
@@ -539,18 +650,25 @@ def test_split_digits_visit_each_row_once(n, k):
     np.testing.assert_array_equal(rows, np.concatenate([d for _, d in _digit_chunks(n, k)]))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+# chunks are 4 digits wide at n = 2 and 2 at n = 3 and 4: k = 5 and 13 at n = 2, 5 at n = 3
+# and 3 at n = 4 leave a short last chunk
+TRANSFER_CASES = [(n, k) for k in (0, 1, 2, 3) for n in (2, 3)] + [(2, 5), (2, 13), (3, 5), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("n, k", TRANSFER_CASES, ids=[f"{k}-{n}" for n, k in TRANSFER_CASES])
 def test_transfer_matches_direct_sum(n, k):
     rng = np.random.default_rng(10 * n + k)
     g = rng.normal(size=(2, n**k))
     matrix = rng.normal(size=(n, n))  # not symmetric: the sum reads matrix[b_j, a_j]
     digits = (np.arange(n**k)[:, None] // n ** np.arange(k - 1, -1, -1)) % n  # one row per counter value
-    # want[:, a] = sum_b g[:, b] prod_j matrix[b_j, a_j], over every pair of counter values
-    factors = np.ones((n**k, n**k))
+    # want[:, a] = sum_b g[:, b] prod_j matrix[b_j, a_j], at every counter value a, or at 64 past 1024
+    cols = np.arange(n**k) if n**k <= 1024 else rng.choice(n**k, 64, replace=False)
+    factors = np.ones((n**k, len(cols)))
     for j in range(k):
-        factors *= matrix[digits[:, None, j], digits[None, :, j]]
-    np.testing.assert_allclose(_transfer(g, matrix, k), g @ factors, rtol=1e-12, atol=1e-12)
+        factors *= matrix[digits[:, None, j], digits[None, cols, j]]
+    got = _transfer(g, matrix, k)
+    assert got.shape == g.shape
+    np.testing.assert_allclose(got[:, cols], g @ factors, rtol=1e-12, atol=1e-12)
     if k == 0:
         assert _transfer(g, matrix, k) is g
 
@@ -569,7 +687,7 @@ def test_half_tables_are_read_only(build, box):
 def _split_values(box):
     m, n, N = box
     p = ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45)
-    return [route(g, p) for route in (expect_unitary, expect_form) for g in (LOOP, OPEN2, BIG)]
+    return [route(g, p) for route in (expect_unitary, form_split) for g in (LOOP, OPEN2, BIG)]
 
 
 def test_half_tables_give_the_same_bits_in_any_call_order():
@@ -584,6 +702,30 @@ def test_half_tables_give_the_same_bits_in_any_call_order():
     assert _split_values((2, 3, 1)) == first
 
 
+def test_form_plan_is_read_only():
+    arrays, steps = _form_plan(2, 2, 2)
+    assert len(arrays) == 3 and all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][0] = 1
+    assert isinstance(steps, tuple) and len(steps) == len(box_index(2, 2).plaq_edges)
+
+
+def _form_values(box):
+    m, n, N = box
+    p = ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45)
+    return [expect_form(g, p) for g in (None, LOOP, OPEN2, BIG, LOOP_3D, OPEN_3D) if g is None or g.m == m]
+
+
+def test_form_plan_gives_the_same_bits_in_any_call_order():
+    boxes = [(2, 3, 1), (2, 2, 2), (2, 2, 1), (3, 2, 1)]
+    first = [_form_values(box) for box in boxes]
+    assert [_form_values(box) for box in boxes[::-1]] == first[::-1]
+    _form_plan.cache_clear()
+    box_index.cache_clear()
+    assert [_form_values(box) for box in boxes[::-1]] == first[::-1]
+    assert [_form_values(box) for box in boxes] == first
+
+
 def test_full_tables_give_the_same_bits_in_any_call_order():
     p2, p3 = params(0.3, 0.45), params(0.3, 0.45, n=3)
     first = [expect_full(g, p2) for g in (LOOP, OPEN2, BIG, None)]
@@ -594,7 +736,12 @@ def test_full_tables_give_the_same_bits_in_any_call_order():
     assert [expect_full(g, p2) for g in (None, BIG, OPEN2, LOOP)] == first[::-1]
 
 
-@pytest.mark.parametrize("route, build", [(expect_unitary, _gauge_halves), (expect_form, _form_halves)])
+# the ids name the measure, as in SPLIT
+@pytest.mark.parametrize(
+    "route, build",
+    [(expect_unitary, _gauge_halves), (form_split, _form_halves)],
+    ids=["expect_unitary-_gauge_halves", "expect_form-_form_halves"],
+)
 def test_split_guard_counts_states_and_keys(monkeypatch, route, build):
     # at m=2 n=2 N=1 the unitary route holds 2^12 states (edges) and 2^3 keys (straddling
     # plaquettes), the form route 2^4 states (plaquettes) and 2^2 keys (straddling edges)
@@ -609,7 +756,7 @@ def test_split_guard_counts_states_and_keys(monkeypatch, route, build):
     build.cache_clear()
 
 
-@pytest.mark.parametrize("route", [expect_unitary, expect_form])
+@pytest.mark.parametrize("route", [expect_unitary, form_split], ids=["expect_unitary", "expect_form"])
 def test_split_guard_refuses_before_any_table(monkeypatch, route):
     def no_tables(*args):
         raise AssertionError("a split-half route allocated before its guard")
@@ -617,6 +764,64 @@ def test_split_guard_refuses_before_any_table(monkeypatch, route):
     monkeypatch.setattr(oracle, "_digits", no_tables)
     with pytest.raises(GuardError):
         route(LOOP, ModelParams(m=2, n=2, N=4, beta=0.1, kappa=0.1))
+
+
+def test_elimination_guard_counts_its_widest_frontier(monkeypatch):
+    # at m=2 N=1 the widest frontier is 3 plaquettes: 2 x 2^3 entries at n = 2
+    p = params(0.3, 0.45)
+    want = form_split(LOOP, p)
+    _form_plan.cache_clear()
+    monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**3 - 1)
+    with pytest.raises(GuardError, match="2 x 2\\^3 entries"):
+        expect_form(LOOP, p)
+    monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**3)
+    assert abs(expect_form(LOOP, p) - want) <= 1e-15
+    _form_plan.cache_clear()
+
+
+@pytest.mark.parametrize("m, N, width", [(3, 2, 47), (4, 1, 73)])
+def test_elimination_guard_refuses_before_any_plan_table(monkeypatch, m, N, width):
+    def no_tables(*args):
+        raise AssertionError("the elimination built a plan table before its guard")
+
+    _form_plan.cache_clear()
+    monkeypatch.setattr(oracle, "_all_digits", no_tables)
+    loop = rectangle_loop(RectDescriptor(corner=(0,) * m, axes=(1, 2), lengths=(1, 1)))
+    with pytest.raises(GuardError, match=f"2 x 2\\^{width} entries"):
+        expect_form(loop, ModelParams(m=m, n=2, N=N, beta=0.1, kappa=0.1))
+
+
+def test_elimination_reaches_past_the_split_half_guard():
+    # m=2 N=4 has 2^64 2-forms; its widest frontier is 9 plaquettes
+    p = ModelParams(m=2, n=2, N=4, beta=0.1, kappa=0.1)
+    with pytest.raises(GuardError):
+        form_split(LOOP, p)
+    assert eta(0.1, 2) ** len(LOOP) <= expect_form(LOOP, p) <= 1
+
+
+@pytest.mark.parametrize("box", [(2, 2, 1), (2, 3, 1), (2, 2, 2)], ids=["2x2x1", "2x3x1", "2x2x2"])
+def test_elimination_gives_zero_for_an_open_path_at_kappa_zero(box):
+    # no 2-form has delta equal to an open path, so every numerator entry is 0; the rescale
+    # divides by the denominator's maximum, never by the numerator's 0
+    m, n, N = box
+    for beta in (0.0, 0.4):
+        p = ModelParams(m=m, n=n, N=N, beta=beta, kappa=0.0)
+        assert expect_form(OPEN2, p) == 0.0 and expect_form(OPEN_HI, p) == 0.0
+
+
+def test_r1_loop_exact_value_is_pinned():
+    # R1's 8x8 loop at corner (-4, -4): the N=7 and N=8 boxes agree, and the N=8 value is pinned
+    loop = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
+    n7, n8 = (expect_form(loop, ModelParams(m=2, n=2, N=N, beta=1e-4, kappa=0.25)) for N in (7, 8))
+    assert abs(n7 - n8) <= 1e-13 * n8
+    assert n8 == pytest.approx(1.875925810390806e-11, rel=1e-13)
+
+
+def test_m3_loop_exact_value_is_pinned():
+    # the 2x2 loop at (-1, -1, 0) on the m=3 N=1 box, normalized by xi^|gamma|
+    loop = rectangle_loop(RectDescriptor(corner=(-1, -1, 0), axes=(1, 2), lengths=(2, 2)))
+    got = expect_form(loop, ModelParams(m=3, n=2, N=1, beta=1e-2, kappa=0.25))
+    assert got / xi(0.25, 2) ** len(loop) == pytest.approx(1.1460463625462645, rel=1e-13)
 
 
 def test_high_temperature_identity_n4():
