@@ -66,6 +66,15 @@ move them, so a sweep has exactly the law of the dense sweep, and equals
 the dense sweep run on the draws it made, with any cold draw where it made
 none; its stream differs from the dense route's.
 
+In that regime most sweeps are *quiet*: on the thinned route, a sweep of
+the all-zero state before ``_due``, the first ``_draws`` call that holds
+a hot trial, only ticks the clock.  ``ChainEnsemble.run`` and
+:func:`estimate_wilson` step over each quiet stretch at once
+(``ChainEnsemble._advance``): the clock and the sweep count move by its
+length, with no generator call and no scan of the state per sweep, and the
+estimator fills the stretch's kept samples with one slice write.  Every
+other sweep, and every sweep of the dense route, is one ``sweep()`` call.
+
 The Wilson estimator samples only the O(1) normalized observable
 prod_e phi_kappa(delta omega + gamma) / (phi_kappa(delta omega) phi_kappa(1));
 the exponentially small prefactor phi_kappa(1)^{|gamma|} is restored
@@ -115,6 +124,7 @@ class EstimatorResult:
     burn_in: int
     seed: int
     chains: int
+    moves: int  # plaquette values changed over all sweeps, burn-in included
 
 
 def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarray:
@@ -126,15 +136,19 @@ def _conditional_table(phi_b: np.ndarray, phi_k: np.ndarray, n: int) -> np.ndarr
     where a_k is the tilted coderivative (delta + tilt) mod n on edge k with
     the plaquette's current value ``own`` included, and s = PLAQ_SIGNS.  Rows
     are not normalized: sampling compares against u * row[-1].
+
+    The edge product depends on own and g only through the move
+    c = (g - own) mod n, so it is built once per c over all (a_3..a_0), its
+    factors multiplied in column order as a per-row product multiplies them,
+    and every g is gathered from it in one broadcast.
     """
-    row = np.arange(n**5)
-    own = row // n**4
-    a = (row[:, None] // n ** np.arange(4)) % n
-    w = np.empty((n**5, n))
-    for g in range(n):
-        resid = (a + (g - own)[:, None] * PLAQ_SIGNS) % n
-        w[:, g] = phi_b[g] * phi_k[resid].prod(axis=1)
-    return w.cumsum(axis=1)
+    c = np.arange(n)
+    f = phi_k[(c + c[:, None, None] * PLAQ_SIGNS[:, None]) % n]  # [c, k, a_k]
+    prod = f[:, 0, None, None, None, :] * f[:, 1, None, None, :, None] * f[:, 2, None, :, None, None]
+    prod = (prod * f[:, 3, :, None, None, None]).reshape(n, n**4)
+    w = prod[(c - c[:, None])[:, None, :] % n, np.arange(n**4)[:, None]]  # [own, a, g]
+    w *= phi_b
+    return w.reshape(n**5, n).cumsum(axis=1)
 
 
 def _first_hot(first: float, last: float) -> int:
@@ -180,7 +194,9 @@ class ChainEnsemble:
     each chain with a candidate its own pool, whose members take scalar
     steps class by class; the tilt puts no candidate in a pool.  Both
     routes have the dense sweep's law and are reproducible per seed; the
-    thinned route's stream differs from the dense route's.  ``moves``
+    thinned route's stream differs from the dense route's.  ``run(k)``
+    gives what k calls of ``sweep()`` give, bit for bit, and steps over
+    each quiet stretch at once.  ``moves``
     counts the plaquette values changed so far, ``sweeps`` the sweeps run.
     ``snapshot`` and ``conditional_weights`` raise ``PreconditionError``
     for a chain outside [0, K).
@@ -224,18 +240,23 @@ class ChainEnsemble:
         # value and delta are 0, by its first and last column; row 0 off the
         # plaquettes on the tilt's edges
         base = np.zeros(P, dtype=np.intp)
-        on = np.unique(idx.edge_class_pos[self.tilt.nonzero()[0]])
-        base[on] = self.tilt[idx.plaq_edges[idx.pos_plaq[on]]] @ n ** np.arange(4)
+        on_tilt = self.tilt.nonzero()[0]
+        if len(on_tilt):
+            on = np.unique(idx.edge_class_pos[on_tilt])
+            base[on] = self.tilt[idx.plaq_edges[idx.pos_plaq[on]]] @ n ** np.arange(4)
         self._base_first, self._base_last = self._cum[base, 0], self._cum[base, -1]
         if not self._base_last.all():
             raise PreconditionError(f"a base row next to the tilt has total weight 0 at kappa = {params.kappa}")
         # per first hot grid point k* < 2^53 of some base row: k*, the chance
         # q = (2^53 - k*) / 2^53 that a draw is hot there, and the draw
-        # positions whose base row has that k*
-        rows, row_of = np.unique(base, return_inverse=True)
-        kstar = np.array([_first_hot(float(self._cum[r, 0]), float(self._cum[r, -1])) for r in rows])[row_of]
+        # positions whose base row has that k*; base rows are below n^4
+        rows = np.flatnonzero(np.bincount(base, minlength=n**4))
+        row_kstar = [_first_hot(float(self._cum[r, 0]), float(self._cum[r, -1])) for r in rows]
+        by_row = np.zeros(n**4, dtype=np.int64)
+        by_row[rows] = row_kstar
+        kstar = by_row[base]
         self._groups = [
-            (k, (_GRID - k) / _GRID, np.flatnonzero(kstar == k)) for k in np.unique(kstar) if k < _GRID
+            (k, (_GRID - k) / _GRID, np.flatnonzero(kstar == k)) for k in sorted(set(row_kstar)) if k < _GRID
         ]
         # the route: thinned while the draws expected hot in a sweep, summed
         # over the chains, cost less than the dense sweep they replace
@@ -455,9 +476,26 @@ class ChainEnsemble:
         self.moves += int(np.count_nonzero(change))
         return change != 0
 
+    def _advance(self, sweeps: int) -> int:
+        """Runs one ``sweep()``, or a whole quiet stretch of at most ``sweeps``
+        sweeps at once, and returns how many sweeps it ran.
+
+        A stretch is quiet while the state is all zero on the thinned route and
+        the clock is before ``_due``: each of its sweeps would only tick the
+        clock, so the stretch ticks ``_clock`` and ``sweeps`` by its length and
+        makes no generator call.
+        """
+        if self._thin and self._clock < self._due and not np.count_nonzero(self.omega):
+            stretch = min(self._due - self._clock, sweeps)
+            self._clock += stretch
+            self.sweeps += stretch
+            return stretch
+        self.sweep()
+        return 1
+
     def run(self, sweeps: int):
-        for _ in range(sweeps):
-            self.sweep()
+        while sweeps > 0:
+            sweeps -= self._advance(sweeps)
 
     # -- observables and state access ----------------------------------------
 
@@ -531,7 +569,11 @@ def estimate_wilson(
 
     The observable is evaluated again only after a sweep that moved some
     plaquette (``ChainEnsemble.moves``); otherwise delta, and so every
-    sample, is exactly the previous one, which is reused.
+    sample, is exactly the previous one, which is reused.  A quiet stretch
+    of the thinned route (module docstring) is run in one step, and its kept
+    samples are one slice write; the result, the ensemble and its generator
+    streams are those of one ``sweep()`` per sweep.  ``moves`` reports the
+    plaquette values changed over all sweeps, burn-in included.
     """
     if phi(params.kappa, 1, params.n) == 0:
         raise PreconditionError(f"phi_kappa(1) = 0 at kappa = {params.kappa}: the normalized observable is undefined")
@@ -552,18 +594,20 @@ def estimate_wilson(
     support = idx.path(gamma)
     samples = np.empty((chains, keep))
     seen = None  # ens.moves when the observable was last evaluated
-    for t in range(sweeps):
-        ens.sweep()
-        if t >= burn_in:
+    t = 0  # sweeps run
+    while t < sweeps:
+        done = ens._advance(sweeps - t)  # sweeps t .. t + done - 1, each leaving the same state
+        if t + done > burn_in:
             if ens.moves != seen:
                 vals, seen = ens.normalized_wilson(support), ens.moves
-            samples[:, t - burn_in] = vals
+            samples[:, max(t, burn_in) - burn_in : t + done - burn_in] = vals[:, None]
+        t += done
     mean = float(samples.mean())
     bs = keep // BATCHES_PER_CHAIN
     trimmed = samples[:, : bs * BATCHES_PER_CHAIN]
     bmeans = trimmed.reshape(chains, BATCHES_PER_CHAIN, bs).mean(axis=2).ravel()
     nb = len(bmeans)
-    if np.allclose(bmeans, bmeans[0], rtol=0, atol=0):
+    if (bmeans == bmeans[0]).all():
         se = 0.0  # constant observable (e.g. beta = 0)
     else:
         se = float(bmeans.std(ddof=1) / math.sqrt(nb))
@@ -575,4 +619,5 @@ def estimate_wilson(
         burn_in=burn_in,
         seed=seed,
         chains=chains,
+        moves=ens.moves,
     )

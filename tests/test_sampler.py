@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as scistats
 
 from lattice_higgs import sampler
+from lattice_higgs.cells import PLAQ_SIGNS
 from lattice_higgs.couplings import ModelParams, eta, phi, xi
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, delta, random_form
@@ -963,3 +964,233 @@ def test_conditional_weights_rejects_chain_out_of_range(chain):
 def test_ensemble_rejects_couplings_whose_table_overflows():
     with pytest.raises(PreconditionError):
         ChainEnsemble(params(0.1, 800.0), tilt=None, seed=0)
+
+
+# -- quiet stretches in one step, and the constructor's tables, against the per-sweep code --
+
+
+def _plain(state):
+    """A generator state with its arrays as lists, so that states compare with ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _ensemble_state(ens):
+    """Everything a sweep changes: state, counters, clock and generator states."""
+    return (
+        ens.omega.tobytes(),
+        ens.delta.tobytes(),
+        ens.moves,
+        ens.sweeps,
+        getattr(ens, "_clock", None),
+        getattr(ens, "_due", None),
+        [_plain(rng.bit_generator.state) for rng in ens.rngs],
+    )
+
+
+@pytest.mark.parametrize("route", ["R1", "R2-tilted", "dense"])
+def test_run_matches_single_sweeps(route, monkeypatch):
+    # run(k) steps over each quiet stretch at once, and gives what k calls of
+    # sweep() give, bit for bit, over chunks of several lengths, most of which
+    # start or end inside a stretch
+    p, tilt = (R2, R2_LOOP) if route == "R2-tilted" else (R1, None)
+    if route == "dense":
+        monkeypatch.setattr(sampler, "_HOT_COST", math.inf)
+    stepped = ChainEnsemble(p, tilt=tilt, seed=7, chains=4)
+    ref = ChainEnsemble(p, tilt=tilt, seed=7, chains=4)
+    assert stepped._thin == (route != "dense")
+    calls, sweep = [], stepped.sweep
+    monkeypatch.setattr(stepped, "sweep", lambda: calls.append(1) or sweep())
+    for k in (1, 3, 40, 7, 300, 0, 1, 649):
+        stepped.run(k)
+        for _ in range(k):
+            ref.sweep()
+        assert _ensemble_state(stepped) == _ensemble_state(ref), k
+    assert stepped.sweeps == 1001 and stepped.moves > 0 and stepped.validate_cache()
+    if route == "dense":
+        assert len(calls) == 1001
+    else:
+        assert len(calls) < 1001 // 2  # the quiet stretches took no sweep() call
+
+
+def _per_sweep_estimate(p, gamma, sweeps, burn_in, seed, chains):
+    """``estimate_wilson`` as it ran with one ``sweep()`` call per sweep, after
+    its preconditions: the reference for the quiet-stretch step.  Returns the
+    result and the ensemble."""
+    batches = sampler.BATCHES_PER_CHAIN
+    ens = ChainEnsemble(p, tilt=None, seed=seed, chains=chains)
+    support = ens.idx.path(gamma)
+    keep = sweeps - burn_in
+    samples = np.empty((chains, keep))
+    seen = None
+    for t in range(sweeps):
+        ens.sweep()
+        if t >= burn_in:
+            if ens.moves != seen:
+                vals, seen = ens.normalized_wilson(support), ens.moves
+            samples[:, t - burn_in] = vals
+    bs = keep // batches
+    bmeans = samples[:, : bs * batches].reshape(chains, batches, bs).mean(axis=2).ravel()
+    if np.allclose(bmeans, bmeans[0], rtol=0, atol=0):
+        se = 0.0
+    else:
+        se = float(bmeans.std(ddof=1) / math.sqrt(len(bmeans)))
+    res = sampler.EstimatorResult(
+        mean=float(samples.mean()), std_error=se, batches=len(bmeans), sweeps=sweeps,
+        burn_in=burn_in, seed=seed, chains=chains, moves=ens.moves,
+    )
+    return res, ens
+
+
+def _inside_quiet_stretch(p, seed, chains, sweeps):
+    """A sweep t, near the middle of a run, such that sweeps t - 1 and t are
+    both quiet: the state is zero and the clock before ``_due`` when each starts."""
+    ens = ChainEnsemble(p, seed=seed, chains=chains)
+    quiet = []
+    for _ in range(sweeps):
+        quiet.append(ens._clock < ens._due and not ens.omega.any())
+        ens.sweep()
+    return next(t for t in range(sweeps // 2, sweeps) if quiet[t - 1] and quiet[t])
+
+
+LOOP8 = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
+
+
+@pytest.mark.parametrize("burn", ["zero", "quiet", "last16"])
+@pytest.mark.parametrize("chains", [2, 4])
+@pytest.mark.parametrize("route", ["thinned", "dense"])
+def test_estimate_wilson_matches_per_sweep_loop(route, chains, burn, monkeypatch):
+    # the same result, ensemble state and generator streams as one sweep() per
+    # sweep, at R1 on each route, with burn-in at 0, inside a quiet stretch
+    # (the first kept sample is filled by a stretch that began in burn-in), and
+    # at sweeps - 16 (one sample per batch)
+    sweeps, seed = 600, 13
+    # inside a stretch of the thinned route; on the dense route, a burn-in like any other
+    burn_in = {"zero": 0, "quiet": _inside_quiet_stretch(R1, seed, chains, sweeps), "last16": sweeps - 16}[burn]
+    if route == "dense":
+        monkeypatch.setattr(sampler, "_HOT_COST", math.inf)
+    made = []
+
+    class Recorded(ChainEnsemble):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    ref, ref_ens = _per_sweep_estimate(R1, LOOP8, sweeps, burn_in, seed, chains)
+    monkeypatch.setattr(sampler, "ChainEnsemble", Recorded)
+    res = estimate_wilson(R1, LOOP8, sweeps=sweeps, burn_in=burn_in, seed=seed, chains=chains)
+    assert res == ref
+    (ens,) = made
+    assert ens._thin == (route == "thinned")
+    assert _ensemble_state(ens) == _ensemble_state(ref_ens)
+    assert res.moves > 0
+
+
+def _table_by_loop(phi_b, phi_k, n):
+    """The conditional table built one column g at a time: the reference for
+    ``sampler._conditional_table``."""
+    row = np.arange(n**5)
+    own = row // n**4
+    a = (row[:, None] // n ** np.arange(4)) % n
+    w = np.empty((n**5, n))
+    for g in range(n):
+        resid = (a + (g - own)[:, None] * PLAQ_SIGNS) % n
+        w[:, g] = phi_b[g] * phi_k[resid].prod(axis=1)
+    return w.cumsum(axis=1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_conditional_table_matches_per_column_loop(n):
+    # bit for bit, so the factors are multiplied in the loop's order; random
+    # weights, where another order of the same product rounds differently
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        phi_b, phi_k = rng.random(n), rng.random(n)
+        assert np.array_equal(sampler._conditional_table(phi_b, phi_k, n), _table_by_loop(phi_b, phi_k, n))
+
+
+def _layout_by_unique(ens):
+    """The base rows' columns, the groups and the route as the constructor found
+    them with ``np.unique`` over the positions' base rows and their k*: the
+    reference for the bincount over the n^4 possible rows."""
+    idx, n, P = ens.idx, ens.n, ens.omega.shape[1]
+    base = np.zeros(P, dtype=np.intp)
+    on = np.unique(idx.edge_class_pos[ens.tilt.nonzero()[0]])
+    base[on] = ens.tilt[idx.plaq_edges[idx.pos_plaq[on]]] @ n ** np.arange(4)
+    cum = _table_by_loop(ens.phi_b, ens.phi_k, n)
+    rows, row_of = np.unique(base, return_inverse=True)
+    kstar = np.array([sampler._first_hot(float(cum[r, 0]), float(cum[r, -1])) for r in rows])[row_of]
+    groups = [(k, (2**53 - k) / 2**53, np.flatnonzero(kstar == k)) for k in np.unique(kstar) if k < 2**53]
+    hot = ens.k * sum(q * len(at) for _, q, at in groups)
+    thin = hot * sampler._HOT_COST * (ens.params.m - 1) < ens.k * P + sampler._CLASS_COST * len(idx.plaq_classes)
+    return cum, cum[base, 0], cum[base, -1], groups, thin
+
+
+@pytest.mark.parametrize(
+    "p, tilt",
+    [
+        (R1, None),
+        (R2, R2_LOOP),
+        (ModelParams(m=2, n=3, N=4, beta=0.1, kappa=0.2), _unit_loop(2)),
+        (ModelParams(m=2, n=5, N=3, beta=0.3, kappa=0.4), _unit_loop(2)),
+        (ModelParams(m=3, n=2, N=2, beta=0.01, kappa=0.3), _unit_loop(3)),
+        (ModelParams(m=3, n=3, N=1, beta=1e-3, kappa=0.25), None),
+    ],
+    ids=["R1", "R2-tilted", "n3-tilted", "n5-tilted", "m3-tilted", "m3-n3"],
+)
+def test_constructor_matches_unique_construction(p, tilt, monkeypatch):
+    # the broadcast table, the bincount over base rows and the skipped unique of
+    # an empty tilt build what the per-column loop and np.unique built
+    ens = ChainEnsemble(p, tilt=tilt, seed=0, chains=3)
+    cum, first, last, groups, thin = _layout_by_unique(ens)
+    assert np.array_equal(ens._cum, cum) and ens._cum.flags.c_contiguous
+    assert np.array_equal(ens._base_first, first) and np.array_equal(ens._base_last, last)
+    assert len(ens._groups) == len(groups) > 0
+    for (k, q, at), (k_ref, q_ref, at_ref) in zip(ens._groups, groups):
+        assert (k, q) == (k_ref, q_ref)
+        assert at.dtype == at_ref.dtype and np.array_equal(at, at_ref)
+    assert ens._thin == thin
+    # the dense route's per-class blocks
+    monkeypatch.setattr(sampler, "_HOT_COST", math.inf)
+    dense = ChainEnsemble(p, tilt=tilt, seed=0, chains=3)
+    assert not dense._thin
+    for got, want in zip(dense._blocks, dense_blocks(dense), strict=True):
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+
+
+def test_kappa_zero_tilt_raises_before_the_route(monkeypatch):
+    # the zero-weight base row is found before any k* or route state is built
+    def no_route(*args):
+        raise AssertionError("route state built")
+
+    monkeypatch.setattr(sampler, "_first_hot", no_route)
+    with pytest.raises(PreconditionError, match="total weight 0"):
+        ChainEnsemble(params(0.3, 0.0), tilt=LOOP)
+
+
+@pytest.mark.parametrize("route", ["thinned", "dense"])
+def test_estimator_beta_zero_has_exactly_zero_error(route, monkeypatch):
+    # every batch mean is exactly 1, so the constant check gives 0.0, and nothing moves
+    if route == "dense":
+        monkeypatch.setattr(sampler, "_HOT_COST", math.inf)
+    res = estimate_wilson(params(0.0, 0.3, N=4), LOOP, sweeps=600, seed=2, chains=4)
+    assert (res.mean, res.std_error, res.moves) == (1.0, 0.0, 0)
+
+
+def test_constant_observable_has_exactly_zero_error(monkeypatch):
+    # equal batch means of a value whose sums round (0.1 in 64 batches) give a
+    # spread of about 1e-17 by the standard deviation; the constant check gives 0
+    monkeypatch.setattr(ChainEnsemble, "normalized_wilson", lambda self, gamma: np.full(self.k, 0.1))
+    res = estimate_wilson(R1, LOOP8, sweeps=320, seed=2, chains=4)
+    assert res.batches == 64 and res.std_error == 0.0
+
+
+def test_estimate_wilson_reports_moves():
+    # positive at R1 and equal to the moves of the same ensemble run outside it
+    res = estimate_wilson(R1, LOOP8, sweeps=1000, seed=4, chains=4)
+    replay = ChainEnsemble(R1, seed=4, chains=4)
+    replay.run(1000)
+    assert res.moves == replay.moves > 0
