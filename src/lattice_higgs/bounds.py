@@ -8,9 +8,11 @@ does not widen the float range: like base**k, the result underflows to 0
 once k log(base) falls below about -745 (``_pow(0.06, 300)`` is 0.0), so at
 |gamma| in the hundreds a small xi_kappa gives a prediction of 0.
 
-The closed forms of the three appendix tail sums are zeta_beta
-xi_kappa^{|gamma|} times c1', c1'' and c1''''; both routes share the
-precondition (16m)^2 zeta_beta < xi_kappa < 1 of :func:`constants`.
+The three appendix tail sums are plain sums of positive monomials, laid
+out per (|gamma|, |P_gamma,c|, K) by a coupling-free plan.  Their closed
+forms are zeta_beta xi_kappa^{|gamma|} times c1', c1'' and c1''''; both
+routes share the precondition (16m)^2 zeta_beta < xi_kappa < 1 of
+:func:`constants`.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ def _pow(base: float, k):
     if base == 0.0:
         return (np.asarray(k) <= 0) * 1.0
     return np.exp(k * math.log(base))
-
-
-def _geo(q: float, a, b):
-    """The truncated geometric series sum_{k=a}^{b-1} q^k for 0 < q < 1 (0 if b <= a), elementwise."""
-    return _pow(q, a) * -np.expm1(np.maximum(b - a, 0) * math.log(q)) / (1 - q)
 
 
 def _pow1p(x: float, k: float) -> float:
@@ -166,7 +163,7 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
         xi_kappa=xk,
         eta_kappa=et,
         alpha=al,
-        eta_power=perimeter_bound(params, L),
+        eta_power=float(_pow(et, L)),
         prediction=pred,
         radius=c0 * pred * zb,
         c1p=c1p,
@@ -247,6 +244,35 @@ def _tail_terms(L: int, Pc: int):
     )
 
 
+@lru_cache(maxsize=16)
+def _tail_plan(L: int, Pc: int, K: int):
+    """Read-only (pref, a, b, slot, starts): the terms of :func:`appendix_sums`.
+
+    Each term is pref r^a x^b times entry ``slot`` of the table geo(r/x, 0, l),
+    then geo(r, 0, l) for l = 0..K, then 1; terms with l <= 0 are dropped.
+    Series b1, b2, b3 begin at ``starts``, each with a zero term, so none is
+    empty (b2 has no term at L < 2).
+    """
+    (i1, j1, w1), (i2, j2, w2), (_, j3, w3) = _tail_terms(L, Pc)
+    k0, d = j1 - i1 + 1, j1 - 2 * i1 - 1  # d = t - k0 in b1
+    dp = np.maximum(d, 0)
+    one = (2 * K + 1, 1)  # table offset and l of b2's 1 = geo(q, 0, 1)
+    # (pref, a, b, table offset, l) of each part of each series
+    series = [
+        [(w1, k0, L - 2 * i1 - 1, 0, np.minimum(d, K)), (w1, k0 + dp, L - j1, K + 1, K - dp)],
+        [(w2, j2 - i2, L - 2 * i2, *one)],
+        [(w3, j3 + 2, L + 2 * j3 + 4, 0, 4), (w3, j3 + 6, L + 2 * j3, K + 1, K - 4)],
+    ]
+    zero = (np.zeros(1), 0, 0, *one)
+    rows = [np.broadcast_arrays(s, *p) for s, parts in enumerate(series) for p in (zero, *parts)]
+    s, pref, a, b, offset, l = np.concatenate(rows, axis=1)
+    s, pref, a, b, slot = (v[l > 0] for v in (s, pref, a, b, offset + l))
+    plan = (pref, a, b, slot.astype(np.intp), np.searchsorted(s, [0, 1, 2]))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
 def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     """(numeric, closed-form bound) pairs for the three tail sums.
 
@@ -255,9 +281,10 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     the assumptions hold.
 
     Both geometric directions are summed exactly by the truncated series
-    geo(q, a, b) = sum_{k=a}^{b-1} q^k, so K keeps its meaning (K terms
-    each way) at O(Pc L) cost.  With r = (16m)^2 zeta_beta, x = xi_kappa
-    and G = geo(x, 0, K), the inner sum over k' is x^(L + lo - 2j) G, and
+    geo(q, a, b) = sum_{k=a}^{b-1} q^k = q^a geo(q, 0, b - a), so K keeps
+    its meaning (K terms each way) at O(Pc L) cost.  With r = (16m)^2
+    zeta_beta, x = xi_kappa and G = geo(x, 0, K), the inner sum over k' is
+    x^(L + lo - 2j) G, and
 
     * b1, k from k0 = j - i + 1 to k0 + K, threshold t = 2j - 3i: below t
       (lo = 3j - 3i - k) it is G x^(L + j - 3i) geo(r/x, k0, min(t, k0 + K)),
@@ -268,8 +295,10 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
       G x^(L + 3j + 6) geo(r/x, j + 2, t), from t on
       G x^(L + 2j) geo(r, t, j + 2 + K).
 
-    Each series is one array expression over its cached terms
-    (:func:`_tail_terms`), reduced with ``math.fsum``.
+    Each term is thus G pref r^a x^b geo(q, 0, l) (:func:`_tail_plan`),
+    summed by one ``exp``, one table gather and one ``np.add.reduceat``.
+    All terms are positive, so a plain sum of t terms is within about
+    t eps: 5e-14 relative at the 485 of L = 32, Pc = 4.
 
     The closed forms are zeta_beta xi_kappa^L times c1', c1'' and c1''''
     of :func:`constants`, and their precondition is the one of
@@ -289,19 +318,13 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     c1p, c1pp, _, c1pppp = _c1_parts(m, zb, xk, L, Pc)
 
     r, x = (16 * m) ** 2 * zb, xk
-    G = _geo(x, 0, K)
-    (i1, j1, w1), (i2, j2, w2), (_, j3, w3) = _tail_terms(L, Pc)
-
-    k0, d = j1 - i1 + 1, j1 - 2 * i1 - 1  # d = t - k0
-    inner = _pow(x, L + j1 - 3 * i1) * _geo(r / x, k0, k0 + np.minimum(d, K))
-    inner += _pow(x, L - j1) * _geo(r, k0 + np.maximum(d, 0), k0 + K)
-    b1 = math.fsum((w1 * G * inner).tolist())
-
-    b2 = math.fsum((w2 * _pow(r, j2 - i2) * _pow(x, L - 2 * i2) * G).tolist())
-
-    inner = _pow(x, L + 3 * j3 + 6) * _geo(r / x, j3 + 2, j3 + 6)
-    inner += _pow(x, L + 2 * j3) * _geo(r, j3 + 6, j3 + 2 + K)
-    b3 = math.fsum((w3 * G * inner).tolist())
+    pref, a, b, slot, starts = _tail_plan(L, Pc, K)
+    q = np.array([[r / x], [r]])
+    geo = np.ones(2 * K + 3)  # geo(r/x, 0, l), geo(r, 0, l) for l = 0..K, then 1
+    geo[:-1] = (-np.expm1(np.log(q) * np.arange(K + 1)) / (1 - q)).ravel()
+    terms = pref * np.exp(a * math.log(r) + b * math.log(x)) * geo[slot]
+    G = -math.expm1(K * math.log(x)) / (1 - x)
+    b1, b2, b3 = (np.add.reduceat(terms, starts) * G).tolist()
 
     scale = float(_pow(x, L)) * zb
     return [(b1, scale * c1p), (b2, scale * c1pp), (b3, scale * c1pppp)]

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from lattice_higgs.bounds import _tail_terms, appendix_sums, constants, perimeter_bound, prediction
+from lattice_higgs.bounds import _tail_plan, _tail_terms, appendix_sums, constants, perimeter_bound, prediction
 from lattice_higgs.cells import LatticeBox
 from lattice_higgs.couplings import ModelParams, alpha, assumption_check, eta, eta_hat, xi, zeta
 from lattice_higgs.errors import PreconditionError
-from lattice_higgs.oracle import expect_unitary
+from lattice_higgs.oracle import expect_form, expect_unitary
 from lattice_higgs.paths import GammaStats, RectDescriptor, gamma_stats, rectangle_loop
 from lattice_higgs.sampler import estimate_wilson
 
@@ -158,6 +158,8 @@ def test_perimeter_bound_values():
     want = math.tanh(0.6) ** 4
     got = perimeter_bound(ModelParams(m=2, n=2, N=1, beta=0.1, kappa=0.3), 4)
     assert got == pytest.approx(want, rel=1e-12)
+    for p in admissible_points():
+        assert constants(p, DESK_STATS).eta_power == perimeter_bound(p, DESK_STATS.length)
 
 
 def test_perimeter_bound_below_oracle():
@@ -167,6 +169,28 @@ def test_perimeter_bound_below_oracle():
         for kappa in grid:
             p = ModelParams(m=2, n=2, N=1, beta=beta, kappa=kappa)
             assert perimeter_bound(p, len(loop)) <= expect_unitary(loop, p) + 1e-12
+
+
+# the 8 x 8 loop of the R1 point, on the m = 2, N = 5 box where exact values are cheap
+THEOREM_LOOP = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
+THEOREM_POINTS = [(2, b) for b in (2e-4, 1e-4, 3e-5, 1e-5, 1e-6)] + [(3, b) for b in (1e-4, 3e-5, 1e-5, 1e-6)]
+
+
+@pytest.mark.parametrize("n,beta", THEOREM_POINTS)
+def test_theorem_holds_against_exact_values(n, beta):
+    p = ModelParams(m=2, n=n, N=5, beta=beta, kappa=0.25)
+    stats = gamma_stats(THEOREM_LOOP, LatticeBox.centered(p.m, p.N))
+    assert stats == DESK_STATS
+    exact = expect_form(THEOREM_LOOP, p)
+    value, radius = prediction(p, stats)
+    assert abs(exact - value) <= radius
+    assert exact >= perimeter_bound(p, stats.length)
+    if beta == 1e-5:
+        # the bound is informative at n = 2 (0.419) and just not at n = 3 (1.01)
+        assert (radius / exact < 1) == (n == 2), radius / exact
+    if n == 2:
+        # first-order error: E[W] = value (1 + 6.29 beta + O(beta^2))
+        assert (exact - value) / exact == pytest.approx(6.29 * beta, rel=1e-3)
 
 
 # -- the appendix sums term by term, the reference for the closed forms ----
@@ -261,11 +285,39 @@ def test_appendix_sums_match_term_by_term():
                     assert abs(a - b) <= 1e-12 * abs(b), (p, st, K, a, b)
 
 
+def test_appendix_sums_of_short_paths_match_term_by_term():
+    # at L = 1 the series b2 has no term and must sum to exactly 0
+    for L in (1, 2, 3):
+        for Pc in (0, 1, 2):
+            st = GammaStats(length=L, p_gamma=2 * L, p_gamma_c=Pc, ell1=1, ell2=1)
+            for p in (DESK, edge_point(0.9)):
+                got = [num for num, _ in appendix_sums(p, st, K=50)]
+                want = appendix_sums_term_by_term(p, st, K=50)
+                assert (got[1] == 0.0) == (L == 1)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * abs(b), (p, st, a, b)
+
+
 def test_tail_terms_are_read_only():
     arrays = [a for series in _tail_terms(DESK_STATS.length, DESK_STATS.p_gamma_c) for a in series]
     assert len(arrays) == 9 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         arrays[2][0] = 1.0
+
+
+def test_tail_plan_is_read_only():
+    plan = _tail_plan(DESK_STATS.length, DESK_STATS.p_gamma_c, 60)
+    assert len(plan) == 5 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in plan)
+    with pytest.raises(ValueError):
+        plan[0][0] = 1.0
+
+
+def test_tail_plan_shares_one_entry_for_int_and_numpy_k():
+    _tail_plan.cache_clear()
+    want = appendix_sums(DESK, DESK_STATS, K=60)
+    assert appendix_sums(DESK, DESK_STATS, K=np.int64(60)) == want
+    info = _tail_plan.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
 
 def test_tail_terms_give_the_same_bits_in_any_call_order():
@@ -278,7 +330,11 @@ def test_tail_terms_give_the_same_bits_in_any_call_order():
     _tail_terms.cache_clear()
     appendix_sums(DESK, STATS_L60, K=60)
     assert values() == first
+    _tail_plan.cache_clear()
+    appendix_sums(DESK, STATS_L60, K=60)
+    assert values() == first
     _tail_terms.cache_clear()
+    _tail_plan.cache_clear()
     assert values()[::-1] == [appendix_sums(p, st, K=K) for st in (STATS_PC0, DESK_STATS) for K in (120, 50) for p in (edge_point(0.9), DESK)]
 
 

@@ -205,6 +205,8 @@ TEST_ONLY = {
     # cross-check routes
     "phi_hat_double_series", "alpha_z2_closed_form", "delta_edge", "rectangle_p_gamma_count",
     "action", "gauge_transform", "form_distribution", "activity", "wilson_hat",
+    # the stand-alone perimeter bound; constants() reuses its own eta for eta_power
+    "perimeter_bound",
     # objects of the paper that the library does not compute with
     "u_shaped_path", "v_set", "in_event_E",
 }
