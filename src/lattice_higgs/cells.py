@@ -386,7 +386,6 @@ class BoxIndex:
     def __init__(self, box: LatticeBox):
         self.box = box
         self._paths = weakref.WeakKeyDictionary()  # LatticePath -> its ``path`` pair
-        self._ends = weakref.WeakKeyDictionary()  # open LatticePath -> its ``endpoint_ranks``
         m = box.m
         self._lo = np.array(box.lo)
         self._shape = np.array(box.hi) - self._lo + 1
@@ -511,18 +510,6 @@ class BoxIndex:
                 a.flags.writeable = False
             self._paths[gamma] = pair
         return pair
-
-    def endpoint_ranks(self, gamma: LatticePath) -> np.ndarray:
-        """Vertex ranks (x1, x2) of an open path's end points (gamma's boundary is x2 - x1).
-
-        Built once per path and index, and read-only.
-        """
-        ranks = self._ends.get(gamma)
-        if ranks is None:
-            ranks = self.ids(vertex(x) for x in gamma.endpoints)
-            ranks.flags.writeable = False
-            self._ends[gamma] = ranks
-        return ranks
 
     def gamma_coeffs(self, gamma: LatticePath) -> np.ndarray:
         """gamma's coefficient on every edge of the box (0 off its support)."""

@@ -12,16 +12,8 @@ from lattice_higgs.forms import FormZn, connected_components, lhd, random_form
 from lattice_higgs.oracle import (
     STATE_GUARD,
     _all_digits,
-    _check_imag,
-    _cos_table,
-    _digits,
-    _form_plan,
-    _full_tables,
-    _gauge_halves,
-    _row_classes,
-    _sin_table,
-    _sum_matrix,
-    _transfer,
+    _frozen,
+    _plan,
     _wilson,
     action,
     activity,
@@ -89,8 +81,8 @@ def test_expectation_of_one_is_one():
 
 
 def test_unitary_gauge_identity():
-    # full two-field enumeration equals unitary-gauge enumeration; n = 3 is
-    # the first n whose Higgs phases have a sine part
+    # the two-field measure equals the unitary-gauge measure; n = 3 is the
+    # first n whose Higgs phases have a sine part
     rng = np.random.default_rng(8)
     for n in (2, 3):
         for gamma in (LOOP, OPEN2):
@@ -152,58 +144,87 @@ def test_callable_observable_rejected():
             expect(lambda config: 1.0, p)
 
 
-def test_state_space_guard():
-    with pytest.raises(GuardError):
-        expect_unitary(None, ModelParams(m=2, n=2, N=4, beta=0.1, kappa=0.1))
+ROUTES = {"form": expect_form, "unitary": expect_unitary, "full": expect_full}
+
+
+def test_state_space_guard(monkeypatch):
+    # one engine for all three measures: at m=2 N=1 the widest frontier is 3 plaquettes
+    # (2-form), 5 edges (unitary gauge) and 8 edges and vertices (two-field); a box whose
+    # frontier is past the guard is refused before any plan table is built
+    p = params(0.3, 0.45)
+    want = {name: route(LOOP, p) for name, route in ROUTES.items()}
+    for name, width in (("form", 3), ("unitary", 5), ("full", 8)):
+        _plan.cache_clear()
+        monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**width - 1)
+        with pytest.raises(GuardError, match=f"{name} elimination holds 2 x 2\\^{width} entries"):
+            ROUTES[name](LOOP, p)
+        monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**width)
+        assert ROUTES[name](LOOP, p) == want[name]
+    monkeypatch.undo()
+    _plan.cache_clear()
+
+    def no_tables(*args):
+        raise AssertionError("the elimination built a plan table before its guard")
+
+    monkeypatch.setattr(oracle, "_all_digits", no_tables)
+    for m, N, widths in ((3, 2, dict(form=47, unitary=48, full=73)), (4, 1, dict(form=73, unitary=67, full=93))):
+        loop = rectangle_loop(RectDescriptor(corner=(0,) * m, axes=(1, 2), lengths=(1, 1)))
+        for name, width in widths.items():
+            with pytest.raises(GuardError, match=f"{name} elimination holds 2 x 2\\^{width} entries"):
+                ROUTES[name](loop, ModelParams(m=m, n=2, N=N, beta=0.1, kappa=0.1))
 
 
 def test_two_field_guard_counts_gauge_and_higgs_states(monkeypatch):
-    # N = 2 has 2^40 gauge states: refused before any per-cell table is built
-    def no_tables(*args):
-        raise AssertionError("expect_full allocated before its guard")
-
-    monkeypatch.setattr(oracle, "_full_tables", no_tables)
-    with pytest.raises(GuardError):
-        expect_full(LOOP, ModelParams(m=2, n=2, N=2, beta=0.1, kappa=0.1))
+    # the two-field frontier holds gauge and Higgs states: at m=2 N=1 it is 8 edges and
+    # vertices against the unitary gauge's 5 edges, so a guard that admits the unitary
+    # elimination refuses the two-field one until it admits 2 x 2^8 entries
+    p = params(0.3, 0.45)
+    want = expect_full(LOOP, p)
+    _plan.cache_clear()
+    monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**8 - 1)
+    assert math.isfinite(expect_unitary(LOOP, p))
+    with pytest.raises(GuardError, match="full elimination holds 2 x 2\\^8 entries"):
+        expect_full(LOOP, p)
+    monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**8)
+    assert expect_full(LOOP, p) == want
+    _plan.cache_clear()
 
 
 def test_endpoint_ranks_are_looked_up_by_the_two_field_route_only(monkeypatch):
-    # once the path cache is warm, only expect_full reads BoxIndex.ids, for an open path's ends;
-    # a new path object has no cached end ranks
+    # of the two-field routes only the references (full_chunked, full_transfer) look an open
+    # path's end points up; expect_full's Wilson phase sum_e c_e (sigma_e - (d phi)_e) reads
+    # the path's edges alone, as do the unitary-gauge and 2-form routes
     p = params(0.3, 0.45)
     fresh = rectangle_open_path(RECT, start=0, count=2)
-    routes = (expect_unitary, expect_form, lambda g, q: form_distribution(q, tilt=g)[1])
-    for route in routes:
-        route(fresh, p)
 
-    def no_ids(cells):
-        raise AssertionError("endpoint ranks looked up")
+    def unread(self):
+        raise AssertionError("end points looked up")
 
-    monkeypatch.setattr(box_index(2, 1), "ids", no_ids)
-    for route in routes:
-        for g in (fresh, LOOP, None):
-            route(g, p)
-    expect_full(LOOP, p)
-    with pytest.raises(AssertionError, match="endpoint ranks"):
-        expect_full(fresh, p)
+    monkeypatch.setattr(LatticePath, "endpoints", property(unread))
+    for route in (expect_full, expect_unitary, expect_form):
+        assert math.isfinite(route(fresh, p))
+    for reference in (full_chunked, full_transfer):
+        with pytest.raises(AssertionError, match="end points looked up"):
+            reference(fresh, p)
 
 
 def test_endpoint_ranks_are_built_once_per_path(monkeypatch):
-    # a warm second call reads neither the path's end points nor BoxIndex.ids
+    # an open path enters the two-field route through its edge ranks and coefficients, built
+    # once per path: a warm second call reads neither the path's end points nor BoxIndex.ids
     p = params(0.3, 0.45)
     fresh = rectangle_open_path(RECT, start=1, count=2)
     first = expect_full(fresh, p)
 
     def unread(*args):
-        raise AssertionError("end points rebuilt")
+        raise AssertionError("path ranks rebuilt")
 
     monkeypatch.setattr(LatticePath, "endpoints", property(unread))
     monkeypatch.setattr(box_index(2, 1), "ids", unread)
     assert expect_full(fresh, p) == first
-    ranks = box_index(2, 1).endpoint_ranks(fresh)
-    assert not ranks.flags.writeable
-    with pytest.raises(AssertionError, match="end points rebuilt"):
-        box_index(2, 1).endpoint_ranks(rectangle_open_path(RECT, start=1, count=2))
+    ranks, coef = box_index(2, 1).path(fresh)
+    assert not ranks.flags.writeable and not coef.flags.writeable
+    with pytest.raises(AssertionError, match="path ranks rebuilt"):
+        expect_full(rectangle_open_path(RECT, start=1, count=2), p)
 
 
 def test_wilson_hat_basics():
@@ -295,12 +316,12 @@ def test_increasing_box_stabilization_reported(capsys):
 
 
 def test_wilson_line_open_in_two_field_model():
-    # open path through vertices exercises the Higgs endpoint factor
+    # an open path's phase reads the Higgs field at its end points, through r_e = sigma_e - (d phi)_e
     p = params(0.3, 0.4)
     assert expect_full(OPEN2, p) == pytest.approx(expect_unitary(OPEN2, p), abs=1e-10)
 
 
-# -- the previous chunked enumerations, the reference for the split-half and transfer routes --
+# -- the chunked enumerations, a reference for every measure --
 
 _CHUNK = 1 << 16  # the reference's own block size
 
@@ -419,8 +440,173 @@ def form_chunked(observable, params: ModelParams, chunk: int = _CHUNK) -> float:
     return math.fsum(num) / math.fsum(den)
 
 
+def _cos_table(n: int) -> np.ndarray:
+    return np.cos(2 * np.pi * np.arange(n) / n)
+
+
+def _sin_table(n: int) -> np.ndarray:
+    return np.sin(2 * np.pi * np.arange(n) / n)
+
+
+def _check_imag(num_im: float, scale: float):
+    # the accumulated numerator must be real relative to the partition function
+    if abs(num_im) > 1e-9 * abs(scale):
+        raise AssertionError(f"expected a real accumulation, got imag {num_im} at scale {scale}")
+
+
+# -- the per-edge transfer, the reference for the two-field measure at n = 3 --
+
+
+def _transfer(g: np.ndarray, matrix: np.ndarray, k: int) -> np.ndarray:
+    """h[..., a] = sum_b g[..., b] prod_j matrix[b_j, a_j] over Z_n^k.
+
+    The last axis of ``g`` holds the n^k points of Z_n^k in counter order.
+    Each step contracts the c trailing digits, n^c <= 16, with the c-fold
+    Kronecker power of ``matrix`` (the last step takes what is left) and
+    rotates them to the front, so after the last step the digits are back
+    in counter order; k = 0 returns ``g``.
+    """
+    n, lead = len(matrix), g.shape[:-1]
+    c = 1
+    while c < k and n ** (c + 1) <= 16:
+        c += 1
+    powers = [None, matrix]  # powers[j][b, a] = prod over j digits of matrix[b_i, a_i]
+    for j in range(2, c + 1):
+        powers.append(np.multiply.outer(powers[-1], matrix).swapaxes(1, 2).reshape(n**j, n**j))
+    while k:
+        step = min(c, k)
+        g = (g.reshape(*lead, -1, n**step) @ powers[step]).swapaxes(-1, -2).reshape(*lead, -1)
+        k -= step
+    return g
+
+
+@lru_cache(maxsize=8)
+def _full_tables(m: int, N: int, n: int):
+    """Coupling-free per-cell tables of the per-edge transfer, all read-only.
+
+    (edge digits, plaquette cosines, vertex digits, edge key terms): cell
+    c's digit is arange(n) along axis c of the (n,)*E gauge or (n,)*V Higgs
+    axes; a plaquette's cosine cos(2 pi (d sigma)_p / n) and an edge's key
+    term n^(E-1-e) (d phi)_e live on the axes of the cells they read, so
+    summing them by broadcasting gives the cosine sum of every sigma and the
+    counter value of d phi for every phi.  No table has more than n^4 entries.
+    """
+    idx = box_index(m, N)
+    E, V = len(idx.edge_verts), len(idx.vertices)
+    cos_t = _cos_table(n)
+
+    def axes(k):
+        return [np.arange(n).reshape([n if a == c else 1 for a in range(k)]) for c in range(k)]
+
+    def derivative(digits, cols, signs):
+        return sum(int(s) * digits[c] for c, s in zip(cols, signs) if s) % n
+
+    sig, phis = axes(E), axes(V)
+    plaq = [cos_t[derivative(sig, *row)] for row in zip(idx.plaq_edges, idx.plaq_signs)]
+    keys = [n ** (E - 1 - e) * derivative(phis, *row) for e, row in enumerate(zip(idx.edge_verts, idx.edge_vert_signs))]
+    return tuple(_frozen(*part) for part in (sig, plaq, phis, keys))
+
+
+def full_transfer(observable, params: ModelParams) -> float:
+    """Expectation under the two-field measure; sums sigma by a per-edge transfer.
+
+    The Higgs weight is a product over edges, prod_e T[sigma_e, t_e] with
+    T[s, t] = exp(2 kappa cos(2 pi (s - t) / n)) and t = d phi.  Each of the
+    three sigma-tensors c in {w, w cos hol, w sin hol} on Z_n^E (w the
+    plaquette weight, hol the observable's holonomy) is multiplied by T
+    along each of its E edge axes (:func:`_transfer`), which gives
+    G_c(t) = sum_sigma c(sigma) prod_e T[sigma_e, t_e] for every t at once.
+    Each of the n^V Higgs configurations then reads G_c at t = d phi and
+    adds its end point phase phi(x1) - phi(x2).  No gauge is fixed.
+
+    Raises GuardError when n^E or n^V exceeds ``STATE_GUARD``.
+    """
+    idx = box_index(params.m, params.N)
+    coeffs = _wilson(idx, observable)
+    E, V, n = len(idx.edge_verts), len(idx.vertices), params.n
+    if max(n**E, n**V) > STATE_GUARD:
+        raise GuardError(f"two-field transfer holds {n}^{E} gauge and {n}^{V} Higgs states")
+    sig, plaq, phis, keys = _full_tables(params.m, params.N, n)
+    cos_t, sin_t = _cos_table(n), _sin_table(n)
+    a_w = np.zeros((n,) * E)
+    for table in plaq:
+        a_w += table
+    w = np.exp(2 * params.beta * a_w)
+    hol = sum(int(c) * sig[e] for e, c in enumerate(coeffs) if c) % n
+    g = np.stack([w, w * cos_t[hol], w * sin_t[hol]]).reshape(3, -1)
+    transfer = np.exp(2 * params.kappa * cos_t[np.subtract.outer(np.arange(n), np.arange(n)) % n])
+    t = np.zeros((n,) * V, dtype=np.int64)
+    for table in keys:
+        t += table
+    ends = 0
+    if observable is not None and observable.kind != "closed":
+        x1, x2 = idx.ids(vertex(x) for x in observable.endpoints)
+        ends = (phis[x1] - phis[x2]) % n
+    cos_e, sin_e = cos_t[ends], sin_t[ends]
+    den, g_re, g_im = _transfer(g, transfer, E)[:, t]
+    num_re, num_im = g_re * cos_e - g_im * sin_e, g_im * cos_e + g_re * sin_e
+    nr, ni, dn = (math.fsum(x.ravel().tolist()) for x in (num_re, num_im, den))
+    _check_imag(ni, dn)
+    return nr / dn
+
+
 # -- the keyed split-half 2-form route, the reference for the elimination route --
-# It reads oracle's helpers through the module, so a test that patches them there reaches it.
+
+
+def _digits(n: int, k: int):
+    """Digit tables (hi, lo) of the base-n counter over k cells, split in two.
+
+    ``hi`` has n^(k - k//2) rows over the leading cells, ``lo`` n^(k//2)
+    rows over the trailing ones; both are k columns wide and zero outside
+    their own half, so hi[a] + lo[b] is the digit row of counter value
+    a * n^(k//2) + b.  Cell 0 is the most significant digit, matching
+    canonical cell order.
+    """
+    kl = k // 2
+
+    def table(start, width):
+        rows = np.arange(n**width, dtype=np.int64)
+        out = np.zeros((len(rows), k), dtype=np.int8)
+        out[:, start : start + width] = (rows[:, None] // n ** np.arange(width - 1, -1, -1)) % n
+        return out
+
+    return table(0, k - kl), table(k - kl, kl)
+
+
+def _row_classes(table: np.ndarray, sign: np.ndarray, k_hi: int):
+    """Masks (hi-only, lo-only, straddling) of an operator's rows for cells split at k_hi.
+
+    A row that reads no cell is hi-only: it is 0 on both halves.
+    """
+    live = sign != 0
+    reads_hi = (live & (table < k_hi)).any(axis=1)
+    reads_lo = (live & (table >= k_hi)).any(axis=1)
+    return ~reads_lo, reads_lo & ~reads_hi, reads_hi & reads_lo
+
+
+def _sum_matrix(f: np.ndarray) -> np.ndarray:
+    """M[b, a] = f[(a + b) mod n]: a straddling row's factor at hi residue a and lo residue b."""
+    n = len(f)
+    return f[np.add.outer(np.arange(n), np.arange(n)) % n]
+
+
+def _keys(residues: np.ndarray, n: int) -> np.ndarray:
+    """Each row's residues on the straddling rows read as one base-n counter value."""
+    return residues.astype(np.int64) @ n ** np.arange(residues.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def _split(table: np.ndarray, sign: np.ndarray, k: int, n: int):
+    """(k_hi, row classes) of an operator on k cells; GuardError before any table is built.
+
+    The split-half route holds the n^k configurations it enumerates and the
+    n^s key tensor of the s straddling rows.
+    """
+    k_hi = k - k // 2
+    classes = _row_classes(table, sign, k_hi)
+    s = int(classes[2].sum())
+    if n**k + n**s > STATE_GUARD:
+        raise GuardError(f"form enumeration holds {n}^{k} states and {n}^{s} straddling keys")
+    return k_hi, classes
 
 
 @lru_cache(maxsize=8)
@@ -435,14 +621,14 @@ def _form_halves(m: int, N: int, n: int):
     """
     idx = box_index(m, N)
     P = len(idx.plaq_edges)
-    k_hi, (hi_rows, lo_rows, mid) = oracle._split(idx.edge_plaqs, idx.edge_plaq_signs, P, n, "form")
-    hi, lo = oracle._digits(n, P)
+    k_hi, (hi_rows, lo_rows, mid) = _split(idx.edge_plaqs, idx.edge_plaq_signs, P, n)
+    hi, lo = _digits(n, P)
     d_hi = incidence(hi, idx.edge_plaqs, idx.edge_plaq_signs, n)
     d_lo = incidence(lo, idx.edge_plaqs, idx.edge_plaq_signs, n)
     return (
-        oracle._frozen(hi[:, :k_hi].copy(), d_hi[:, hi_rows].copy(), oracle._keys(d_hi[:, mid], n)),
-        oracle._frozen(lo[:, k_hi:].copy(), d_lo[:, lo_rows].copy(), d_lo[:, mid].copy()),
-        oracle._frozen(hi_rows, lo_rows, mid),
+        _frozen(hi[:, :k_hi].copy(), d_hi[:, hi_rows].copy(), _keys(d_hi[:, mid], n)),
+        _frozen(lo[:, k_hi:].copy(), d_lo[:, lo_rows].copy(), d_lo[:, mid].copy()),
+        _frozen(hi_rows, lo_rows, mid),
     )
 
 
@@ -474,22 +660,21 @@ def form_split(observable, params: ModelParams) -> float:
         # a hi-only edge takes its tilt on the hi side, every other edge on the lo side
         w_hi = b_hi * phi_k[(d_hi + tilt[hi_rows]) % n].prod(axis=1)
         w_lo = b_lo * phi_k[(d_lo + tilt[lo_rows]) % n].prod(axis=1)
-        g = np.bincount(oracle._keys((d_mid + tilt[mid]) % n, n), w_lo, minlength=n**s)
-        return math.fsum((w_hi * oracle._transfer(g, matrix, s)[key_hi]).tolist())
+        g = np.bincount(_keys((d_mid + tilt[mid]) % n, n), w_lo, minlength=n**s)
+        return math.fsum((w_hi * _transfer(g, matrix, s)[key_hi]).tolist())
 
     den = total(np.zeros(len(idx.edge_plaqs), dtype=np.int64))
     num = den if observable is None else total(coeffs % n)
     return num / den
 
 
-# -- the exact routes against the references ------------------------------
+# -- the engine against the references -------------------------------------
 # keyed by the measure: the unitary-gauge measure and the 2-form measure
 
-SPLIT = {
+CHUNKED = {
     "expect_unitary": (expect_unitary, unitary_chunked),
     "expect_form": (expect_form, form_chunked),
 }
-HALVES = {"expect_unitary": expect_unitary, "expect_form": form_split}  # the split-half route of each
 OBSERVABLES = dict(none=None, loop=LOOP, open2=OPEN2, loop_hi=LOOP_HI, open_hi=OPEN_HI, big=BIG)
 # (beta, kappa, observables): every observable at a generic point, two at each zero coupling
 COUPLING_CASES = [
@@ -498,31 +683,33 @@ COUPLING_CASES = [
     (0.4, 0.0, ("open2", "big")),
 ]
 # (measure, (m, n, N), block size of the chunked reference's enumeration); every block
-# size leaves the reference a ragged last block; the half-rows and straddling rows are
-# those of the split-half route
+# size leaves the reference a ragged last block; the 2-form boxes' half-rows and
+# straddling edges are those of form_split
 REFERENCE_POINTS = [
-    ("expect_unitary", (2, 2, 1), 7),  # 64 x 64 half-rows, 3 straddling plaquettes; 4096 states: last block of 1
-    ("expect_unitary", (2, 3, 1), 2 * 729 + 1),  # 729 x 729; 531441 states: last block of 365
+    ("expect_unitary", (2, 2, 1), 7),  # 4096 states: last block of 1
+    ("expect_unitary", (2, 3, 1), 2 * 729 + 1),  # 531441 states: last block of 365
     ("expect_form", (2, 2, 1), 7),  # 4 x 4 half-rows, 3 straddling edges; 16 states: last block of 2
     ("expect_form", (2, 3, 1), 7),
     ("expect_form", (2, 4, 1), 7),
     ("expect_form", (2, 5, 1), 7),
     ("expect_form", (2, 2, 2), 250),  # 256 x 256 half-rows, 4 straddling edges; 65536 states: last block of 36
 ]
+FORM_POINTS = [box for route, box, _ in REFERENCE_POINTS if route == "expect_form"]
 
 
 def _point_id(route, box, *rest):
     return "-".join([route, "x".join(map(str, box)), *map(str, rest)])
 
 
+# the test keeps the name it had when the split-half routes were the ones checked
 @pytest.mark.parametrize("route, box, chunk", REFERENCE_POINTS, ids=[_point_id(*pt) for pt in REFERENCE_POINTS])
 def test_split_routes_match_chunked_reference(route, box, chunk):
-    split, reference = SPLIT[route]
+    engine, reference = CHUNKED[route]
     m, n, N = box
     for beta, kappa, names in COUPLING_CASES:
         p = ModelParams(m=m, n=n, N=N, beta=beta, kappa=kappa)
         for name in names:
-            got, want = split(OBSERVABLES[name], p), reference(OBSERVABLES[name], p, chunk)
+            got, want = engine(OBSERVABLES[name], p), reference(OBSERVABLES[name], p, chunk)
             assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
 
 
@@ -534,51 +721,75 @@ def test_full_matches_chunked_reference():
             assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
 
 
+def test_full_matches_transfer_reference():
+    # at n = 3 the chunked reference is past the guard (3^21 states); the per-edge transfer is not
+    for beta, kappa, names in COUPLING_CASES:
+        p = ModelParams(m=2, n=3, N=1, beta=beta, kappa=kappa)
+        for name in names:
+            got, want = expect_full(OBSERVABLES[name], p), full_transfer(OBSERVABLES[name], p)
+            assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
+
+
+OPEN_PATHS = (OPEN2, OPEN_HI, rectangle_open_path(RECT, start=1, count=3), rectangle_open_path(RECT_HI, start=3, count=2))
+
+
+def test_full_matches_both_references_on_open_paths():
+    # the engine's Wilson phase sum_e c_e (sigma_e - (d phi)_e) needs no end point factor;
+    # both references add the end points' Higgs phase by a lookup of their own
+    p = params(0.7, 0.2)
+    for gamma in OPEN_PATHS:
+        got = expect_full(gamma, p)
+        assert abs(got - full_chunked(gamma, p)) <= 1e-12, gamma
+        assert abs(got - full_transfer(gamma, p)) <= 1e-12, gamma
+
+
+@pytest.mark.parametrize("N, n", [(2, 3), (3, 2)], ids=["2x3x2", "2x2x3"])
+def test_full_matches_form_past_the_transfer_guard(N, n):
+    # no two-field reference reaches these boxes: 3^40 and 2^84 gauge states
+    for beta, kappa, names in COUPLING_CASES:
+        p = ModelParams(m=2, n=n, N=N, beta=beta, kappa=kappa)
+        for name in names:
+            got, want = expect_full(OBSERVABLES[name], p), expect_form(OBSERVABLES[name], p)
+            assert abs(got - want) <= 1e-12, (name, beta, kappa, got, want)
+
+
 def _recording_transfer(monkeypatch):
-    """Patch oracle._transfer to record (tensor shape, k) of each call."""
-    calls = []
+    """Patch this module's _transfer to record (tensor shape, k) of each call."""
+    calls, transfer = [], _transfer
 
     def recording(g, matrix, k):
         calls.append((g.shape, k))
-        return _transfer(g, matrix, k)
+        return transfer(g, matrix, k)
 
-    monkeypatch.setattr(oracle, "_transfer", recording)
+    monkeypatch.setitem(globals(), "_transfer", recording)
     return calls
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_full_never_pairs_sigma_with_phi(monkeypatch, n):
-    # sigma is summed for every d phi at once, by one transfer over all E edge axes
+    # the per-edge reference sums sigma for every d phi at once, by one transfer over all E edge axes
     calls = _recording_transfer(monkeypatch)
     p = params(0.3, 0.45, n=n)
     E = len(box_index(2, 1).edge_verts)
     for gamma in (None, LOOP, OPEN2):
-        assert math.isfinite(expect_full(gamma, p))
+        assert math.isfinite(full_transfer(gamma, p))
     assert calls == [((3, n**E), E)] * 3
 
 
-@pytest.mark.parametrize("route, box", [pt[:2] for pt in REFERENCE_POINTS], ids=[_point_id(*pt[:2]) for pt in REFERENCE_POINTS])
-def test_split_routes_transfer_over_straddling_keys_only(monkeypatch, route, box):
-    # each call bins one half by its key on the s straddling rows: a tensor of n^s entries
+@pytest.mark.parametrize("box", FORM_POINTS, ids=[_point_id("expect_form", box) for box in FORM_POINTS])
+def test_split_routes_transfer_over_straddling_keys_only(monkeypatch, box):
+    # each form_split call bins one half by its key on the s straddling edges: a tensor of n^s entries
     m, n, N = box
     idx = box_index(m, N)
-    if route == "expect_unitary":  # cells are edges, straddling rows plaquettes
-        table, sign, k = idx.plaq_edges, idx.plaq_signs, len(idx.edge_verts)
-    else:  # cells are plaquettes, straddling rows edges
-        table, sign, k = idx.edge_plaqs, idx.edge_plaq_signs, len(idx.plaq_edges)
-    s = int(_row_classes(table, sign, k - k // 2)[2].sum())
-    assert 0 < s <= k - k // 2
+    P = len(idx.plaq_edges)
+    s = int(_row_classes(idx.edge_plaqs, idx.edge_plaq_signs, P - P // 2)[2].sum())
+    assert 0 < s <= P - P // 2
     calls = _recording_transfer(monkeypatch)
-    p = ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45)
-    HALVES[route](LOOP, p)
-    want = [((3, n**s), s)] if route == "expect_unitary" else [((n**s,), s)] * 2
-    assert calls == want
-    calls.clear()
-    expect_form(LOOP, p)  # elimination makes no transfer
-    assert calls == []
+    form_split(LOOP, ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45))
+    assert calls == [((n**s,), s)] * 2
 
 
-# Near STATE_GUARD the reference takes 5-55 s a call, so its values there are
+# Near STATE_GUARD the chunked references take 5-55 s a call, so their values there are
 # pinned: each was computed once by unitary_chunked / form_chunked above.
 PINNED_NEAR_GUARD = [
     ("expect_unitary", (2, 4, 1), "none", 0.3, 0.45, 1.0),
@@ -595,6 +806,8 @@ PINNED_NEAR_GUARD = [
     ("expect_form", (2, 3, 2), "loop", 0.0, 0.35, 0.021387072067831126),
     ("expect_form", (2, 3, 2), "open_hi", 0.4, 0.0, 0.0),
 ]
+# every route that reaches a pinned box: the two-field measure equals the unitary-gauge one
+PINNED_ROUTES = {"expect_unitary": (expect_unitary, expect_full), "expect_form": (expect_form, form_split)}
 
 
 @pytest.mark.parametrize(
@@ -603,12 +816,12 @@ PINNED_NEAR_GUARD = [
 def test_split_routes_match_pinned_reference_near_guard(route, box, name, beta, kappa, want):
     m, n, N = box
     p = ModelParams(m=m, n=n, N=N, beta=beta, kappa=kappa)
-    for exact in {SPLIT[route][0], HALVES[route]}:
-        assert abs(exact(OBSERVABLES[name], p) - want) <= 1e-12
+    for exact in PINNED_ROUTES[route]:
+        assert abs(exact(OBSERVABLES[name], p) - want) <= 1e-12, exact.__name__
 
 
 # every 2-form point above: the chunked reference's boxes and the pinned box near the guard
-ELIMINATION_POINTS = [box for route, box, _ in REFERENCE_POINTS if route == "expect_form"] + [(2, 3, 2)]
+ELIMINATION_POINTS = FORM_POINTS + [(2, 3, 2)]
 
 
 @pytest.mark.parametrize("box", ELIMINATION_POINTS, ids=["x".join(map(str, box)) for box in ELIMINATION_POINTS])
@@ -673,10 +886,10 @@ def test_transfer_matches_direct_sum(n, k):
         assert _transfer(g, matrix, k) is g
 
 
-HALF_TABLES = [(_gauge_halves, (2, 3, 1)), (_form_halves, (2, 2, 2)), (_full_tables, (2, 1, 2))]
+HALF_TABLES = [(_form_halves, (2, 2, 2)), (_full_tables, (2, 1, 2))]
 
 
-@pytest.mark.parametrize("build, box", HALF_TABLES, ids=["gauge", "form", "full"])
+@pytest.mark.parametrize("build, box", HALF_TABLES, ids=["form", "full"])
 def test_half_tables_are_read_only(build, box):
     arrays = [a for part in build(*box) if isinstance(part, tuple) for a in part]
     assert arrays and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
@@ -687,7 +900,7 @@ def test_half_tables_are_read_only(build, box):
 def _split_values(box):
     m, n, N = box
     p = ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45)
-    return [route(g, p) for route in (expect_unitary, form_split) for g in (LOOP, OPEN2, BIG)]
+    return [form_split(g, p) for g in (LOOP, OPEN2, BIG)]
 
 
 def test_half_tables_give_the_same_bits_in_any_call_order():
@@ -696,31 +909,38 @@ def test_half_tables_give_the_same_bits_in_any_call_order():
     assert _split_values((2, 3, 1)) == first
     box_index.cache_clear()
     assert _split_values((2, 3, 1)) == first
-    for build, _ in HALF_TABLES:
-        build.cache_clear()
+    _form_halves.cache_clear()
     assert _split_values((2, 2, 1)) == small
     assert _split_values((2, 3, 1)) == first
 
 
+MEASURES = ("form", "unitary", "full")
+
+
 def test_form_plan_is_read_only():
-    arrays, steps = _form_plan(2, 2, 2)
-    assert len(arrays) == 3 and all(not a.flags.writeable for a in arrays)
-    with pytest.raises(ValueError):
-        arrays[0][0] = 1
-    assert isinstance(steps, tuple) and len(steps) == len(box_index(2, 2).plaq_edges)
+    # the plan of every measure, the 2-form one among them
+    for measure in MEASURES:
+        arrays, steps = _plan(measure, 2, 2, 2)
+        assert len(arrays) == 3 and all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0] = 1
+        idx = box_index(2, 2)  # a two-field edge joins in a step of its own
+        assert isinstance(steps, tuple) and len(steps) == len(idx.plaq_edges) + (len(idx.edges) if measure == "full" else 0)
 
 
 def _form_values(box):
+    # every measure's engine: the two-field frontier at m = 3 is past the guard (2 x 2^28)
     m, n, N = box
     p = ModelParams(m=m, n=n, N=N, beta=0.3, kappa=0.45)
-    return [expect_form(g, p) for g in (None, LOOP, OPEN2, BIG, LOOP_3D, OPEN_3D) if g is None or g.m == m]
+    routes = [ROUTES[measure] for measure in MEASURES if m == 2 or measure != "full"]
+    return [route(g, p) for route in routes for g in (None, LOOP, OPEN2, BIG, LOOP_3D, OPEN_3D) if g is None or g.m == m]
 
 
 def test_form_plan_gives_the_same_bits_in_any_call_order():
     boxes = [(2, 3, 1), (2, 2, 2), (2, 2, 1), (3, 2, 1)]
     first = [_form_values(box) for box in boxes]
     assert [_form_values(box) for box in boxes[::-1]] == first[::-1]
-    _form_plan.cache_clear()
+    _plan.cache_clear()
     box_index.cache_clear()
     assert [_form_values(box) for box in boxes[::-1]] == first[::-1]
     assert [_form_values(box) for box in boxes] == first
@@ -728,55 +948,64 @@ def test_form_plan_gives_the_same_bits_in_any_call_order():
 
 def test_full_tables_give_the_same_bits_in_any_call_order():
     p2, p3 = params(0.3, 0.45), params(0.3, 0.45, n=3)
-    first = [expect_full(g, p2) for g in (LOOP, OPEN2, BIG, None)]
-    expect_full(OPEN2, p3)
-    assert [expect_full(g, p2) for g in (LOOP, OPEN2, BIG, None)] == first
+    first = [full_transfer(g, p2) for g in (LOOP, OPEN2, BIG, None)]
+    full_transfer(OPEN2, p3)
+    assert [full_transfer(g, p2) for g in (LOOP, OPEN2, BIG, None)] == first
     _full_tables.cache_clear()
     box_index.cache_clear()
-    assert [expect_full(g, p2) for g in (None, BIG, OPEN2, LOOP)] == first[::-1]
+    assert [full_transfer(g, p2) for g in (None, BIG, OPEN2, LOOP)] == first[::-1]
 
 
-# the ids name the measure, as in SPLIT
+# the ids name the measure, as in CHUNKED; the expect_unitary case keeps the id of the
+# split-half tables it counted before the unitary route became an elimination
 @pytest.mark.parametrize(
-    "route, build",
-    [(expect_unitary, _gauge_halves), (form_split, _form_halves)],
-    ids=["expect_unitary-_gauge_halves", "expect_form-_form_halves"],
+    "route, build, bound",
+    [(form_split, _form_halves, 2**4 + 2**2), (expect_unitary, _plan, 2 * 2**5)],
+    ids=["expect_form-_form_halves", "expect_unitary-_gauge_halves"],
 )
-def test_split_guard_counts_states_and_keys(monkeypatch, route, build):
-    # at m=2 n=2 N=1 the unitary route holds 2^12 states (edges) and 2^3 keys (straddling
-    # plaquettes), the form route 2^4 states (plaquettes) and 2^2 keys (straddling edges)
-    k, s = (12, 3) if route is expect_unitary else (4, 2)
+def test_split_guard_counts_states_and_keys(monkeypatch, route, build, bound):
+    # at m=2 n=2 N=1 the split-half 2-form reference holds 2^4 states (plaquettes) and 2^2 keys
+    # (straddling edges); the unitary elimination holds 2 x 2^5 entries (a frontier of 5 edges)
+    def guard(value):
+        monkeypatch.setitem(globals(), "STATE_GUARD", value)
+        monkeypatch.setattr(oracle, "STATE_GUARD", value)
+
     p = params(0.3, 0.45)
     build.cache_clear()
-    monkeypatch.setattr(oracle, "STATE_GUARD", 2**k + 2**s - 1)
+    guard(bound - 1)
     with pytest.raises(GuardError):
         route(LOOP, p)
-    monkeypatch.setattr(oracle, "STATE_GUARD", 2**k + 2**s)
+    guard(bound)
     assert math.isfinite(route(LOOP, p))
     build.cache_clear()
 
 
 @pytest.mark.parametrize("route", [expect_unitary, form_split], ids=["expect_unitary", "expect_form"])
 def test_split_guard_refuses_before_any_table(monkeypatch, route):
+    # the split-half 2-form reference refuses m=2 N=4 (2^64 2-forms); the unitary elimination,
+    # whose frontier there is 11 edges, is first refused at m=3 N=2 (48 edges)
     def no_tables(*args):
-        raise AssertionError("a split-half route allocated before its guard")
+        raise AssertionError("a route allocated before its guard")
 
-    monkeypatch.setattr(oracle, "_digits", no_tables)
+    monkeypatch.setitem(globals(), "_digits", no_tables)
+    monkeypatch.setattr(oracle, "_all_digits", no_tables)
+    m, N = (2, 4) if route is form_split else (3, 2)
+    loop = rectangle_loop(RectDescriptor(corner=(0,) * m, axes=(1, 2), lengths=(1, 1)))
     with pytest.raises(GuardError):
-        route(LOOP, ModelParams(m=2, n=2, N=4, beta=0.1, kappa=0.1))
+        route(loop, ModelParams(m=m, n=2, N=N, beta=0.1, kappa=0.1))
 
 
 def test_elimination_guard_counts_its_widest_frontier(monkeypatch):
     # at m=2 N=1 the widest frontier is 3 plaquettes: 2 x 2^3 entries at n = 2
     p = params(0.3, 0.45)
     want = form_split(LOOP, p)
-    _form_plan.cache_clear()
+    _plan.cache_clear()
     monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**3 - 1)
     with pytest.raises(GuardError, match="2 x 2\\^3 entries"):
         expect_form(LOOP, p)
     monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**3)
     assert abs(expect_form(LOOP, p) - want) <= 1e-15
-    _form_plan.cache_clear()
+    _plan.cache_clear()
 
 
 @pytest.mark.parametrize("m, N, width", [(3, 2, 47), (4, 1, 73)])
@@ -784,7 +1013,7 @@ def test_elimination_guard_refuses_before_any_plan_table(monkeypatch, m, N, widt
     def no_tables(*args):
         raise AssertionError("the elimination built a plan table before its guard")
 
-    _form_plan.cache_clear()
+    _plan.cache_clear()
     monkeypatch.setattr(oracle, "_all_digits", no_tables)
     loop = rectangle_loop(RectDescriptor(corner=(0,) * m, axes=(1, 2), lengths=(1, 1)))
     with pytest.raises(GuardError, match=f"2 x 2\\^{width} entries"):
@@ -792,11 +1021,14 @@ def test_elimination_guard_refuses_before_any_plan_table(monkeypatch, m, N, widt
 
 
 def test_elimination_reaches_past_the_split_half_guard():
-    # m=2 N=4 has 2^64 2-forms; its widest frontier is 9 plaquettes
+    # m=2 N=4 has 2^64 2-forms and 2^144 gauge configurations; the widest frontiers are
+    # 9 plaquettes and 11 edges
     p = ModelParams(m=2, n=2, N=4, beta=0.1, kappa=0.1)
     with pytest.raises(GuardError):
         form_split(LOOP, p)
-    assert eta(0.1, 2) ** len(LOOP) <= expect_form(LOOP, p) <= 1
+    form = expect_form(LOOP, p)
+    assert eta(0.1, 2) ** len(LOOP) <= form <= 1
+    assert abs(expect_unitary(LOOP, p) - form) <= 1e-12
 
 
 @pytest.mark.parametrize("box", [(2, 2, 1), (2, 3, 1), (2, 2, 2)], ids=["2x2x1", "2x3x1", "2x2x2"])
@@ -810,18 +1042,23 @@ def test_elimination_gives_zero_for_an_open_path_at_kappa_zero(box):
 
 
 def test_r1_loop_exact_value_is_pinned():
-    # R1's 8x8 loop at corner (-4, -4): the N=7 and N=8 boxes agree, and the N=8 value is pinned
+    # R1's 8x8 loop at corner (-4, -4): the N=7 and N=8 boxes agree, the N=8 value is pinned,
+    # and the unitary-gauge measure gives the N=7 value
     loop = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
-    n7, n8 = (expect_form(loop, ModelParams(m=2, n=2, N=N, beta=1e-4, kappa=0.25)) for N in (7, 8))
+    at = lambda N: ModelParams(m=2, n=2, N=N, beta=1e-4, kappa=0.25)
+    n7, n8 = (expect_form(loop, at(N)) for N in (7, 8))
     assert abs(n7 - n8) <= 1e-13 * n8
     assert n8 == pytest.approx(1.875925810390806e-11, rel=1e-13)
+    assert expect_unitary(loop, at(7)) == pytest.approx(n7, rel=1e-13)
 
 
 def test_m3_loop_exact_value_is_pinned():
-    # the 2x2 loop at (-1, -1, 0) on the m=3 N=1 box, normalized by xi^|gamma|
+    # the 2x2 loop at (-1, -1, 0) on the m=3 N=1 box, normalized by xi^|gamma|, by both
+    # measures that reach it
     loop = rectangle_loop(RectDescriptor(corner=(-1, -1, 0), axes=(1, 2), lengths=(2, 2)))
-    got = expect_form(loop, ModelParams(m=3, n=2, N=1, beta=1e-2, kappa=0.25))
-    assert got / xi(0.25, 2) ** len(loop) == pytest.approx(1.1460463625462645, rel=1e-13)
+    p = ModelParams(m=3, n=2, N=1, beta=1e-2, kappa=0.25)
+    for route in (expect_form, expect_unitary):
+        assert route(loop, p) / xi(0.25, 2) ** len(loop) == pytest.approx(1.1460463625462645, rel=1e-13)
 
 
 def test_high_temperature_identity_n4():
@@ -834,11 +1071,18 @@ def test_high_temperature_identity_n4():
     "route, n", [(expect_unitary, 2), (expect_unitary, 3), (expect_unitary, 4), (expect_full, 2), (expect_full, 3)]
 )
 def test_exact_routes_raise_when_weights_overflow(route, n):
+    # every unitary-gauge and two-field table is at most 1, so at kappa = 30, where the
+    # enumerations' weights overflowed a float, both give the 2-form value; the route that
+    # still raises is expect_form, whose phi_table overflows at a coupling of 360
     loop = rectangle_loop(RectDescriptor((0, 0), (1, 2), (1, 1)))
-    at = lambda kappa: ModelParams(m=2, n=n, N=1, beta=0.1, kappa=kappa)
-    assert math.isfinite(route(loop, at(20.0)))
-    with pytest.raises(PreconditionError):
-        route(loop, at(30.0))
+    at = lambda beta, kappa: ModelParams(m=2, n=n, N=1, beta=beta, kappa=kappa)
+    for kappa in (20.0, 30.0):
+        got = route(loop, at(0.1, kappa))
+        assert math.isfinite(got) and abs(got - expect_form(loop, at(0.1, kappa))) <= 1e-12
+    for beta, kappa in ((0.1, 360.0), (360.0, 0.1)):
+        assert math.isfinite(route(loop, at(beta, kappa)))
+        with pytest.raises(PreconditionError):
+            expect_form(loop, at(beta, kappa))
 
 
 @pytest.mark.parametrize("beta, kappa", [(0.1, 360.0), (360.0, 0.1)])
