@@ -3,10 +3,16 @@
 Every constant is a literal transcription of the corresponding display
 formula; an independent re-transcription lives in the test suite and the
 two are compared numerically.  Powers with path-length exponents are
-evaluated as exp(k log base), for one exponent or an array of them.  That
-does not widen the float range: like base**k, the result underflows to 0
-once k log(base) falls below about -745 (``_pow(0.06, 300)`` is 0.0), so at
-|gamma| in the hundreds a small xi_kappa gives a prediction of 0.
+evaluated as exp(k log base), for one scalar exponent.  That does not
+widen the float range: like base**k, the result underflows to 0 once
+k log(base) falls below about -745 (``_pow(0.06, 300)`` is 0.0), so at
+|gamma| in the hundreds a small xi_kappa gives a prediction of 0; above
+the range it is inf.
+
+The parts c1', c1'', c1''' and c1'''' depend on a point only through m,
+zeta_beta, xi_kappa, |gamma| and |P_gamma,c|.  They are cached on those
+scalars, so :func:`constants`, :func:`prediction` and both closed forms of
+:func:`appendix_sums` at one point share one evaluation.
 
 The three appendix tail sums are plain sums of positive monomials, laid
 out per (|gamma|, |P_gamma,c|, K) by a coupling-free plan.  Their closed
@@ -30,13 +36,19 @@ from .errors import PreconditionError
 from .paths import GammaStats
 
 
-def _pow(base: float, k):
-    """base^k = exp(k log base) for base >= 0, elementwise over an array of exponents k."""
+def _pow(base: float, k: float) -> float:
+    """base^k = exp(k log base) for base >= 0, and 0^k = 1 for k <= 0, else 0.
+
+    Underflows to 0.0 and overflows to inf, as base**k does, without raising.
+    """
     if base < 0:
         raise ValueError("negative base")
     if base == 0.0:
-        return (np.asarray(k) <= 0) * 1.0
-    return np.exp(k * math.log(base))
+        return 1.0 if k <= 0 else 0.0
+    try:
+        return math.exp(k * math.log(base))
+    except OverflowError:
+        return math.inf
 
 
 def _pow1p(x: float, k: float) -> float:
@@ -44,6 +56,7 @@ def _pow1p(x: float, k: float) -> float:
     return math.exp(k * math.log1p(x))
 
 
+@lru_cache(maxsize=16)
 def _c1_parts(m: int, zb: float, xk: float, L: int, Pc: int) -> Tuple[float, float, float, float]:
     """(c1', c1'', c1''', c1'''') for |gamma| = L and |P_gamma,c| = Pc.
 
@@ -152,9 +165,9 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
     c2 = c2i + c2ii + c2iii
 
     al = alpha(params.beta, params.kappa, n)
-    c0 = c1 * float(_pow(al, -Pg)) + c2
+    c0 = c1 * _pow(al, -Pg) + c2
 
-    pred = float(_pow(xk, L) * _pow(al, Pg))
+    pred = _pow(xk, L) * _pow(al, Pg)
     et = eta(params.kappa, n)
     return BoundReport(
         params=params,
@@ -163,7 +176,7 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
         xi_kappa=xk,
         eta_kappa=et,
         alpha=al,
-        eta_power=float(_pow(et, L)),
+        eta_power=_pow(et, L),
         prediction=pred,
         radius=c0 * pred * zb,
         c1p=c1p,
@@ -184,7 +197,7 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
 
 def perimeter_bound(params: ModelParams, gamma_length: int) -> float:
     """The perimeter-law lower bound eta_kappa^{|gamma|}."""
-    return float(_pow(eta(params.kappa, params.n), gamma_length))
+    return _pow(eta(params.kappa, params.n), gamma_length)
 
 
 def prediction(params: ModelParams, stats: GammaStats) -> Tuple[float, float]:
@@ -326,5 +339,5 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     G = -math.expm1(K * math.log(x)) / (1 - x)
     b1, b2, b3 = (np.add.reduceat(terms, starts) * G).tolist()
 
-    scale = float(_pow(x, L)) * zb
+    scale = _pow(x, L) * zb
     return [(b1, scale * c1p), (b2, scale * c1pp), (b3, scale * c1pppp)]

@@ -82,13 +82,17 @@ def phi_hat_double_series(a: float, j: int, n: int) -> float:
     return total
 
 
+# phi and the couplings built on it read the row once and divide by its entry
+# 0; that is phi_hat(a, j, n) / phi_hat(a, 0, n) bit for bit.
 def phi(a: float, j: int, n: int) -> float:
-    return phi_hat(a, j, n) / phi_hat(a, 0, n)
+    row = _phi_hat_row(a, n)
+    return row[j % n] / row[0]
 
 
 def phi_table(a: float, n: int) -> np.ndarray:
     """phi(a, j, n) for j = 0..n-1, as an array indexed by residue."""
-    return np.array([phi(a, j, n) for j in range(n)])
+    row = _phi_hat_row(a, n)
+    return np.array(row) / row[0]
 
 
 def eta(a: float, n: int) -> float:
@@ -121,12 +125,14 @@ def eta_hat(a: float, n: int) -> float:
 
 
 def zeta(a: float, n: int) -> float:
-    return sum(phi(a, j, n) for j in range(1, n))
+    row = _phi_hat_row(a, n)
+    return sum(row[j] / row[0] for j in range(1, n))
 
 
 def xi(a: float, n: int) -> float:
     """max over j != 0 of phi(j), scanned rather than assumed equal to phi(1)."""
-    return max(phi(a, j, n) for j in range(1, n))
+    row = _phi_hat_row(a, n)
+    return max(row[j] / row[0] for j in range(1, n))
 
 
 def epsilon(a: float, n: int) -> float:

@@ -235,7 +235,8 @@ def _gauge(measure: str, observable, params: ModelParams) -> float:
     j = np.arange(n)
     cos_t = np.cos(2 * np.pi * j / n)
     edge = np.exp(2 * params.kappa * (cos_t - 1)) * np.exp(2j * np.pi * (np.outer(j, j) % n) / n)
-    lut = np.concatenate([edge.ravel(), np.exp(2 * params.beta * (cos_t - 1))])
+    # at n = 2 every phase is +-1, so the lut is real and so is the elimination
+    lut = np.real_if_close(np.concatenate([edge.ravel(), np.exp(2 * params.beta * (cos_t - 1))]))
     return _eliminate(measure, params, lut, n * (coeffs % n))
 
 

@@ -7,9 +7,11 @@ gamma_R is reconstructed from an explicit rectangle descriptor.
 
 P_gamma and the corner plaquettes P_gamma,c are read from a ``BoxIndex``
 of the path's bounding box grown by 1, clipped to the box if one is
-given, so their cost does not grow with the box.  A path that leaves the
-box, or lies in another dimension, raises ``PreconditionError``; one
-along a face loses the plaquettes beyond it.
+given, so their cost does not grow with the box.  They are computed once
+per (path, box) and kept as read-only arrays, so a scan of one path over
+many parameter points pays for them once.  A path that leaves the box,
+or lies in another dimension, raises ``PreconditionError`` on every call;
+one along a face loses the plaquettes beyond it.
 """
 
 from __future__ import annotations
@@ -218,11 +220,13 @@ def u_shaped_path(rect: RectDescriptor, orientation: int = 1) -> LatticePath:
 
 @lru_cache(maxsize=8)
 def _local_index(box: LatticeBox) -> BoxIndex:
-    """A ``BoxIndex`` of a path's neighbourhood, cached because the bounds ask
-    for the statistics of one path in one box again and again."""
+    """A ``BoxIndex`` of a path's neighbourhood, shared by every path with that
+    neighbourhood (an equal path built twice, say); the statistics are
+    computed once per (path, box) by :func:`_border`."""
     return BoxIndex(box)
 
 
+@lru_cache(maxsize=8)
 def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np.ndarray, np.ndarray]:
     """(local index, P_gamma as keys, P_gamma,c as ranks) on the local index.
 
@@ -231,6 +235,8 @@ def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np
     corner plaquettes are those bordering two or more edges of gamma.  The
     local index covers gamma's bounding box grown by 1, clipped to ``box``
     unless it is None.  Raises PreconditionError if gamma leaves ``box``.
+    Cached per (path object, box); the arrays are read-only, as every caller
+    shares them.
     """
     ends = gamma.ends
     lo, hi = ends.min(axis=(0, 1)) - 1, ends.max(axis=(0, 1)) + 1
@@ -245,7 +251,9 @@ def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np
     on = signs != 0  # drops the padding columns
     plaqs = idx.edge_plaqs[ranks][on]
     keys = np.flatnonzero(np.bincount(2 * plaqs + (signs[on] > 0)))
-    return idx, keys, np.flatnonzero(np.bincount(plaqs) >= 2)
+    corners = np.flatnonzero(np.bincount(plaqs) >= 2)
+    keys.flags.writeable = corners.flags.writeable = False
+    return idx, keys, corners
 
 
 def corner_plaquettes(gamma: LatticePath, box: Optional[LatticeBox] = None) -> Set[OrientedCell]:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_higgs.bounds import _tail_plan, _tail_terms, appendix_sums, constants, perimeter_bound, prediction
+from lattice_higgs.bounds import _pow, _tail_plan, _tail_terms, appendix_sums, constants, perimeter_bound, prediction
 from lattice_higgs.cells import LatticeBox
 from lattice_higgs.couplings import ModelParams, alpha, assumption_check, eta, eta_hat, xi, zeta
 from lattice_higgs.errors import PreconditionError
@@ -160,6 +160,15 @@ def test_perimeter_bound_values():
     assert got == pytest.approx(want, rel=1e-12)
     for p in admissible_points():
         assert constants(p, DESK_STATS).eta_power == perimeter_bound(p, DESK_STATS.length)
+
+
+def test_pow_keeps_the_float_range():
+    assert _pow(0.0, 0) == _pow(0.0, -3) == 1.0 and _pow(0.0, 2) == 0.0
+    assert _pow(0.06, 300) == 0.0  # underflows, as 0.06**300 does
+    assert _pow(0.5, -2000) == math.inf  # overflows without raising
+    assert type(_pow(0.25, 3)) is float and _pow(0.25, 3) == pytest.approx(0.25**3, rel=1e-15)
+    with pytest.raises(ValueError):
+        _pow(-0.5, 2)
 
 
 def test_perimeter_bound_below_oracle():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_higgs import couplings
+from lattice_higgs import bounds, couplings
 from lattice_higgs.couplings import (
     ROW_CACHE,
     ModelParams,
@@ -25,6 +25,7 @@ from lattice_higgs.couplings import (
     zeta,
 )
 from lattice_higgs.errors import PreconditionError
+from lattice_higgs.paths import GammaStats
 
 A_GRID = [round(0.01 + 0.09 * k, 4) for k in range(12)]  # 0.01 .. 1.0
 N_VALUES = range(2, 9)
@@ -271,16 +272,35 @@ def test_model_params_accepts_numpy_integers_as_ints():
     assert all(type(x) is int for x in (p.m, p.n, p.N))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_couplings_are_phi_hat_ratios_bit_for_bit(n):
+    # phi, phi_table, zeta and xi read the phi_hat row once and divide by entry 0
+    for a in (0.0, 1e-4, 0.25, 1.3):
+        ratios = [phi_hat(a, j, n) / phi_hat(a, 0, n) for j in range(n)]
+        assert [phi(a, j, n) for j in range(-1, n + 1)] == ratios[-1:] + ratios + ratios[:1]
+        assert couplings.phi_table(a, n).tolist() == ratios
+        assert zeta(a, n) == sum(ratios[1:])
+        assert xi(a, n) == max(ratios[1:])
+
+
 def test_coupling_cache_is_bounded():
-    # fresh couplings evict the oldest rows of phi_hat; psi keeps nothing
-    assert not hasattr(psi, "cache_info")
+    # fresh couplings evict the oldest rows of phi_hat, and nothing else in
+    # couplings keeps a row; the c1 parts of the bounds keep a few points
+    assert [name for name, f in vars(couplings).items() if hasattr(f, "cache_info")] == ["_phi_hat_row"]
+    stats = GammaStats(length=32, p_gamma=60, p_gamma_c=4, ell1=8, ell2=8)
     for i in range(3 * ROW_CACHE):
         a = 0.1 + i * 1e-6
         zeta(a, 3)
         xi(a, 3)
+        couplings.phi_table(a, 3)
+        eta(a, 3)
+        alpha(1e-3 * a, a, 3)
+        bounds.constants(ModelParams(m=2, n=3, N=16, beta=1e-4 * a, kappa=a), stats)
     info = couplings._phi_hat_row.cache_info()
     assert info.maxsize == ROW_CACHE
     assert info.currsize == ROW_CACHE
+    info = bounds._c1_parts.cache_info()
+    assert info.currsize == info.maxsize
     assert phi_hat(0.1, 1, 3) == phi_hat_double_series(0.1, 1, 3)
 
 

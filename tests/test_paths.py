@@ -1,9 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lattice_higgs.cells import Chain, LatticeBox, OrientedCell, boundary, edge, plaquette
+from lattice_higgs import paths
+from lattice_higgs.cells import BoxIndex, Chain, LatticeBox, OrientedCell, boundary, edge, plaquette
 from lattice_higgs.couplings import ModelParams
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn
@@ -173,10 +175,25 @@ def test_in_event_E_cases():
     assert not in_event_E(w3, loop)
 
 
-def test_gamma_stats():
+def test_gamma_stats(monkeypatch):
     loop = rectangle_loop(RECT44)
     st = gamma_stats(loop, BOX)
     assert st == GammaStats(length=16, p_gamma=28, p_gamma_c=4, ell1=4, ell2=4)
+    pg, pc = p_gamma(loop, BOX), corner_plaquettes(loop, BOX)
+    # every caller shares the cached arrays, so none of them may write them
+    _, keys, corners = paths._border(loop, BOX)
+    assert not keys.flags.writeable and not corners.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0] = 0
+
+    # later calls for the same (path, box) build, gather and rank nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("recomputed")
+
+    for owner, name in ((paths, "BoxIndex"), (paths, "_local_index"), (BoxIndex, "path")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert gamma_stats(loop, BOX) == st
+    assert p_gamma(loop, BOX) == pg and corner_plaquettes(loop, BOX) == pc
 
 
 def test_u_shaped_path():
@@ -275,18 +292,26 @@ def test_path_leaving_the_box_raises():
     away = rectangle_loop(RectDescriptor((20, 20), (1, 2), (1, 1)))  # its neighbourhood misses the box
     open_crossing = rectangle_open_path(RectDescriptor((6, 0), (1, 2), (4, 1)), start=0, count=3)
     for gamma in (crossing, beside, away, open_crossing):
-        with pytest.raises(PreconditionError):
-            p_gamma(gamma, box)
-        with pytest.raises(PreconditionError):
-            corner_plaquettes(gamma, box=box)
-        with pytest.raises(PreconditionError):
-            gamma_stats(gamma, box)
+        for _ in range(2):  # a failure is not cached: it raises every time
+            with pytest.raises(PreconditionError):
+                p_gamma(gamma, box)
+            with pytest.raises(PreconditionError):
+                corner_plaquettes(gamma, box=box)
+            with pytest.raises(PreconditionError):
+                gamma_stats(gamma, box)
     # without a box nothing is clipped
     assert len(corner_plaquettes(crossing)) == 4
-    # a loop on the faces x = 8 and y = 8 is inside and keeps its clipped count
-    touching = rectangle_loop(RectDescriptor((4, 4), (1, 2), (4, 4)))
-    assert len(p_gamma(touching, box)) == 20
-    assert gamma_stats(touching, box) == GammaStats(length=16, p_gamma=20, p_gamma_c=4, ell1=4, ell2=4)
+    # a loop on the faces x = 8 and y = 8 is inside and keeps its clipped
+    # count; in B_9 it keeps all 28, and each box keeps its own cached
+    # stats whichever is asked first
+    clipped = GammaStats(length=16, p_gamma=20, p_gamma_c=4, ell1=4, ell2=4)
+    wider = LatticeBox.centered(2, 9)
+    want = {box: clipped, wider: dataclasses.replace(clipped, p_gamma=28)}
+    for order in ((box, wider), (wider, box)):
+        touching = rectangle_loop(RectDescriptor((4, 4), (1, 2), (4, 4)))
+        for b in order + order:
+            assert gamma_stats(touching, b) == want[b]
+            assert len(p_gamma(touching, b)) == want[b].p_gamma
 
 
 def test_gamma_stats_reads_only_the_neighbourhood():
