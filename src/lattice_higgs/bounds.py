@@ -219,13 +219,13 @@ def prediction(params: ModelParams, stats: GammaStats) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
 def _tail_terms(L: int, Pc: int):
     """Coupling-free terms of the three tail sums at |gamma| = L, |P_gamma,c| = Pc.
 
-    One (i, j, prefactor) triple of read-only arrays per series, the
-    binomial prefactors as floats.  Only valid terms are listed: outside
-    them some exponents of x go negative and the powers can overflow.
+    One (i, j, prefactor) triple of arrays per series, the binomial
+    prefactors as floats; only a :func:`_tail_plan` miss builds them.  Only
+    valid terms are listed: outside them some exponents of x go negative and
+    the powers can overflow.
 
     * b1: 0 <= i <= Pc and max(1, 2i) <= j <= L, C(L, j - 2i) C(Pc, i);
     * b2: 0 <= i <= Pc and max(2i + 1, 2) <= j <= L,
@@ -234,14 +234,11 @@ def _tail_terms(L: int, Pc: int):
     """
 
     def series(pairs, pref):
-        arrays = (
+        return (
             np.array([i for i, _ in pairs], dtype=np.int64),
             np.array([j for _, j in pairs], dtype=np.int64),
             np.array([float(pref(i, j)) for i, j in pairs], dtype=np.float64),
         )
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
 
     comb, rows = math.comb, range(Pc + 1)
     return (
@@ -316,9 +313,9 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     The closed forms are zeta_beta xi_kappa^L times c1', c1'' and c1''''
     of :func:`constants`, and their precondition is the one of
     :func:`constants`: ``PreconditionError`` unless (16m)^2 zeta_beta <
-    xi_kappa < 1, which gives 0 < r < x < 1.  At beta = 0 every sum and
-    bound is exactly 0.  K must be an integer >= 50; anything else raises
-    ``PreconditionError`` first.
+    xi_kappa < 1, which gives 0 < r < x < 1.  At beta = 0 the check still
+    runs, and where it passes every sum and bound is exactly 0.  K must be
+    an integer >= 50; anything else raises ``PreconditionError`` first.
     """
     if not isinstance(K, numbers.Integral) or K < 50:
         raise PreconditionError(f"truncation K must be an integer >= 50, got {K!r}")
@@ -326,9 +323,9 @@ def appendix_sums(params: ModelParams, stats: GammaStats, K: int = 60):
     zb = zeta(params.beta, n)
     xk = xi(params.kappa, n)
     L, Pc = stats.length, stats.p_gamma_c
+    c1p, c1pp, _, c1pppp = _c1_parts(m, zb, xk, L, Pc)
     if zb == 0.0:
         return [(0.0, 0.0)] * 3
-    c1p, c1pp, _, c1pppp = _c1_parts(m, zb, xk, L, Pc)
 
     r, x = (16 * m) ** 2 * zb, xk
     pref, a, b, slot, starts = _tail_plan(L, Pc, K)

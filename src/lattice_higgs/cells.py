@@ -370,17 +370,19 @@ class BoxIndex:
     * ``edge_verts``/``edge_vert_signs`` (E, 2): tail -1, head +1 (d on 0-forms);
     * ``plaq_edges``/``plaq_signs`` (P, 4): the boundary
       (b;i) - (b;j) - (b+e_j;i) + (b+e_i;j), i < j (d on 1-forms);
-    * ``edge_plaqs``/``edge_plaq_signs`` (E, 2(m-1)): its transpose, padded
-      with sign 0 where an edge lies in fewer plaquettes (delta on 2-forms).
+    * ``edge_plaqs``/``edge_plaq_signs`` (E, 2(m-1)): its transpose (delta on
+      2-forms).  Where an edge lies in fewer plaquettes, the padding repeats
+      its first plaquette with sign 0, so every entry names a plaquette on
+      the edge and a reader that needs no sign may skip the mask.
 
     ``plaq_base`` (P, m) and ``plaq_axes`` (P, 2, 0-based i < j) locate each
     plaquette, and :meth:`plaq_labels` turns plaquette ranks back into
     cells.  The cell label lists ``vertices``, ``edges``, ``plaqs`` are
     ``LatticeBox.cells`` in the same order, built on first read; the cell
-    counts are the table lengths.  The heat-bath sweep's class layout,
-    ``plaq_classes``, the maps between plaquettes and positions in their
-    concatenation (``pos_plaq``, ``pos_class``, ``plaq_class_pos``) and
-    ``edge_class_pos``, is also built on first read.
+    counts are the table lengths.  The heat-bath sweep's class layout is
+    also built on first read: ``plaq_class``, the class of each plaquette,
+    ``plaq_classes``, the members of each class, and ``scan_order``, the
+    classes concatenated, whose positions index the dense sweep's draws.
     """
 
     def __init__(self, box: LatticeBox):
@@ -424,6 +426,7 @@ class BoxIndex:
         self.edge_plaq_signs = np.zeros((E, width), dtype=np.int8)
         self.edge_plaqs[flat[order], col] = order // 4
         self.edge_plaq_signs[flat[order], col] = self.plaq_signs.ravel()[order]
+        self.edge_plaqs = np.where(self.edge_plaq_signs != 0, self.edge_plaqs, self.edge_plaqs[:, :1])
 
     @cached_property
     def vertices(self) -> List[OrientedCell]:
@@ -438,40 +441,27 @@ class BoxIndex:
         return list(self.box.cells(2))
 
     @cached_property
-    def plaq_classes(self) -> List[np.ndarray]:
-        """Groups of plaquettes with pairwise disjoint boundary edges.
+    def plaq_class(self) -> np.ndarray:
+        """The class of each plaquette (P,); no two of a class share an edge.
 
         Class (plane {i, j}, (b_i + b_j) mod 2): two plaquettes of one plane that
         share an edge are neighbours in it, so their b_i + b_j differ by one.
-        Classes come plane by plane in canonical order, parity 0 first.
+        Classes are numbered plane by plane in canonical order, parity 0 first.
         """
         rows = np.arange(len(self.plaq_axes))
         i, j = self.plaq_axes.T
         parity = (self.plaq_base[rows, i] + self.plaq_base[rows, j]) % 2
-        color = 2 * (i * self.box.m + j) + parity
-        return [np.flatnonzero(color == c) for c in np.unique(color)]
+        return np.unique(2 * (i * self.box.m + j) + parity, return_inverse=True)[1]
 
     @cached_property
-    def pos_plaq(self) -> np.ndarray:
-        """The plaquette at each position of the concatenated ``plaq_classes`` (P,)."""
+    def plaq_classes(self) -> List[np.ndarray]:
+        """The members of each class, in canonical order."""
+        return [np.flatnonzero(self.plaq_class == c) for c in range(self.plaq_class.max() + 1)]
+
+    @cached_property
+    def scan_order(self) -> np.ndarray:
+        """The sweep's scan order (P,): the plaquettes of ``plaq_classes`` concatenated."""
         return np.concatenate(self.plaq_classes)
-
-    @cached_property
-    def pos_class(self) -> np.ndarray:
-        """The class of each position of the concatenated ``plaq_classes`` (P,)."""
-        return np.repeat(np.arange(len(self.plaq_classes)), [len(c) for c in self.plaq_classes])
-
-    @cached_property
-    def plaq_class_pos(self) -> np.ndarray:
-        """Each plaquette's position in the concatenated ``plaq_classes`` (P,)."""
-        return np.argsort(self.pos_plaq)
-
-    @cached_property
-    def edge_class_pos(self) -> np.ndarray:
-        """``plaq_class_pos`` of each edge's plaquettes (E, 2(m-1)); the padding repeats
-        the edge's first plaquette, so it names no plaquette off the edge."""
-        ep = self.edge_plaqs
-        return self.plaq_class_pos[np.where(self.edge_plaq_signs != 0, ep, ep[:, :1])]
 
     def plaq_labels(self, ranks) -> List[OrientedCell]:
         """Positive plaquette cells of the given ranks, built from ``plaq_base``/``plaq_axes``."""

@@ -25,8 +25,8 @@ class FormZn(Chain):
 
     Besides carrying n, the store step differs from ``Chain``: it reduces
     mod n.  So sums, restrictions and ``cells.boundary_chain`` stay Z_n
-    forms, and delta is the boundary of the form.  ``values`` is the
-    chain's ``coeffs``; ``form[c]`` and ``form(c)`` read the value on an
+    forms, and delta is the boundary of the form.  ``coeffs`` holds the
+    values on positive cells; ``form[c]`` and ``form(c)`` read the value on an
     oriented cell, reduced mod n, and ``form.contains(c)`` tells whether it
     is non-zero.
     """
@@ -51,14 +51,6 @@ class FormZn(Chain):
 
     def _kind(self) -> tuple:
         return super()._kind() + (self.n,)
-
-    @property
-    def values(self) -> Dict[OrientedCell, int]:
-        return self.coeffs
-
-    def set(self, c: OrientedCell, v: int):
-        """omega(c) becomes v (and omega(-c) becomes -v)."""
-        self._accumulate(c, v - self(c))
 
     def __getitem__(self, c: OrientedCell) -> int:
         return super().__getitem__(c) % self.n

@@ -183,7 +183,7 @@ def _plan(measure: str, m: int, N: int, n: int):
         mine = [(scope[s == t], sign[s == t], off, col[s == t]) for scope, sign, off, col, s in groups]
         read = {q for scope, sign, *_ in mine for q in scope[sign != 0].tolist()}
         axes = [q for q in front if q in read]
-        local = np.zeros(len(first), dtype=np.intp)  # the padding (sign 0) reads axis 0
+        local = np.zeros(len(first), dtype=np.intp)  # the padding (sign 0) adds 0 whatever it reads
         local[axes] = np.arange(len(axes))
         digits = _all_digits(n, len(axes))
         r = np.concatenate([incidence(digits, local[scope], sign, n) + off for scope, sign, off, _ in mine], axis=1)
@@ -309,9 +309,9 @@ def activity(form: FormZn, params: ModelParams) -> float:
     """
     total = 1.0
     dw = delta(form)
-    for e, v in dw.values.items():
+    for e, v in dw.coeffs.items():
         total *= phi(params.kappa, v, params.n)
-    for p, v in form.values.items():
+    for p, v in form.coeffs.items():
         total *= phi(params.beta, v, params.n)
     return total
 

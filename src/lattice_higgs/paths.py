@@ -219,14 +219,6 @@ def u_shaped_path(rect: RectDescriptor, orientation: int = 1) -> LatticePath:
 
 
 @lru_cache(maxsize=8)
-def _local_index(box: LatticeBox) -> BoxIndex:
-    """A ``BoxIndex`` of a path's neighbourhood, shared by every path with that
-    neighbourhood (an equal path built twice, say); the statistics are
-    computed once per (path, box) by :func:`_border`."""
-    return BoxIndex(box)
-
-
-@lru_cache(maxsize=8)
 def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np.ndarray, np.ndarray]:
     """(local index, P_gamma as keys, P_gamma,c as ranks) on the local index.
 
@@ -245,7 +237,7 @@ def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np
         lo, hi = np.maximum(lo, box.lo), np.minimum(hi, box.hi)
         if (lo > hi).any():
             raise PreconditionError(f"{gamma} lies outside {box}")
-    idx = _local_index(LatticeBox(gamma.m, tuple(lo.tolist()), tuple(hi.tolist())))
+    idx = BoxIndex(LatticeBox(gamma.m, tuple(lo.tolist()), tuple(hi.tolist())))
     ranks, coef = idx.path(gamma)
     signs = idx.edge_plaq_signs[ranks] * coef[:, None]
     on = signs != 0  # drops the padding columns

@@ -22,8 +22,7 @@ bounds n to n^6 <= ``errors.STATE_GUARD``, i.e. n <= 20.
 Randomness comes from per-chain Philox counter streams, and every
 trajectory is reproducible bit for bit from its seed.  A member's update
 reads one uniform u = k 2^-53, k uniform on [0, 2^53), as
-``Generator.random`` draws it; the sweep's P draws per chain are indexed
-class by class in scan order (draw position ``BoxIndex.plaq_class_pos``).
+``Generator.random`` draws it.
 
 Most plaquettes never move in the strong-coupling regime.  Call a member
 *quiet* when its own value and the delta on its 4 boundary edges are 0:
@@ -50,17 +49,18 @@ caller can tell that a sweep left the state exactly as it was.
 
 A sweep takes one of two routes, fixed at construction from the couplings,
 the box and the chain count (``_HOT_COST``, ``_CLASS_COST``).  The *dense*
-route, where hot draws are common, draws ``rng.random(P)`` once per chain
-and updates every member of every class, with no pool.  The *thinned*
-route, where a sweep expects few hot draws (the paper's Poisson regime of
-rare non-zero plaquettes), draws only what its pools use.  Per chain and
-base row (rows with equal k* together), the positions of all sweeps are
-one run of independent Bernoulli(q) trials, skipped through by geometric
-gaps (Bortz, Kalos and Lebowitz), each hot trial with a hot draw on
+route, where hot draws are common, draws ``rng.random(P)`` once per chain,
+one draw per position of ``BoxIndex.scan_order``, and updates every member
+of every class, with no pool.  The *thinned* route, where a sweep expects
+few hot draws (the paper's Poisson regime of rare non-zero plaquettes),
+draws only what its pools use.  Per chain and base row (rows with equal k*
+together), the members of all sweeps, each sweep's in scan order, are one
+run of independent Bernoulli(q) trials, skipped through by geometric gaps
+(Bortz, Kalos and Lebowitz), each hot trial with a hot draw on
 [k*, 2^53) 2^-53, so a sweep that holds no hot trial draws nothing for
 them; then a cold draw on [0, k*) 2^-53 for each candidate that is not
 hot and not quiet when its class is updated, so a chain with no candidate
-makes no generator call.  Each draw is uniform given the hot positions,
+makes no generator call.  Each draw is uniform given which trials are hot,
 and the only draws left out are cold draws of quiet members, which never
 move them, so a sweep has exactly the law of the dense sweep, and equals
 the dense sweep run on the draws it made, with any cold draw where it made
@@ -235,29 +235,27 @@ class ChainEnsemble:
         self._cum = _conditional_table(self.phi_b, self.phi_k, n)
         idx = self.idx
         classes = idx.plaq_classes
-        self._bounds = np.cumsum([0] + [len(cls) for cls in classes]).tolist()  # class k: [b_k, b_k+1)
-        # each draw position's base row, the one its member reads while its own
-        # value and delta are 0, by its first and last column; row 0 off the
-        # plaquettes on the tilt's edges
+        # each plaquette's base row, the one it reads while its own value and
+        # delta are 0, by its first and last column; row 0 off the plaquettes
+        # on the tilt's edges
         base = np.zeros(P, dtype=np.intp)
         on_tilt = self.tilt.nonzero()[0]
         if len(on_tilt):
-            on = np.unique(idx.edge_class_pos[on_tilt])
-            base[on] = self.tilt[idx.plaq_edges[idx.pos_plaq[on]]] @ n ** np.arange(4)
+            on = np.unique(idx.edge_plaqs[on_tilt])
+            base[on] = self.tilt[idx.plaq_edges[on]] @ n ** np.arange(4)
         self._base_first, self._base_last = self._cum[base, 0], self._cum[base, -1]
         if not self._base_last.all():
             raise PreconditionError(f"a base row next to the tilt has total weight 0 at kappa = {params.kappa}")
         # per first hot grid point k* < 2^53 of some base row: k*, the chance
-        # q = (2^53 - k*) / 2^53 that a draw is hot there, and the draw
-        # positions whose base row has that k*; base rows are below n^4
+        # q = (2^53 - k*) / 2^53 that a draw is hot there, and the plaquettes
+        # whose base row has that k*, in scan order; base rows are below n^4
         rows = np.flatnonzero(np.bincount(base, minlength=n**4))
         row_kstar = [_first_hot(float(self._cum[r, 0]), float(self._cum[r, -1])) for r in rows]
         by_row = np.zeros(n**4, dtype=np.int64)
         by_row[rows] = row_kstar
-        kstar = by_row[base]
-        self._groups = [
-            (k, (_GRID - k) / _GRID, np.flatnonzero(kstar == k)) for k in sorted(set(row_kstar)) if k < _GRID
-        ]
+        scan = idx.scan_order
+        kstar = by_row[base[scan]]
+        self._groups = [(k, (_GRID - k) / _GRID, scan[kstar == k]) for k in sorted(set(row_kstar)) if k < _GRID]
         # the route: thinned while the draws expected hot in a sweep, summed
         # over the chains, cost less than the dense sweep they replace
         hot = chains * sum(q * len(at) for _, q, at in self._groups)
@@ -270,18 +268,19 @@ class ChainEnsemble:
             self._cum_v = memoryview(self._cum.reshape(-1))
             self._pe = memoryview(idx.plaq_edges.reshape(-1))
             self._tl = memoryview(self.tilt)
-            self._pos_plaq, self._pos_class = memoryview(idx.pos_plaq), memoryview(idx.pos_class)
-            self._plaq_pos = memoryview(idx.plaq_class_pos)
-            self._ecp = memoryview(idx.edge_class_pos.reshape(-1))
+            self._cls = memoryview(idx.plaq_class)
+            self._ep = memoryview(idx.edge_plaqs.reshape(-1))
             self._first_v, self._last_v = memoryview(self._base_first), memoryview(self._base_last)
         else:
             # per class: its slice of the sweep's draws, flat ranks into omega
             # (K, C) and delta (K, C, 4) across all chains, and the tilt there
             chain = np.arange(chains)[:, None]
             self._blocks = []
-            for lo, hi, cls in zip(self._bounds, self._bounds[1:], classes):
+            lo = 0
+            for cls in classes:
                 e = idx.plaq_edges[cls]
-                self._blocks.append((slice(lo, hi), chain * P + cls, chain[:, :, None] * E + e, self.tilt[e]))
+                draws, lo = slice(lo, lo + len(cls)), lo + len(cls)
+                self._blocks.append((draws, chain * P + cls, chain[:, :, None] * E + e, self.tilt[e]))
             self._u = np.empty((chains, P))  # the dense route's draws
         self.moves = 0
 
@@ -320,68 +319,66 @@ class ChainEnsemble:
             for draws, p_flat, e_flat, tl in self._blocks:
                 self._update(p_flat, e_flat, tl, u[:, draws])
             return
-        # per chain with a candidate: its candidates' draw positions, class by
-        # class, and its hot draws by draw position
-        P, E, classes = self.omega.shape[1], self.delta.shape[1], len(self._bounds) - 1
-        pos_class, pools = self._pos_class, {}
+        # per chain with a candidate: its candidates' ranks, class by class,
+        # and its hot draws by rank
+        P, E, classes = self.omega.shape[1], self.delta.shape[1], len(self.idx.plaq_classes)
+        cls_of, pools = self._cls, {}
         for key, u in zip(keys, vals):
-            chain, pos = divmod(key, P)
+            chain, rank = divmod(key, P)
             if chain not in pools:
                 pools[chain] = [set() for _ in range(classes)], {}
-            pools[chain][0][pos_class[pos]].add(pos)
-            pools[chain][1][pos] = u
+            pools[chain][0][cls_of[rank]].add(rank)
+            pools[chain][1][rank] = u
         om, dl = memoryview(self.omega.reshape(-1)), memoryview(self.delta.reshape(-1))
         if not quiet:
             # each non-zero plaquette, and the plaquettes on those of its edges where
             # delta is non-zero: delta = delta omega is 0 off the edges of non-zero ones
-            pe, ecp, w, pos_of = self._pe, self._ecp, self.idx.edge_class_pos.shape[1], self._plaq_pos
+            pe, ep, w = self._pe, self._ep, self.idx.edge_plaqs.shape[1]
             # through a bool array: numpy's nonzero is several times faster on one
             for key in (self.omega.reshape(-1) != 0).nonzero()[0].tolist():
                 chain, rank = divmod(key, P)
                 if chain not in pools:
                     pools[chain] = [set() for _ in range(classes)], {}
-                pool, pos = pools[chain][0], pos_of[rank]
-                pool[pos_class[pos]].add(pos)
+                pool = pools[chain][0]
+                pool[cls_of[rank]].add(rank)
                 for e in pe[4 * rank : 4 * rank + 4]:
                     if dl[chain * E + e]:
-                        for q in ecp[e * w : e * w + w]:
-                            pool[pos_class[q]].add(q)
+                        for q in ep[e * w : e * w + w]:
+                            pool[cls_of[q]].add(q)
         for chain in sorted(pools):
             self._sweep_chain(om, dl, chain, *pools[chain])
 
     def _sweep_chain(self, om, dl, chain, pool, hot):
         """One chain's thinned sweep: class by class, the candidates of
-        ``pool`` (per class, a set of draw positions) take the per-candidate
-        step, and a member that moves adds the plaquettes on its edges, all in
-        later classes, to the pool.  ``hot`` holds the chain's hot draws by
-        draw position; ``om``, ``dl`` are flat views of omega and delta."""
-        pos_class, pos_plaq = self._pos_class, self._pos_plaq
-        pe, ecp, w = self._pe, self._ecp, self.idx.edge_class_pos.shape[1]
-        for cands in pool:
-            for pos in sorted(cands):
-                if self._step(om, dl, chain, pos, hot):
-                    r = 4 * pos_plaq[pos]
-                    for e in pe[r : r + 4]:
-                        for q in ecp[e * w : e * w + w]:
-                            if q > pos:  # in a later class: none shares an edge in its own
-                                pool[pos_class[q]].add(q)
+        ``pool`` (per class, a set of plaquette ranks) take the per-candidate
+        step in canonical order, and a member that moves adds the plaquettes
+        on its edges that lie in later classes to the pool.  ``hot`` holds
+        the chain's hot draws by rank; ``om``, ``dl`` are flat views of omega
+        and delta."""
+        cls_of, pe, ep, w = self._cls, self._pe, self._ep, self.idx.edge_plaqs.shape[1]
+        for c, cands in enumerate(pool):
+            for rank in sorted(cands):
+                if self._step(om, dl, chain, rank, hot):
+                    for e in pe[4 * rank : 4 * rank + 4]:
+                        for q in ep[e * w : e * w + w]:
+                            if cls_of[q] > c:  # none in class c but the member shares an edge
+                                pool[cls_of[q]].add(q)
 
-    def _step(self, om, dl, chain, pos, hot) -> bool:
-        """Heat-bath update of the member at draw position ``pos`` of one chain,
-        by ``_update``'s table arithmetic on scalars, with its hot draw if
-        ``hot`` has one and else a cold draw, made only if the member is not
-        quiet (a quiet member with a cold draw stays); returns whether it moved.
-        ``om``, ``dl`` are flat views of omega and delta."""
+    def _step(self, om, dl, chain, rank, hot) -> bool:
+        """Heat-bath update of plaquette ``rank`` of one chain, by ``_update``'s
+        table arithmetic on scalars, with its hot draw if ``hot`` has one and
+        else a cold draw, made only if the member is not quiet (a quiet member
+        with a cold draw stays); returns whether it moved.  ``om``, ``dl`` are
+        flat views of omega and delta."""
         n, cum, pe, tl = self.n, self._cum_v, self._pe, self._tl
-        rank = self._pos_plaq[pos]
-        i, e0, r = chain * len(self._pos_plaq) + rank, chain * len(tl), 4 * rank
+        i, e0, r = chain * len(self._first_v) + rank, chain * len(tl), 4 * rank
         ea, eb, ec, ed = pe[r], pe[r + 1], pe[r + 2], pe[r + 3]
         own, da, db, dc, dd = om[i], dl[e0 + ea], dl[e0 + eb], dl[e0 + ec], dl[e0 + ed]
-        u = hot.get(pos)
+        u = hot.get(rank)
         if u is None:
             if not (own or da or db or dc or dd):
                 return False
-            u = self._cold(chain, pos)
+            u = self._cold(chain, rank)
         # row own n^4 + sum_k a_k n^k, a_k = (delta + tilt) mod n on edge k, by Horner
         row = (((own * n + (dd + tl[ed]) % n) * n + (dc + tl[ec]) % n) * n + (db + tl[eb]) % n) * n
         row = (row + (da + tl[ea]) % n) * n
@@ -408,15 +405,15 @@ class ChainEnsemble:
         return u
 
     def _draws(self):
-        """The thinned route's hot draws as ``(keys, draws)``: chain * P + draw
-        position of each hot draw, and the draw.
+        """The thinned route's hot draws as ``(keys, draws)``: chain * P + rank
+        of each hot draw's plaquette, and the draw.
 
-        Per chain and group, trial call * len + position is hot with chance q,
-        the next hot trial is kept on a clock of ``_draws`` calls, and a call
-        before ``_due``, the first that holds one, makes no generator call.  A
-        hot draw is uniform on [k*, 2^53) 2^-53 of its base row; with the cold
-        draws of ``_cold`` the draws have the law of the dense route's, though
-        not its stream.
+        Per chain and group, trial call * len + i, for the group's member i
+        (members in scan order), is hot with chance q, the next hot trial is
+        kept on a clock of ``_draws`` calls, and a call before ``_due``, the
+        first that holds one, makes no generator call.  A hot draw is uniform
+        on [k*, 2^53) 2^-53 of its base row; with the cold draws of ``_cold``
+        the draws have the law of the dense route's, though not its stream.
         """
         call, self._clock = self._clock, self._clock + 1
         if call < self._due:
@@ -436,10 +433,10 @@ class ChainEnsemble:
                 self._due = min(self._due, trials[g] // len(members))
         return keys, vals
 
-    def _cold(self, chain, pos) -> float:
-        """A draw of one chain at draw position ``pos``, uniform on the grid and
+    def _cold(self, chain, rank) -> float:
+        """A draw of one chain for plaquette ``rank``, uniform on the grid and
         cold on its base row: a uniform draw, redrawn until it is cold."""
-        rng, first, last = self.rngs[chain], self._first_v[pos], self._last_v[pos]
+        rng, first, last = self.rngs[chain], self._first_v[rank], self._last_v[rank]
         u = rng.random()
         while u * last > first:
             u = rng.random()

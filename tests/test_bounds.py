@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_higgs.bounds import _pow, _tail_plan, _tail_terms, appendix_sums, constants, perimeter_bound, prediction
+from lattice_higgs.bounds import _pow, _tail_plan, appendix_sums, constants, perimeter_bound, prediction
 from lattice_higgs.cells import LatticeBox
 from lattice_higgs.couplings import ModelParams, alpha, assumption_check, eta, eta_hat, xi, zeta
 from lattice_higgs.errors import PreconditionError
@@ -317,13 +317,6 @@ def test_appendix_sums_of_short_paths_match_term_by_term():
                     assert abs(a - b) <= 1e-12 * abs(b), (p, st, a, b)
 
 
-def test_tail_terms_are_read_only():
-    arrays = [a for series in _tail_terms(DESK_STATS.length, DESK_STATS.p_gamma_c) for a in series]
-    assert len(arrays) == 9 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
-    with pytest.raises(ValueError):
-        arrays[2][0] = 1.0
-
-
 def test_tail_plan_is_read_only():
     plan = _tail_plan(DESK_STATS.length, DESK_STATS.p_gamma_c, 60)
     assert len(plan) == 5 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in plan)
@@ -346,13 +339,9 @@ def test_tail_terms_give_the_same_bits_in_any_call_order():
     first = values()
     appendix_sums(DESK, STATS_L60, K=60)
     assert values() == first
-    _tail_terms.cache_clear()
-    appendix_sums(DESK, STATS_L60, K=60)
-    assert values() == first
     _tail_plan.cache_clear()
     appendix_sums(DESK, STATS_L60, K=60)
     assert values() == first
-    _tail_terms.cache_clear()
     _tail_plan.cache_clear()
     assert values()[::-1] == [appendix_sums(p, st, K=K) for st in (STATS_PC0, DESK_STATS) for K in (120, 50) for p in (edge_point(0.9), DESK)]
 
@@ -381,6 +370,17 @@ def test_appendix_sums_zero_at_beta_zero():
     p = ModelParams(m=2, n=2, N=16, beta=0.0, kappa=0.25)
     for num, bound in appendix_sums(p, DESK_STATS, K=60):
         assert num == 0.0 and num <= bound
+
+
+@pytest.mark.parametrize("kappa", [0.0, 40.0], ids=["xi-0", "xi-rounds-to-1"])
+def test_beta_zero_outside_the_regime_raises(kappa):
+    # beta = 0 makes every sum 0 only where the constants are defined: at
+    # kappa = 0 xi_kappa is 0, and at kappa = 40 it rounds to 1
+    p = ModelParams(m=2, n=2, N=16, beta=0.0, kappa=kappa)
+    with pytest.raises(PreconditionError):
+        constants(p, DESK_STATS)
+    with pytest.raises(PreconditionError):
+        appendix_sums(p, DESK_STATS, K=60)
 
 
 def test_appendix_bounds_match_c1_parts():
@@ -449,9 +449,7 @@ def test_appendix_sums_raise_exactly_outside_strong_coupling(kappa):
         p = ModelParams(m=2, n=2, N=16, beta=beta, kappa=kappa)
         inside = assumption_check(p).strong_coupling
         seen.add(inside)
-        if zeta(beta, 2) == 0.0:
-            assert appendix_sums(p, stats, K=50) == [(0.0, 0.0)] * 3
-        elif inside:
+        if inside:
             appendix_sums(p, stats, K=50)
         else:
             with pytest.raises(PreconditionError):

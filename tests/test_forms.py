@@ -190,7 +190,7 @@ def test_random_form_contract():
     assert random_form(box, 2, 0.0, seed=1).is_zero()
     full = random_form(box, 2, 1.0, seed=1)
     assert full.support == set(box.cells(2))
-    assert all(v == 1 for v in full.values.values())
+    assert all(v == 1 for v in full.coeffs.values())
     a = random_form(box, 4, 0.4, seed=123)
     b = random_form(box, 4, 0.4, seed=123)
     assert a == b
@@ -220,7 +220,7 @@ def test_delta_of_a_z3_form_is_a_z3_form():
     w = FormZn(2, 3, {plaquette((0, 0), 1, 2): 1, plaquette((1, 0), 1, 2): 2})
     dw = delta(w)
     assert type(dw) is FormZn and (dw.dim, dw.n) == (1, 3)
-    assert dw.values is dw.coeffs and set(dw.values.values()) <= {1, 2}
+    assert set(dw.coeffs.values()) <= {1, 2}
     assert dw(edge((1, 0), 2)) == 2 and dw(-edge((1, 0), 2)) == 1
     assert dw(edge((0, 0), 2)) == 2 and dw(edge((2, 0), 2)) == 2
     assert len(dw.support) == 7

@@ -4,9 +4,9 @@ every name it imports.
 A ``_private`` name imported from a sibling module is a second home for
 that module's internals; the test suite itself may still import them.
 An import that nothing reads is a leftover of deleted code, and so is a
-public name that nothing outside the tests reads, unless it is pinned
-in ``TEST_ONLY``, and a private top-level name or private method that no
-package module reads.
+public name, method or property that nothing outside the tests reads,
+unless it is pinned in ``TEST_ONLY``, and a private top-level name or
+private method that no package module reads.
 """
 
 import ast
@@ -121,12 +121,15 @@ def _top_level(tree):
 
 
 def _linted(tree):
-    """(name, node) of each top-level name and private method of a module,
-    leaving out the language's dunder names."""
+    """(name, reported name, node) of each top-level name and each method or
+    property of a module's classes, leaving out the language's dunder names;
+    a method is reported as ``Class.name``."""
     for name, node in _top_level(tree):
-        methods = node.body if isinstance(node, ast.ClassDef) else []
-        defs = [(m.name, m) for m in methods if isinstance(m, ast.FunctionDef) and m.name.startswith("_")]
-        yield from ((k, v) for k, v in defs + [(name, node)] if not k.endswith("__"))
+        if not name.endswith("__"):
+            yield name, name, node
+        for m in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(m, ast.FunctionDef) and not m.name.endswith("__"):
+                yield m.name, f"{name}.{m.name}", m
 
 
 def _reads(tree, skip=None):
@@ -152,9 +155,9 @@ def _reads(tree, skip=None):
 
 def unread_names(modules, others):
     """Names of ``modules`` (name -> source) that nothing reads outside their
-    own definition: public top-level names that no module, none of the
-    ``others`` sources and no ``__all__`` reads, and private top-level names
-    and private methods that no module reads."""
+    own definition: public top-level names, methods and properties that no
+    module, none of the ``others`` sources and no ``__all__`` reads, and
+    private top-level names and private methods that no module reads."""
     trees = {k: ast.parse(v) for k, v in modules.items()}
     outside = set().union(*map(_reads, map(ast.parse, others)))
     for tree in trees.values():
@@ -164,11 +167,11 @@ def unread_names(modules, others):
     out = set()
     for key, tree in trees.items():
         seen = set().union(*(_reads(t) for k, t in trees.items() if k != key))
-        for name, node in _linted(tree):
+        for name, reported, node in _linted(tree):
             if name in seen or (name in outside and not name.startswith("_")):
                 continue
             if name not in _reads(tree, skip=node):
-                out.add(name)
+                out.add(reported)
     return out
 
 
@@ -191,12 +194,18 @@ def test_lint_flags_names_nothing_reads():
                 "    def _called(self, f): pass",
                 "    def _recursive(self): return self._recursive()",
                 "    def _bench_only(self): pass",
+                "    def bench_read(self): pass",
+                "    def unread(self): return self.unread()",
+                "    @property",
+                "    def size(self): return 0",
+                "    @property",
+                "    def unread_size(self): return self.size",
             ]
         ),
         "b.py": "from .a import used, Kept\nimport a\nX: int = a.attr()\nTABLE = {}",
     }
-    others = ["import a\nb.X\ngetattr(a, 'traced')\na.Kept()._bench_only()"]
-    want = {"recursive", "Unread", "TABLE", "_private", "_recursive", "_bench_only"}
+    others = ["import a\nb.X\ngetattr(a, 'traced')\na.Kept()._bench_only()\na.Kept().bench_read()"]
+    want = {"recursive", "Unread", "TABLE", "_private", "Kept._recursive", "Kept._bench_only", "Kept.unread", "Kept.unread_size"}
     assert unread_names(modules, others) == want
 
 
@@ -209,6 +218,14 @@ TEST_ONLY = {
     "perimeter_bound",
     # objects of the paper that the library does not compute with
     "u_shaped_path", "v_set", "in_event_E",
+    # a one-cell chain, the tests' shorthand for building chains by hand
+    "Chain.of",
+    # a path's end points as coordinate tuples; the package reads the ``ends`` array
+    "LatticePath.endpoints",
+    # the per-site heat-bath conditional, the reference for the sweep's table
+    "ChainEnsemble.conditional_weights",
+    # each chain's configuration id, for frequency tests against exact enumeration
+    "ChainEnsemble.config_ids",
 }
 
 

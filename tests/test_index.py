@@ -64,14 +64,19 @@ def test_incidence_matches_forms(box, n):
 
 @pytest.mark.parametrize("box", BOXES, ids=box_id)
 def test_class_positions_invert_the_class_order(box):
+    # the class of each plaquette inverts the class lists, whose concatenation
+    # is the scan order
     idx = BoxIndex(box)
     order = np.concatenate(idx.plaq_classes)
     P = len(idx.plaq_edges)
-    assert np.array_equal(idx.plaq_class_pos[order], np.arange(P))
-    assert np.array_equal(order[idx.plaq_class_pos], np.arange(P))
+    assert np.array_equal(idx.scan_order, order)
+    assert np.array_equal(np.sort(order), np.arange(P))
+    sizes = [len(cls) for cls in idx.plaq_classes]
+    assert np.array_equal(idx.plaq_class[order], np.repeat(np.arange(len(sizes)), sizes))
     # each edge's row names its own plaquettes, the padding repeating the first
     ep = idx.edge_plaqs
-    assert np.array_equal(order[idx.edge_class_pos], np.where(idx.edge_plaq_signs != 0, ep, ep[:, :1]))
+    assert np.array_equal(ep, np.where(idx.edge_plaq_signs != 0, ep, ep[:, :1]))
+    assert (idx.edge_plaq_signs[:, 0] != 0).all()
 
 
 def test_ids_reject_cells_outside_the_box():

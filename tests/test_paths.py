@@ -190,7 +190,7 @@ def test_gamma_stats(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("recomputed")
 
-    for owner, name in ((paths, "BoxIndex"), (paths, "_local_index"), (BoxIndex, "path")):
+    for owner, name in ((paths, "BoxIndex"), (BoxIndex, "path")):
         monkeypatch.setattr(owner, name, refuse)
     assert gamma_stats(loop, BOX) == st
     assert p_gamma(loop, BOX) == pg and corner_plaquettes(loop, BOX) == pc

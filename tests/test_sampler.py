@@ -122,7 +122,7 @@ def test_ensembles_share_the_box_layout():
     b = ChainEnsemble(params(0.1, 0.2, n=3, N=4), tilt=LOOP, seed=1, chains=3)
     assert b.idx is a.idx is box_index(2, 4)
     assert b.idx.plaq_classes is a.idx.plaq_classes
-    assert b.idx.plaq_class_pos is a.idx.plaq_class_pos
+    assert b.idx.plaq_class is a.idx.plaq_class
 
 
 def test_path_outside_box_is_rejected():
@@ -427,16 +427,18 @@ def dense_sweep(ens, blocks, u):
 
 def _record_draws(ens, monkeypatch):
     """Per sweep of ``ens``, a (K, P) array of the draws it made, by chain and
-    draw position, and NaN where none was made.  On the thinned route these
+    plaquette rank, and NaN where none was made.  On the thinned route these
     are the hot draws of ``_draws`` and the cold draws of ``_cold``; each
-    position is drawn at most once a sweep."""
+    plaquette is drawn at most once a sweep.  The dense route's draws, by
+    position in the scan order, are stored by rank too."""
     sweeps = []
     if not ens._thin:
         uniforms = ens._uniforms
 
         def recording_uniforms():
             u = uniforms()
-            sweeps.append(u.copy())
+            sweeps.append(np.empty_like(u))
+            sweeps[-1][:, ens.idx.scan_order] = u
             return u
 
         monkeypatch.setattr(ens, "_uniforms", recording_uniforms)
@@ -444,9 +446,9 @@ def _record_draws(ens, monkeypatch):
     P = ens.omega.shape[1]
     draws, cold = ens._draws, ens._cold
 
-    def record(chain, pos, got):
-        assert np.isnan(sweeps[-1][chain, pos])  # each position is drawn at most once a sweep
-        sweeps[-1][chain, pos] = got
+    def record(chain, rank, got):
+        assert np.isnan(sweeps[-1][chain, rank])  # each plaquette is drawn at most once a sweep
+        sweeps[-1][chain, rank] = got
         return got
 
     def recording_draws():
@@ -457,12 +459,12 @@ def _record_draws(ens, monkeypatch):
         return keys, vals
 
     monkeypatch.setattr(ens, "_draws", recording_draws)
-    monkeypatch.setattr(ens, "_cold", lambda chain, pos: record(chain, pos, cold(chain, pos)))
+    monkeypatch.setattr(ens, "_cold", lambda chain, rank: record(chain, rank, cold(chain, rank)))
     return sweeps
 
 
 def _largest_cold(ens):
-    """Each draw position's largest cold draw, (k* - 1) 2^-53 of its base row."""
+    """Each plaquette's largest cold draw, (k* - 1) 2^-53 of its base row."""
     kstar = np.full(len(ens._base_first), 2**53)
     for k, _, members in ens._groups:
         kstar[members] = k
@@ -473,9 +475,9 @@ def _replay(ref, blocks, recorded):
     """The dense sweep on the draws of the last recorded sweep, with the largest
     cold draw of the base row where none was made: a quiet member stays with it,
     while a member that is not quiet mostly moves, so one that the sweep should
-    have updated and did not shows."""
+    have updated and did not shows.  The dense sweep reads its draws in scan order."""
     u = recorded[-1]
-    dense_sweep(ref, blocks, np.where(np.isnan(u), _largest_cold(ref), u))
+    dense_sweep(ref, blocks, np.where(np.isnan(u), _largest_cold(ref), u)[:, ref.idx.scan_order])
 
 
 def _skip_always(monkeypatch):
@@ -547,8 +549,8 @@ def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, mo
 
 class _StubDraws:
     """Stands in for a chain's generator on the thinned route: every draw is
-    0.0, except that draw position ``hot`` (if given) is hot at its first hot
-    grid point k* in sweep ``call`` (counted from 0); no other trial is hot."""
+    0.0, except that plaquette ``hot`` (a rank, if given) is hot at its first
+    hot grid point k* in sweep ``call`` (counted from 0); no other trial is hot."""
 
     def __init__(self, ens, hot=None, call=0):
         self.first = {}  # the q of hot's group (groups differ in q): the first gap, to hot
@@ -572,19 +574,19 @@ class _StubDraws:
 
 
 def _record_steps(ens, monkeypatch):
-    """The (chain, draw position) of each per-candidate step of ``ens``, in call order."""
+    """The (chain, plaquette rank) of each per-candidate step of ``ens``, in call order."""
     steps = []
     step = ens._step
-    monkeypatch.setattr(ens, "_step", lambda om, dl, chain, pos, hot: steps.append((chain, pos)) or step(om, dl, chain, pos, hot))
+    monkeypatch.setattr(ens, "_step", lambda om, dl, chain, rank, hot: steps.append((chain, rank)) or step(om, dl, chain, rank, hot))
     return steps
 
 
 def _check_hot_boundary(ens, tilt, at, monkeypatch):
     """Two checks of the hot draws on ``ens`` (thinned, two chains): every base
     row's grid point k* - 1 is cold and k* is hot, by the comparison of
-    ``_update``; and a sweep with draw position ``at`` of the first class forced
-    hot in chain 1 (stub generators) updates and moves that member only, and
-    draws nothing in chain 0."""
+    ``_update``; and a sweep with plaquette ``at`` (a rank) of the first class
+    forced hot in chain 1 (stub generators) updates and moves that member only,
+    and draws nothing in chain 0."""
     kstar = np.full(len(ens._base_first), 2**53)
     for k, q, members in ens._groups:
         assert q == (2**53 - k) / 2**53
@@ -599,11 +601,10 @@ def _check_hot_boundary(ens, tilt, at, monkeypatch):
     ens.rngs = [_StubDraws(ens), _StubDraws(ens, hot=at)]
     ens.sweep()
     _replay(ref, dense_blocks(ref), recorded)
-    first_class = ens.idx.plaq_classes[0]
     # the first class updates the hot draw's member only, and chain 0 draws nothing
-    assert [step for step in steps if step[1] < len(first_class)] == [(1, at)]
+    assert [step for step in steps if ens.idx.plaq_class[step[1]] == 0] == [(1, at)]
     assert np.isnan(recorded[-1][0]).all()
-    assert ens.omega[1, first_class[at]] != 0
+    assert ens.omega[1, at] != 0
     assert ens.moves == np.count_nonzero(ens.omega) == 1
     assert recorded[-1][1, at] == kstar[at] / 2**53
     assert np.array_equal(ens.omega, ref.omega)
@@ -616,7 +617,7 @@ def _check_hot_boundary(ens, tilt, at, monkeypatch):
 def test_hot_draw_boundary_is_exact(beta, kappa, n, monkeypatch):
     _skip_always(monkeypatch)
     ens = ChainEnsemble(ModelParams(m=2, n=n, N=4, beta=beta, kappa=kappa), chains=2)
-    _check_hot_boundary(ens, None, 5, monkeypatch)
+    _check_hot_boundary(ens, None, ens.idx.plaq_classes[0][5], monkeypatch)
 
 
 @pytest.mark.parametrize("beta, kappa, n", [(1e-5, 0.25, 2), (1e-4, 0.25, 2), (0.1, 0.2, 3), (0.3, 0.3, 5)])
@@ -627,8 +628,8 @@ def test_hot_draw_boundary_is_exact_on_the_tilt(beta, kappa, n, monkeypatch):
     ens = ChainEnsemble(ModelParams(m=2, n=n, N=4, beta=beta, kappa=kappa), tilt=_unit_loop(2), chains=2)
     first = ens.idx.plaq_classes[0]
     base = ens.tilt[ens.idx.plaq_edges[first]] @ n ** np.arange(4)
-    at = np.flatnonzero(base)[0]  # a draw position in the first class, off row 0
-    b = base[at]
+    j = np.flatnonzero(base)[0]  # a member of the first class, off row 0
+    at, b = first[j], base[j]
     k = sampler._first_hot(ens._cum[b, 0], ens._cum[b, -1])
     assert k / 2**53 * ens._cum[0, -1] <= ens._cum[0, 0]
     # a twin takes the sweep with no hot draw: the first gaps of a chain are
@@ -724,9 +725,8 @@ def test_sweep_samples_form_distribution(n, tilted, route, monkeypatch):
 
 
 def _base_rows(ens):
-    """Each draw position's base row."""
-    e = ens.idx.plaq_edges[np.concatenate(ens.idx.plaq_classes)]
-    return ens.tilt[e] @ ens.n ** np.arange(4)
+    """Each plaquette's base row."""
+    return ens.tilt[ens.idx.plaq_edges] @ ens.n ** np.arange(4)
 
 
 @pytest.mark.parametrize("p, tilt", [(R1, None), (R2, R2_LOOP)], ids=["R1", "R2-tilted"])
@@ -758,7 +758,7 @@ def test_hot_counts_per_call_are_binomial_and_uncorrelated(monkeypatch):
     for g, (_, _, members) in enumerate(ens._groups):
         group[members] = g
     calls = 20_000
-    hot = (np.asarray(ens._draws()[0], dtype=np.intp) for _ in range(calls))  # one chain: keys are positions
+    hot = (np.asarray(ens._draws()[0], dtype=np.intp) for _ in range(calls))  # one chain: keys are ranks
     counts = np.array([np.bincount(group[at], minlength=len(ens._groups)) for at in hot])
     for g, (_, q, members) in enumerate(ens._groups):
         x = counts[:, g]
@@ -843,7 +843,8 @@ def test_quiet_chains_draw_nothing_in_a_busy_sweep(p, tilt, monkeypatch):
     # candidate then, so they make no generator call while chain 1 moves
     ens = ChainEnsemble(p, tilt=tilt, chains=4)
     assert ens._thin
-    at = len(ens.idx.plaq_classes[0]) // 2
+    first = ens.idx.plaq_classes[0]
+    at = first[len(first) // 2]
     ens.rngs = [_StubDraws(ens), _StubDraws(ens, hot=at, call=1), _StubDraws(ens), _StubDraws(ens)]
     steps = _record_steps(ens, monkeypatch)
     ens.sweep()  # draws the first gaps; nothing is hot
@@ -853,7 +854,7 @@ def test_quiet_chains_draw_nothing_in_a_busy_sweep(p, tilt, monkeypatch):
         ens.rngs[chain] = rng
     ens.sweep()
     assert {chain: rng.calls for chain, rng in counted.items()} == {0: 0, 2: 0, 3: 0}
-    assert ens.moves == 1 and ens.omega[1, ens.idx.plaq_classes[0][at]] != 0
+    assert ens.moves == 1 and ens.omega[1, at] != 0
     assert not ens.omega[[0, 2, 3]].any()
     assert {chain for chain, _ in steps} == {1}
     assert ens.validate_cache()
@@ -880,13 +881,12 @@ def test_scalar_step_matches_update(n, m, N, tilted, monkeypatch):
             ens.delta = ens.recompute_delta()
         P, E = a.omega.shape[1], a.delta.shape[1]
         om, dl = memoryview(a.omega.reshape(-1)), memoryview(a.delta.reshape(-1))
-        for k, cls in enumerate(a.idx.plaq_classes):
-            lo = a._bounds[k]
+        for cls in a.idx.plaq_classes:
             for chain in range(2):
                 u = rng.random(len(cls))
                 u[: len(u) // 4] = 0.0  # some draws that move nothing quiet
-                draws = {lo + j: float(x) for j, x in enumerate(u)}
-                moved = [a._step(om, dl, chain, lo + j, draws) for j in range(len(cls))]
+                draws = dict(zip(cls.tolist(), u.tolist()))
+                moved = [a._step(om, dl, chain, rank, draws) for rank in cls.tolist()]
                 e = b.idx.plaq_edges[cls]
                 want = b._update(chain * P + cls, chain * E + e, b.tilt[e], u)
                 assert moved == want.tolist()
@@ -1112,16 +1112,16 @@ def test_conditional_table_matches_per_column_loop(n):
 
 def _layout_by_unique(ens):
     """The base rows' columns, the groups and the route as the constructor found
-    them with ``np.unique`` over the positions' base rows and their k*: the
-    reference for the bincount over the n^4 possible rows."""
+    them with ``np.unique`` over the plaquettes' base rows and their k*, each
+    group's members in scan order: the reference for the bincount over the n^4
+    possible rows."""
     idx, n, P = ens.idx, ens.n, ens.omega.shape[1]
-    base = np.zeros(P, dtype=np.intp)
-    on = np.unique(idx.edge_class_pos[ens.tilt.nonzero()[0]])
-    base[on] = ens.tilt[idx.plaq_edges[idx.pos_plaq[on]]] @ n ** np.arange(4)
+    base = _base_rows(ens)
     cum = _table_by_loop(ens.phi_b, ens.phi_k, n)
     rows, row_of = np.unique(base, return_inverse=True)
     kstar = np.array([sampler._first_hot(float(cum[r, 0]), float(cum[r, -1])) for r in rows])[row_of]
-    groups = [(k, (2**53 - k) / 2**53, np.flatnonzero(kstar == k)) for k in np.unique(kstar) if k < 2**53]
+    order = np.concatenate(idx.plaq_classes)
+    groups = [(k, (2**53 - k) / 2**53, order[kstar[order] == k]) for k in np.unique(kstar) if k < 2**53]
     hot = ens.k * sum(q * len(at) for _, q, at in groups)
     thin = hot * sampler._HOT_COST * (ens.params.m - 1) < ens.k * P + sampler._CLASS_COST * len(idx.plaq_classes)
     return cum, cum[base, 0], cum[base, -1], groups, thin
