@@ -29,11 +29,13 @@ plaquettes in canonical order (:func:`_factors` says where each edge
 factor joins).  One tensor over the open variables, those read by a
 factor that has joined and by one still to come, carries a leading
 (denominator, numerator) axis; each step multiplies in its factors and
-sums out the variables it reads for the last time.  The work is the sum
-over steps of n^(open variables), not n^(variables): at m = 2 the widest
-frontier is 2N + 1 plaquettes (2-form), 2N + 3 edges (unitary gauge) and
-4N + 4 cells (two-field).  The coupling-free plan, the per-step residues,
-shapes and summed axes, is cached per (measure, m, N, n) (:func:`_plan`).
+sums out the variables it reads for the last time; no step rescales, as
+no entry passes n^V over the V variables (:func:`_eliminate`).  The work
+is the sum over steps of n^(open variables), not n^(variables): at m = 2
+the widest frontier is 2N + 1 plaquettes (2-form), 2N + 3 edges (unitary
+gauge) and 4N + 4 cells (two-field).  The coupling-free plan, the
+per-step residues, shapes and summed axes, is cached per (measure, m, N,
+n) (:func:`_plan`).
 
 The engine reads the box's cells from ``cells.BoxIndex`` and takes every
 residue with ``cells.incidence``; :func:`action` takes its derivatives
@@ -159,8 +161,9 @@ def _plan(measure: str, m: int, N: int, n: int):
     broadcast shape of its factor over the open axes, the axes it sums
     out).  The arrays are read-only.
 
-    Raises GuardError, before any table is built, when the tensor of
-    2 n^w entries at the widest frontier w exceeds ``STATE_GUARD``.
+    Raises GuardError, before any table is built, when the tensor of 2 n^w
+    entries at the widest frontier w exceeds ``STATE_GUARD``, or when n^V
+    over the V variables, its entries' bound, is past the double range.
     """
     idx = box_index(m, N)
     groups = _factors(measure, idx, n)
@@ -175,6 +178,8 @@ def _plan(measure: str, m: int, N: int, n: int):
     width = int((np.cumsum(np.bincount(first, minlength=T)) - summed_before).max())
     if 2 * n**width > STATE_GUARD:
         raise GuardError(f"{measure} elimination holds 2 x {n}^{width} entries at its widest frontier")
+    if n ** len(first) > float(np.finfo(float).max):  # n^V bounds every entry (see _eliminate)
+        raise GuardError(f"{measure} elimination entries reach {n}^{len(first)}, past the double range")
     res, cols, starts, steps, front = [], [], [], [], []
     row = entry = 0
     for t in range(T):
@@ -203,24 +208,34 @@ def _eliminate(measure: str, params: ModelParams, lut: np.ndarray, shift: np.nda
 
     ``shift`` is the numerator's tilt on each edge column.  Every factor
     for every step comes from one lookup and one ``multiply.reduceat``;
-    each step is then one product and, where it sums out, one sum and a
-    rescale.  Every table is at most 1 and 1 at residue 0, so only a sum
-    grows the entries, and the rescale divides both rows by the
-    denominator's maximum, which is never 0 (the zero configuration
-    weighs 1); the ratio needs no log Z.  The lut is complex only when
-    the tables are.
+    each step is then one product and, where it sums out, one sum.  Every
+    table is at most 1 and 1 at residue 0, so no step rescales: an entry
+    is at most n^(variables summed so far), so at most n^V, which
+    :func:`_plan` keeps in the double range, and the denominator's
+    all-zero entry is at least 1.  The lut is complex only when the
+    tables are.
     """
     (res, cols, starts), steps = _plan(measure, params.m, params.N, params.n)
-    tilt = np.zeros((2, len(shift) + 1), dtype=np.intp)
-    tilt[1, :-1] = shift
-    factors = np.multiply.reduceat(lut[res + tilt[:, cols]], starts, axis=1)
+    tilt = np.zeros(len(shift) + 1, dtype=np.intp)  # column E carries no tilt
+    tilt[:-1] = shift
+    factors = np.multiply.reduceat(lut.take(np.stack((res, res + tilt.take(cols)))), starts, axis=1)
     g = np.ones(2)
     for rows, expand, shape, out in steps:
         g = g[expand] * factors[:, rows].reshape(shape)
         if out:
-            g = g.sum(axis=out)
-            g /= g[0].real.max()
+            g = np.add.reduce(g, axis=out)
     return float((g[1] / g[0]).real)
+
+
+@lru_cache(maxsize=8)
+def _gauge_parts(n: int):
+    """The coupling-free parts of :func:`_gauge`'s lut, read-only: cos - 1 tiled for the
+    edge block, cos - 1, and the Wilson phases, at n = 2 the exact real +-1 (a real lut)."""
+    j = np.arange(n)
+    cos = np.cos(2 * np.pi * j / n) - 1
+    cr = np.outer(j, j).ravel() % n
+    phase = 1.0 - 2.0 * cr if n == 2 else np.exp(2j * np.pi * cr / n)
+    return _frozen(np.tile(cos, n), cos, phase)
 
 
 def _gauge(measure: str, observable, params: ModelParams) -> float:
@@ -232,11 +247,8 @@ def _gauge(measure: str, observable, params: ModelParams) -> float:
     """
     n = params.n
     coeffs = _wilson(box_index(params.m, params.N), observable)
-    j = np.arange(n)
-    cos_t = np.cos(2 * np.pi * j / n)
-    edge = np.exp(2 * params.kappa * (cos_t - 1)) * np.exp(2j * np.pi * (np.outer(j, j) % n) / n)
-    # at n = 2 every phase is +-1, so the lut is real and so is the elimination
-    lut = np.real_if_close(np.concatenate([edge.ravel(), np.exp(2 * params.beta * (cos_t - 1))]))
+    edge_cos, cos, phase = _gauge_parts(n)
+    lut = np.concatenate((np.exp(2 * params.kappa * edge_cos) * phase, np.exp(2 * params.beta * cos)))
     return _eliminate(measure, params, lut, n * (coeffs % n))
 
 

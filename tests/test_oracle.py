@@ -926,6 +926,14 @@ def test_form_plan_is_read_only():
             arrays[0][0] = 1
         idx = box_index(2, 2)  # a two-field edge joins in a step of its own
         assert isinstance(steps, tuple) and len(steps) == len(idx.plaq_edges) + (len(idx.edges) if measure == "full" else 0)
+    # the coupling-free parts of the unitary-gauge and two-field lut, per n
+    for n in (2, 3):
+        parts = oracle._gauge_parts(n)
+        assert len(parts) == 3 and all(not a.flags.writeable for a in parts)
+        with pytest.raises(ValueError):
+            parts[0][0] = 1
+        assert parts[2].dtype == (np.float64 if n == 2 else np.complex128)
+    assert oracle._gauge_parts(2)[2].tolist() == [1, 1, 1, -1]
 
 
 def _form_values(box):
@@ -1020,6 +1028,34 @@ def test_elimination_guard_refuses_before_any_plan_table(monkeypatch, m, N, widt
         expect_form(loop, ModelParams(m=m, n=2, N=N, beta=0.1, kappa=0.1))
 
 
+@pytest.mark.parametrize(
+    "route, N", [(expect_unitary, 6), (expect_full, 3), (expect_form, 6)], ids=["unitary", "full", "form"]
+)
+def test_elimination_holds_its_largest_entries_without_rescaling(route, N):
+    # at beta = kappa = 0 every gauge configuration weighs 1, so the unitary-gauge and two-field
+    # denominators are exactly n^V, the bound on every entry (2^312 and 2^133 here); at n = 2
+    # every phase is +-1 and every sum exact, so the loop's numerator is exactly 0 (the 2-form
+    # measure weighs the zero form alone)
+    p = ModelParams(m=2, n=2, N=N, beta=0.0, kappa=0.0)
+    values = route(None, p), route(LOOP, p)
+    assert all(map(math.isfinite, values)) and values == (1.0, 0.0)
+
+
+def test_elimination_guard_refuses_entries_past_the_double_range(monkeypatch):
+    # the unitary-gauge entries reach 2^E: 2^1012 at m=2 N=11, the largest box within
+    # STATE_GUARD (a frontier of 25 edges), and 2^1200 at N=12, past the double range
+    def no_tables(*args):
+        raise AssertionError("the elimination built a plan table before its guard")
+
+    _plan.cache_clear()
+    monkeypatch.setattr(oracle, "_all_digits", no_tables)
+    with pytest.raises(AssertionError, match="before its guard"):
+        expect_unitary(LOOP, ModelParams(m=2, n=2, N=11, beta=0.1, kappa=0.1))
+    monkeypatch.setattr(oracle, "STATE_GUARD", 2 * 2**27)  # passes the frontier of 27 edges at N=12
+    with pytest.raises(GuardError, match="2\\^1200, past the double range"):
+        expect_unitary(LOOP, ModelParams(m=2, n=2, N=12, beta=0.1, kappa=0.1))
+
+
 def test_elimination_reaches_past_the_split_half_guard():
     # m=2 N=4 has 2^64 2-forms and 2^144 gauge configurations; the widest frontiers are
     # 9 plaquettes and 11 edges
@@ -1033,8 +1069,8 @@ def test_elimination_reaches_past_the_split_half_guard():
 
 @pytest.mark.parametrize("box", [(2, 2, 1), (2, 3, 1), (2, 2, 2)], ids=["2x2x1", "2x3x1", "2x2x2"])
 def test_elimination_gives_zero_for_an_open_path_at_kappa_zero(box):
-    # no 2-form has delta equal to an open path, so every numerator entry is 0; the rescale
-    # divides by the denominator's maximum, never by the numerator's 0
+    # no 2-form has delta equal to an open path, so every numerator entry is 0, and the ratio
+    # divides by the denominator, whose all-zero entry is at least 1
     m, n, N = box
     for beta in (0.0, 0.4):
         p = ModelParams(m=m, n=n, N=N, beta=beta, kappa=0.0)

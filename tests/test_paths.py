@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,31 @@ def test_path_validation_rejects_bad_coefficients():
     # wrong boundary tag
     with pytest.raises(ValueError):
         LatticePath(Chain(1, {edge((0, 0), 1): 1}), "closed")
+
+
+LOOP44 = paths._loop_edges(RECT44)  # (edge, coefficient) pairs in traversal order
+
+
+# a support on the rectangle that is connected and passes the boundary check is an arc or the
+# whole loop traversed one way, so these inputs, which aim at a mixed orientation or a partial
+# closed loop, are refused by the boundary checks first
+@pytest.mark.parametrize(
+    "pairs, kind, message",
+    [
+        ([LOOP44[0], (LOOP44[1][0], -LOOP44[1][1]), LOOP44[2]], "open", "open path boundary must be x2 - x1"),
+        (LOOP44[:5] + [(LOOP44[5][0], -LOOP44[5][1])] + LOOP44[6:], "closed", "closed path must have empty boundary"),
+        (LOOP44[:6], "closed", "closed path must have empty boundary"),
+        (
+            list(boundary(plaquette((-2, -2), 1, 2)).coeffs.items()),
+            "closed",
+            "path edges must lie on the rectangle boundary",
+        ),
+    ],
+    ids=["arc-one-edge-reversed", "loop-one-edge-reversed", "closed-part-of-rectangle", "cycle-not-the-rectangle"],
+)
+def test_rectangle_path_validation_refuses_by_an_earlier_check(pairs, kind, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LatticePath(Chain(1, dict(pairs)), kind, RECT44)
 
 
 def test_gamma_r_for_open_paths():
