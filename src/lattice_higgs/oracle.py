@@ -35,7 +35,9 @@ is the sum over steps of n^(open variables), not n^(variables): at m = 2
 the widest frontier is 2N + 1 plaquettes (2-form), 2N + 3 edges (unitary
 gauge) and 4N + 4 cells (two-field).  The coupling-free plan, the
 per-step residues, shapes and summed axes, is cached per (measure, m, N,
-n) (:func:`_plan`).
+n) (:func:`_plan`), and each observable's (denominator, numerator) lookup
+index per (measure, m, N, n, path object) (:func:`_lookup`), so a call at
+new couplings builds only its tables and eliminates.
 
 The engine reads the box's cells from ``cells.BoxIndex`` and takes every
 residue with ``cells.incidence``; :func:`action` takes its derivatives
@@ -203,25 +205,45 @@ def _plan(measure: str, m: int, N: int, n: int):
     return _frozen(*map(np.concatenate, (res, cols, starts))), tuple(steps)
 
 
-def _eliminate(measure: str, params: ModelParams, lut: np.ndarray, shift: np.ndarray) -> float:
+@lru_cache(maxsize=16)
+def _lookup(measure: str, m: int, N: int, n: int, observable) -> np.ndarray:
+    """The (denominator, numerator) lut index of every factor entry in a measure's plan.
+
+    The numerator reads each factor at its residue plus the tilt of its
+    column: n (c mod n) on an edge for the unitary-gauge and two-field
+    measures, whose edge table carries the Wilson phase, and c mod n for
+    the 2-form measure.  Cached per path object, as ``paths._border`` is,
+    and read-only.  Raises PreconditionError, uncached, for a path that
+    leaves the box or has the wrong dimension.
+    """
+    (res, cols, _), _ = _plan(measure, m, N, n)
+    coeffs = _wilson(box_index(m, N), observable) % n
+    tilt = np.zeros(len(coeffs) + 1, dtype=np.intp)  # column E carries no tilt
+    tilt[:-1] = coeffs if measure == "form" else n * coeffs
+    (index,) = _frozen(np.stack((res, res + tilt.take(cols))))
+    return index
+
+
+def _eliminate(measure: str, params: ModelParams, lut: np.ndarray, observable) -> float:
     """The numerator over the denominator of a measure, with factor tables ``lut``.
 
-    ``shift`` is the numerator's tilt on each edge column.  Every factor
-    for every step comes from one lookup and one ``multiply.reduceat``;
-    each step is then one product and, where it sums out, one sum.  Every
-    table is at most 1 and 1 at residue 0, so no step rescales: an entry
-    is at most n^(variables summed so far), so at most n^V, which
-    :func:`_plan` keeps in the double range, and the denominator's
-    all-zero entry is at least 1.  The lut is complex only when the
-    tables are.
+    Every factor for every step comes from one lookup of the observable's
+    cached index (:func:`_lookup`) and one ``multiply.reduceat``; the
+    first step starts from its own factor, and each later step is one
+    product and, where it sums out, one sum.  Every table is at most 1
+    and 1 at residue 0, so no step rescales: an entry is at most
+    n^(variables summed so far), so at most n^V, which :func:`_plan` keeps
+    in the double range, and the denominator's all-zero entry is at least
+    1.  The lut is complex only when the tables are.  The plan is read
+    first on every call, so its guards hold on a warm call too.
     """
-    (res, cols, starts), steps = _plan(measure, params.m, params.N, params.n)
-    tilt = np.zeros(len(shift) + 1, dtype=np.intp)  # column E carries no tilt
-    tilt[:-1] = shift
-    factors = np.multiply.reduceat(lut.take(np.stack((res, res + tilt.take(cols)))), starts, axis=1)
-    g = np.ones(2)
+    m, N, n = params.m, params.N, params.n
+    (_, _, starts), steps = _plan(measure, m, N, n)
+    factors = np.multiply.reduceat(lut.take(_lookup(measure, m, N, n, observable)), starts, axis=1)
+    g = None
     for rows, expand, shape, out in steps:
-        g = g[expand] * factors[:, rows].reshape(shape)
+        f = factors[:, rows].reshape(shape)
+        g = f if g is None else g[expand] * f
         if out:
             g = np.add.reduce(g, axis=out)
     return float((g[1] / g[0]).real)
@@ -245,11 +267,9 @@ def _gauge(measure: str, observable, params: ModelParams) -> float:
     plus residue r, carries the Wilson phase, so the numerator tilts each
     edge by n times its coefficient.
     """
-    n = params.n
-    coeffs = _wilson(box_index(params.m, params.N), observable)
-    edge_cos, cos, phase = _gauge_parts(n)
+    edge_cos, cos, phase = _gauge_parts(params.n)
     lut = np.concatenate((np.exp(2 * params.kappa * edge_cos) * phase, np.exp(2 * params.beta * cos)))
-    return _eliminate(measure, params, lut, n * (coeffs % n))
+    return _eliminate(measure, params, lut, observable)
 
 
 def expect_unitary(observable, params: ModelParams) -> float:
@@ -257,7 +277,9 @@ def expect_unitary(observable, params: ModelParams) -> float:
 
     ``observable`` is a LatticePath (Wilson line/loop) or None for the
     constant 1.  Raises GuardError when the elimination tensor would hold
-    more than ``STATE_GUARD`` entries.
+    more than ``STATE_GUARD`` entries, or when n^V over its V variables,
+    the bound on its entries, passes the double range; PreconditionError
+    when the path leaves the box or has the wrong dimension.
     """
     return _gauge("unitary", observable, params)
 
@@ -265,8 +287,8 @@ def expect_unitary(observable, params: ModelParams) -> float:
 def expect_full(observable, params: ModelParams) -> float:
     """Expectation under the two-field measure, by eliminating edges and vertices.
 
-    Every Higgs configuration is summed: no gauge is fixed.  ``observable``
-    and the guard are as in :func:`expect_unitary`.
+    Every Higgs configuration is summed: no gauge is fixed.  ``observable``,
+    the two guards and the path checks are as in :func:`expect_unitary`.
     """
     return _gauge("full", observable, params)
 
@@ -281,13 +303,11 @@ def expect_form(observable, params: ModelParams) -> float:
     route reads only the incidence of edges and plaquettes, so it is the
     same for every m.
 
-    Raises GuardError when the elimination tensor would hold more than
-    ``STATE_GUARD`` entries.
+    The two guards and the path checks are as in :func:`expect_unitary`.
     """
-    coeffs = _wilson(box_index(params.m, params.N), observable)
     n = params.n
     lut = np.concatenate([phi_table(params.kappa, n)] * 2 + [phi_table(params.beta, n)])
-    return _eliminate("form", params, lut, coeffs % n)
+    return _eliminate("form", params, lut, observable)
 
 
 def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):

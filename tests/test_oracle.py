@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lattice_higgs import oracle
-from lattice_higgs.cells import LatticeBox, incidence, plaquette, vertex
+from lattice_higgs.cells import BoxIndex, LatticeBox, incidence, plaquette, vertex
 from lattice_higgs.couplings import ModelParams, eta, eta_hat, phi, phi_table, xi
 from lattice_higgs.errors import GuardError, PreconditionError
 from lattice_higgs.forms import FormZn, connected_components, lhd, random_form
@@ -13,6 +13,7 @@ from lattice_higgs.oracle import (
     STATE_GUARD,
     _all_digits,
     _frozen,
+    _lookup,
     _plan,
     _wilson,
     action,
@@ -952,6 +953,70 @@ def test_form_plan_gives_the_same_bits_in_any_call_order():
     box_index.cache_clear()
     assert [_form_values(box) for box in boxes[::-1]] == first[::-1]
     assert [_form_values(box) for box in boxes] == first
+    _lookup.cache_clear()
+    assert [_form_values(box) for box in boxes] == first
+
+
+# the observables of the lookup-cache tests: the constant 1, a loop and an open path, each
+# built afresh so that no other test has cached it
+FRESH = {
+    "none": lambda: None,
+    "loop": lambda: rectangle_loop(RECT),
+    "open": lambda: rectangle_open_path(RECT, start=1, count=3),
+}
+LOOKUP_CASES = [(measure, name) for measure in MEASURES for name in FRESH]
+
+
+@pytest.mark.parametrize("measure, name", LOOKUP_CASES)
+def test_warm_call_builds_no_lookup(monkeypatch, measure, name):
+    # the (denominator, numerator) index is cached per path object: a call at new couplings
+    # reads neither the path's edge ranks nor its coefficients, and a warm call, a cold one
+    # and one on a fresh path object with the same edges give the same bits
+    g, route, p = FRESH[name](), ROUTES[measure], params(0.2, 0.6, n=3)
+    _lookup.cache_clear()
+    route(g, params(0.3, 0.45, n=3))
+
+    def unread(*args):
+        raise AssertionError("lookup rebuilt")
+
+    monkeypatch.setattr(BoxIndex, "path", unread)
+    monkeypatch.setattr(BoxIndex, "gamma_coeffs", unread)
+    monkeypatch.setattr(oracle, "_wilson", unread)
+    warm = route(g, p).hex()
+    monkeypatch.undo()
+    assert route(FRESH[name](), p).hex() == warm
+    _lookup.cache_clear()
+    assert route(g, p).hex() == warm
+
+
+@pytest.mark.parametrize("measure, name", LOOKUP_CASES)
+def test_lookup_is_read_only(measure, name):
+    (res, _, _), _ = _plan(measure, 2, 1, 2)
+    index = _lookup(measure, 2, 1, 2, FRESH[name]())
+    assert index.shape == (2, len(res)) and not index.flags.writeable
+    assert index[0].tolist() == res.tolist()  # the denominator reads every factor untilted
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_lookup_refuses_a_bad_path_on_every_call(measure):
+    # a refusal is not cached: the path is checked again on the next call
+    outside = rectangle_loop(RectDescriptor(corner=(1, 1), axes=(1, 2), lengths=(1, 1)))
+    flat = rectangle_loop(RectDescriptor(corner=(0, 0, 0), axes=(1, 2), lengths=(1, 1)))
+    for g, match in ((outside, "outside"), (flat, "lies in Z\\^3, not in Z\\^2")):
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match=match):
+                ROUTES[measure](g, params(0.3, 0.45))
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_lookup_cache_is_bounded(measure):
+    size = _lookup.cache_info().maxsize
+    _lookup.cache_clear()
+    for _ in range(size + 3):
+        ROUTES[measure](rectangle_loop(RECT), params(0.3, 0.45))
+    assert _lookup.cache_info().currsize == size
 
 
 def test_full_tables_give_the_same_bits_in_any_call_order():
