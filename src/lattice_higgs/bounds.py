@@ -195,11 +195,6 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
     )
 
 
-def perimeter_bound(params: ModelParams, gamma_length: int) -> float:
-    """The perimeter-law lower bound eta_kappa^{|gamma|}."""
-    return _pow(eta(params.kappa, params.n), gamma_length)
-
-
 def prediction(params: ModelParams, stats: GammaStats) -> Tuple[float, float]:
     """(central value, error radius) of the small-beta asymptotic.
 

@@ -66,6 +66,8 @@ class OrientedCell:
             raise ValueError("direction indices are 1-based")
         if any(a >= b for a, b in zip(self.dirs, self.dirs[1:])):
             raise ValueError("dirs must be strictly increasing; use cell() to normalize")
+        if self.dirs and self.dirs[-1] > len(self.base):
+            raise ValueError(f"direction {self.dirs[-1]} exceeds the dimension {len(self.base)} of the base point")
         # every dict or set operation on a label hashes it: hash the fields once
         object.__setattr__(self, "_hash", hash((self.base, self.dirs, self.sign)))
 
@@ -160,9 +162,6 @@ class LatticeBox:
                 if self.contains(c):
                     yield c
 
-    def count(self, k: int) -> int:
-        return sum(1 for _ in self.cells(k))
-
 
 class Chain:
     """A sparse formal sum of positively oriented k-cells, with integer coefficients.
@@ -221,11 +220,6 @@ class Chain:
     def support(self):
         """Set of positively oriented cells with nonzero coefficient."""
         return set(self.coeffs)
-
-    def contains(self, c: OrientedCell) -> bool:
-        """The paper's ``c in q``: positive with q[c] > 0, or negative with q[-c] < 0."""
-        v = self.coeffs.get(c.positive(), 0)
-        return v > 0 if c.is_positive else v < 0
 
     def copy(self) -> "Chain":
         return self._like(self.dim, self.coeffs)

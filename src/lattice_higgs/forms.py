@@ -12,7 +12,7 @@ supp omega lies in the box.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,8 +27,8 @@ class FormZn(Chain):
     mod n.  So sums, restrictions and ``cells.boundary_chain`` stay Z_n
     forms, and delta is the boundary of the form.  ``coeffs`` holds the
     values on positive cells; ``form[c]`` and ``form(c)`` read the value on an
-    oriented cell, reduced mod n, and ``form.contains(c)`` tells whether it
-    is non-zero.
+    oriented cell, reduced mod n, so ``form(c) != 0`` tells whether c or -c
+    carries a value.
     """
 
     __slots__ = ("n",)
@@ -57,10 +57,6 @@ class FormZn(Chain):
 
     def __call__(self, c: OrientedCell) -> int:
         return self[c]
-
-    def contains(self, c: OrientedCell) -> bool:
-        """omega(c) != 0, on either orientation."""
-        return self(c) != 0
 
     def __repr__(self):
         return f"FormZn(dim={self.dim}, n={self.n}, |supp|={len(self.coeffs)})"
@@ -94,7 +90,7 @@ def delta_edge(form: FormZn, e: OrientedCell, box: LatticeBox) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Connected components and gamma restrictions (2-forms)
+# Connected components (2-forms)
 # ---------------------------------------------------------------------------
 
 
@@ -103,26 +99,6 @@ def connected_components(form: FormZn) -> List[FormZn]:
     if form.dim != 2:
         raise PreconditionError("components are defined for 2-forms")
     return [form.restrict(g) for g in components(form.coeffs)]
-
-
-def _components_where(form: FormZn, keep: Callable[[FormZn], bool]) -> FormZn:
-    """Sum of the components of a 2-form for which ``keep`` holds."""
-    return form.restrict(c for comp in connected_components(form) if keep(comp) for c in comp.coeffs)
-
-
-def omega_E(form: FormZn, edges: Set[OrientedCell]) -> FormZn:
-    """Sum of components having a plaquette whose boundary meets the edge set.
-
-    Equivalent to the coboundary formulation: supp(coboundary e) meets
-    supp omega_j iff some supported plaquette of omega_j has e on its boundary.
-    """
-    edges = {e.positive() for e in edges}
-    return _components_where(form, lambda comp: any(boundary(p).support & edges for p in comp.coeffs))
-
-
-def omega_gamma(form: FormZn, gamma_support: Set[OrientedCell]) -> FormZn:
-    """omega^gamma: components whose delta-support meets supp gamma."""
-    return _components_where(form, lambda comp: bool(delta(comp).support & gamma_support))
 
 
 def lhd(sub: FormZn, whole: FormZn) -> bool:

@@ -40,54 +40,23 @@ index per (measure, m, N, n, path object) (:func:`_lookup`), so a call at
 new couplings builds only its tables and eliminates.
 
 The engine reads the box's cells from ``cells.BoxIndex`` and takes every
-residue with ``cells.incidence``; :func:`action` takes its derivatives
-through ``forms`` instead, independent of ``incidence``.
+residue with ``cells.incidence``.  The dict-based references on ``FormZn``
+configurations (the action, gauge transformations, the exact 2-form
+distribution, the activity and the Wilson observable) live in
+``tests/reference.py``; the action there takes its derivatives through
+``forms.d``, independent of ``incidence``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .cells import BoxIndex, LatticeBox, box_index, incidence
-from .couplings import ModelParams, phi, phi_table, rho
+from .cells import BoxIndex, box_index, incidence
+from .couplings import ModelParams, phi_table
 from .errors import STATE_GUARD, GuardError
-from .forms import FormZn, d, delta
 from .paths import LatticePath
-
-
-# ---------------------------------------------------------------------------
-# The action of field configurations (dict reference route)
-# ---------------------------------------------------------------------------
-
-
-def action(sigma: FormZn, higgs: FormZn, params: ModelParams) -> float:
-    """beta * S_W + kappa * S_H, summed over both orientations (hence real).
-
-    ``sigma`` is the gauge 1-form and ``higgs`` the Higgs 0-form; both
-    derivatives come from ``forms.d``, independent of :func:`incidence`.
-    """
-    idx = box_index(params.m, params.N)
-    n = params.n
-    dsig, dphi = d(sigma, idx.box), d(higgs, idx.box)
-    sw = 0.0 + 0.0j
-    for p in idx.plaqs:
-        sw += rho(dsig(p), n) + rho(-dsig(p), n)
-    sh = 0.0 + 0.0j
-    for e in idx.edges:
-        val = (sigma(e) - dphi(e)) % n
-        sh += rho(val, n) + rho(-val, n)
-    total = -(params.beta * sw + params.kappa * sh)
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise AssertionError(f"action has imaginary part {total.imag}")
-    return total.real
-
-
-def gauge_transform(sigma: FormZn, higgs: FormZn, eta: FormZn, box: LatticeBox):
-    """sigma -> sigma + d eta, phi -> phi + eta, for a 0-form eta on the box."""
-    return sigma + d(eta, box), higgs + eta
 
 
 # ---------------------------------------------------------------------------
@@ -308,52 +277,3 @@ def expect_form(observable, params: ModelParams) -> float:
     n = params.n
     lut = np.concatenate([phi_table(params.kappa, n)] * 2 + [phi_table(params.beta, n)])
     return _eliminate("form", params, lut, observable)
-
-
-def form_distribution(params: ModelParams, tilt: Optional[LatticePath] = None):
-    """All 2-form configurations with exact probabilities (tilted if asked).
-
-    Returns (list of value-rows, probability vector); guarded to tiny boxes.
-    """
-    idx = box_index(params.m, params.N)
-    P, n = len(idx.plaq_edges), params.n
-    shift = _wilson(idx, tilt)
-    if n**P > 1 << 16:
-        raise GuardError("exact distribution limited to 2^16 configurations")
-    phi_b = phi_table(params.beta, n)
-    phi_k = phi_table(params.kappa, n)
-    rows = _all_digits(n, P)
-    dw = (incidence(rows, idx.edge_plaqs, idx.edge_plaq_signs, n) + shift) % n
-    w = phi_k[dw].prod(axis=1) * phi_b[rows].prod(axis=1)
-    return rows, w / w.sum()
-
-
-# ---------------------------------------------------------------------------
-# Pointwise activity and Wilson observable on forms
-# ---------------------------------------------------------------------------
-
-
-def activity(form: FormZn, params: ModelParams) -> float:
-    """Product of phi_kappa over delta-support edges and phi_beta over support.
-
-    Factors at unsupported cells are phi(0) = 1, so the sparse product
-    equals the full product over the box.
-    """
-    total = 1.0
-    dw = delta(form)
-    for e, v in dw.coeffs.items():
-        total *= phi(params.kappa, v, params.n)
-    for p, v in form.coeffs.items():
-        total *= phi(params.beta, v, params.n)
-    return total
-
-
-def wilson_hat(form: FormZn, gamma: LatticePath, kappa: float) -> float:
-    """The high-temperature Wilson observable (ratio form; needs kappa > 0)."""
-    n = form.n
-    dw = delta(form)
-    total = 1.0
-    for e, c in gamma.chain.coeffs.items():
-        de = dw(e)
-        total *= phi(kappa, (de + c) % n, n) / phi(kappa, de, n)
-    return total

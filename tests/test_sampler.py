@@ -11,9 +11,10 @@ from lattice_higgs.cells import PLAQ_SIGNS
 from lattice_higgs.couplings import ModelParams, eta, phi, xi
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, delta, random_form
-from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form, form_distribution
+from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form
 from lattice_higgs.paths import RectDescriptor, rectangle_loop
 from lattice_higgs.sampler import ChainEnsemble, _wrap, estimate_wilson
+from reference import form_distribution
 
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
 LOOP = rectangle_loop(RECT)
