@@ -84,6 +84,8 @@ analytically by the caller.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,7 +112,6 @@ BATCHES_PER_CHAIN = 16
 
 # Generator.random draws k * 2^-53 for k uniform on [0, 2^53)
 _GRID = 2**53
-_NO_HOT = ((), ())  # no hot draw
 
 
 @dataclass(frozen=True)
@@ -184,20 +185,21 @@ class ChainEnsemble:
     The constructor builds the (n^5, n) conditional table of the module
     docstring, each base row's first hot grid point, and the sweep's route,
     and reads the class layout from the shared ``box_index``.  It raises
-    ``PreconditionError`` for fewer than one chain, and, before allocating
-    anything, for n^6 > ``errors.STATE_GUARD`` (n >= 21), and, before the
-    route's state, for a base row of total weight 0 (a tilt at kappa = 0,
-    where the zero state has weight 0).  A sweep takes
-    the dense or the thinned route of the module docstring: the dense one
-    draws ``rng.random(P)`` per chain and updates every member, the thinned
-    one skips from one hot draw to the next by geometric gaps and gives
-    each chain with a candidate its own pool, whose members take scalar
-    steps class by class; the tilt puts no candidate in a pool.  Both
-    routes have the dense sweep's law and are reproducible per seed; the
-    thinned route's stream differs from the dense route's.  ``run(k)``
+    ``PreconditionError`` for a chain count that is not an integer >= 1,
+    and, before allocating anything, for n^6 > ``errors.STATE_GUARD``
+    (n >= 21), and, before the route's state, for a base row of total
+    weight 0 (a tilt at kappa = 0, where the zero state has weight 0).  A
+    sweep takes the dense or the thinned route of the module docstring: the
+    dense one draws ``rng.random(P)`` per chain and updates every member,
+    the thinned one skips from one hot draw to the next by geometric gaps
+    and gives each chain with a candidate its own pool, whose members take
+    scalar steps class by class; the tilt puts no candidate in a pool.
+    Both routes have the dense sweep's law and are reproducible per seed;
+    the thinned route's stream differs from the dense route's.  ``run(k)``
     gives what k calls of ``sweep()`` give, bit for bit, and steps over
-    each quiet stretch at once.  ``moves``
-    counts the plaquette values changed so far, ``sweeps`` the sweeps run.
+    each quiet stretch at once; it raises ``PreconditionError`` for a k
+    that is not an integer >= 0.  ``moves`` counts the plaquette values
+    changed so far, ``sweeps`` the sweeps run.
     ``snapshot`` and ``conditional_weights`` raise ``PreconditionError``
     for a chain outside [0, K).
     """
@@ -210,8 +212,8 @@ class ChainEnsemble:
         chains: int = 1,
     ):
         n = params.n
-        if chains < 1:
-            raise PreconditionError(f"need at least one chain, got {chains}")
+        if not isinstance(chains, numbers.Integral) or chains < 1:
+            raise PreconditionError(f"need an integer number of chains >= 1, got {chains!r}")
         if n**6 > STATE_GUARD:
             raise PreconditionError(f"the conditional table needs {n}^6 entries; n <= 20 only")
         self.params = params
@@ -307,9 +309,9 @@ class ChainEnsemble:
     def sweep(self):
         self.sweeps += 1
         if self._thin:
-            keys, vals = self._draws()
+            hot = self._draws()
             quiet = not np.count_nonzero(self.omega)  # then delta = delta omega is 0 too
-            if quiet and not keys:
+            if quiet and not hot:
                 return  # every member quiet and cold: the sweep would write the state back
         # the scatters write through flat views, which needs C-contiguous state
         self.omega = np.ascontiguousarray(self.omega)
@@ -319,45 +321,40 @@ class ChainEnsemble:
             for draws, p_flat, e_flat, tl in self._blocks:
                 self._update(p_flat, e_flat, tl, u[:, draws])
             return
-        # per chain with a candidate: its candidates' ranks, class by class,
-        # and its hot draws by rank
-        P, E, classes = self.omega.shape[1], self.delta.shape[1], len(self.idx.plaq_classes)
-        cls_of, pools = self._cls, {}
-        for key, u in zip(keys, vals):
-            chain, rank = divmod(key, P)
-            if chain not in pools:
-                pools[chain] = [set() for _ in range(classes)], {}
-            pools[chain][0][cls_of[rank]].add(rank)
-            pools[chain][1][rank] = u
+        # per chain with a candidate: its candidates' ranks, its hot draws first
+        cands = defaultdict(set)
+        for chain, draws in hot.items():
+            cands[chain].update(draws)
         om, dl = memoryview(self.omega.reshape(-1)), memoryview(self.delta.reshape(-1))
         if not quiet:
             # each non-zero plaquette, and the plaquettes on those of its edges where
             # delta is non-zero: delta = delta omega is 0 off the edges of non-zero ones
+            P, E = self.omega.shape[1], self.delta.shape[1]
             pe, ep, w = self._pe, self._ep, self.idx.edge_plaqs.shape[1]
-            # through a bool array: numpy's nonzero is several times faster on one
+            # one flat bool array: numpy's nonzero is several times slower on a 2-D or int16 one
             for key in (self.omega.reshape(-1) != 0).nonzero()[0].tolist():
                 chain, rank = divmod(key, P)
-                if chain not in pools:
-                    pools[chain] = [set() for _ in range(classes)], {}
-                pool = pools[chain][0]
-                pool[cls_of[rank]].add(rank)
+                pool = cands[chain]
+                pool.add(rank)
                 for e in pe[4 * rank : 4 * rank + 4]:
                     if dl[chain * E + e]:
-                        for q in ep[e * w : e * w + w]:
-                            pool[cls_of[q]].add(q)
-        for chain in sorted(pools):
-            self._sweep_chain(om, dl, chain, *pools[chain])
+                        pool.update(ep[e * w : e * w + w])
+        for chain, members in cands.items():
+            self._sweep_chain(om, dl, chain, members, hot.get(chain, {}))
 
-    def _sweep_chain(self, om, dl, chain, pool, hot):
-        """One chain's thinned sweep: class by class, the candidates of
-        ``pool`` (per class, a set of plaquette ranks) take the per-candidate
-        step in canonical order, and a member that moves adds the plaquettes
-        on its edges that lie in later classes to the pool.  ``hot`` holds
-        the chain's hot draws by rank; ``om``, ``dl`` are flat views of omega
-        and delta."""
+    def _sweep_chain(self, om, dl, chain, cands, hot):
+        """One chain's thinned sweep: ``cands``, a set of plaquette ranks, is
+        sorted into per-class pools, and class by class each candidate of the
+        pool takes the per-candidate step in canonical order; a member that
+        moves adds the plaquettes on its edges that lie in later classes to
+        the pool.  ``hot`` holds the chain's hot draws by rank; ``om``, ``dl``
+        are flat views of omega and delta."""
         cls_of, pe, ep, w = self._cls, self._pe, self._ep, self.idx.edge_plaqs.shape[1]
-        for c, cands in enumerate(pool):
-            for rank in sorted(cands):
+        pool = [set() for _ in self.idx.plaq_classes]
+        for rank in cands:
+            pool[cls_of[rank]].add(rank)
+        for c, members in enumerate(pool):
+            for rank in sorted(members):
                 if self._step(om, dl, chain, rank, hot):
                     for e in pe[4 * rank : 4 * rank + 4]:
                         for q in ep[e * w : e * w + w]:
@@ -404,9 +401,9 @@ class ChainEnsemble:
             rng.random(out=u[chain])
         return u
 
-    def _draws(self):
-        """The thinned route's hot draws as ``(keys, draws)``: chain * P + rank
-        of each hot draw's plaquette, and the draw.
+    def _draws(self) -> dict:
+        """The thinned route's hot draws as ``{chain: {rank: draw}}``, by chain
+        and plaquette rank, holding only the chains with a hot draw.
 
         Per chain and group, trial call * len + i, for the group's member i
         (members in scan order), is hot with chance q, the next hot trial is
@@ -417,21 +414,19 @@ class ChainEnsemble:
         """
         call, self._clock = self._clock, self._clock + 1
         if call < self._due:
-            return _NO_HOT
+            return {}
         if self._next is None:
             self._next = [[int(rng.geometric(q)) - 1 for _, q, _ in self._groups] for rng in self.rngs]
-        P = len(self._base_first)
-        keys, vals = [], []
+        hot = {}
         self._due = math.inf
-        for offset, rng, trials in zip(range(0, self.k * P, P), self.rngs, self._next):
+        for chain, (rng, trials) in enumerate(zip(self.rngs, self._next)):
             for g, (kstar, q, members) in enumerate(self._groups):
                 start = call * len(members)
                 while trials[g] < start + len(members):  # Python ints: no overflow
-                    keys.append(offset + int(members[trials[g] - start]))
-                    vals.append(rng.integers(kstar, _GRID) / _GRID)
+                    hot.setdefault(chain, {})[int(members[trials[g] - start])] = rng.integers(kstar, _GRID) / _GRID
                     trials[g] += int(rng.geometric(q))
                 self._due = min(self._due, trials[g] // len(members))
-        return keys, vals
+        return hot
 
     def _cold(self, chain, rank) -> float:
         """A draw of one chain for plaquette ``rank``, uniform on the grid and
@@ -442,10 +437,10 @@ class ChainEnsemble:
             u = rng.random()
         return u
 
-    def _update(self, p_flat, e_flat, tl, u) -> np.ndarray:
+    def _update(self, p_flat, e_flat, tl, u):
         """Heat-bath update of the members at flat ranks ``p_flat`` of omega,
         with their boundary edges at ``e_flat`` of delta, the tilt ``tl`` there
-        and draws ``u``; returns which members changed value."""
+        and draws ``u``."""
         n = self.n
         om, dl = self.omega.reshape(-1), self.delta.reshape(-1)
         own = om[p_flat]
@@ -471,7 +466,6 @@ class ChainEnsemble:
         d[..., 3] += change
         dl[e_flat] = _wrap(_wrap(d, n), n)
         self.moves += int(np.count_nonzero(change))
-        return change != 0
 
     def _advance(self, sweeps: int) -> int:
         """Runs one ``sweep()``, or a whole quiet stretch of at most ``sweeps``
@@ -491,18 +485,16 @@ class ChainEnsemble:
         return 1
 
     def run(self, sweeps: int):
+        if not isinstance(sweeps, numbers.Integral) or sweeps < 0:
+            raise PreconditionError(f"need an integer number of sweeps >= 0, got {sweeps!r}")
         while sweeps > 0:
             sweeps -= self._advance(sweeps)
 
     # -- observables and state access ----------------------------------------
 
-    def normalized_wilson(self, gamma) -> np.ndarray:
-        """The O(1) Wilson observable per chain (see module docstring).
-
-        ``gamma`` is a LatticePath or its ``BoxIndex.path`` pair; a caller
-        that evaluates one path every sweep passes the pair.
-        """
-        g_ids, g_coef = self.idx.path(gamma) if isinstance(gamma, LatticePath) else gamma
+    def normalized_wilson(self, gamma: LatticePath) -> np.ndarray:
+        """The O(1) Wilson observable per chain (see module docstring)."""
+        g_ids, g_coef = self.idx.path(gamma)
         d = self.delta[:, g_ids]
         num = self.phi_k[(d + g_coef[None, :]) % self.n]
         den = self.phi_k[d] * self.phi_k[1]
@@ -560,9 +552,10 @@ def estimate_wilson(
     The un-tilted measure is sampled; multiply by xi_kappa^{|gamma|} to
     recover the raw Wilson expectation.  Raises ``PreconditionError``,
     before any ensemble is built, for phi_kappa(1) = 0 (kappa = 0, where the
-    normalized observable is undefined), a negative burn-in, fewer than 32
-    batches in total, or fewer kept sweeps than ``BATCHES_PER_CHAIN`` (a
-    batch needs at least one sweep).
+    normalized observable is undefined), a ``sweeps`` or ``burn_in`` that
+    is not an integer, a negative burn-in, fewer than 32 batches in total,
+    or fewer kept sweeps than ``BATCHES_PER_CHAIN`` (a batch needs at least
+    one sweep); ``ChainEnsemble`` refuses a non-integer ``chains`` first.
 
     The observable is evaluated again only after a sweep that moved some
     plaquette (``ChainEnsemble.moves``); otherwise delta, and so every
@@ -578,6 +571,9 @@ def estimate_wilson(
     _check_margin(params, gamma, idx)
     if burn_in is None:
         burn_in = sweeps // 10
+    for name, value in (("sweeps", sweeps), ("burn_in", burn_in)):
+        if not isinstance(value, numbers.Integral):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
     if burn_in < 0:
         raise PreconditionError(f"burn_in must be >= 0, got {burn_in}")
     keep = sweeps - burn_in
@@ -588,7 +584,6 @@ def estimate_wilson(
     if keep < BATCHES_PER_CHAIN:
         raise PreconditionError(f"{keep} kept sweeps cannot fill {BATCHES_PER_CHAIN} batches per chain")
     ens = ChainEnsemble(params, tilt=None, seed=seed, chains=chains)
-    support = idx.path(gamma)
     samples = np.empty((chains, keep))
     seen = None  # ens.moves when the observable was last evaluated
     t = 0  # sweeps run
@@ -596,7 +591,7 @@ def estimate_wilson(
         done = ens._advance(sweeps - t)  # sweeps t .. t + done - 1, each leaving the same state
         if t + done > burn_in:
             if ens.moves != seen:
-                vals, seen = ens.normalized_wilson(support), ens.moves
+                vals, seen = ens.normalized_wilson(gamma), ens.moves
             samples[:, max(t, burn_in) - burn_in : t + done - burn_in] = vals[:, None]
         t += done
     mean = float(samples.mean())

@@ -21,6 +21,15 @@ CASES = {
     # sampler and oracle
     "estimate_wilson-burn-in-takes-every-sweep": (
         lambda: estimate_wilson(P, LOOP, sweeps=100, burn_in=100), PreconditionError, "consumes all sweeps"),
+    "estimate_wilson-fractional-sweeps": (
+        lambda: estimate_wilson(P, LOOP, sweeps=400.0), PreconditionError, "sweeps must be an integer"),
+    "estimate_wilson-fractional-burn-in": (
+        lambda: estimate_wilson(P, LOOP, sweeps=400, burn_in=10.5), PreconditionError, "burn_in must be an integer"),
+    "estimate_wilson-fractional-chains": (
+        lambda: estimate_wilson(P, LOOP, sweeps=400, chains=4.0), PreconditionError, "integer number of chains"),
+    "ensemble-fractional-chains": (lambda: ChainEnsemble(P, chains=2.0), PreconditionError, "integer number of chains"),
+    "run-fractional-sweeps": (lambda: ChainEnsemble(P).run(2.5), PreconditionError, "integer number of sweeps"),
+    "run-negative-sweeps": (lambda: ChainEnsemble(P).run(-1), PreconditionError, "integer number of sweeps >= 0"),
     "config_ids-large-box": (
         lambda: ChainEnsemble(ModelParams(m=2, n=2, N=16, beta=0.1, kappa=0.3)).config_ids(), PreconditionError, "tiny boxes"),
     "form_distribution-large-box": (

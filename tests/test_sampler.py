@@ -13,7 +13,7 @@ from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, delta, random_form
 from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form
 from lattice_higgs.paths import RectDescriptor, rectangle_loop
-from lattice_higgs.sampler import ChainEnsemble, _wrap, estimate_wilson
+from lattice_higgs.sampler import ChainEnsemble, estimate_wilson
 from reference import form_distribution
 
 RECT = RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(1, 1))
@@ -189,17 +189,10 @@ def test_normalized_observable_lower_bound():
     p = params(0.45, 0.3)
     ens = ChainEnsemble(p, seed=29, chains=2)
     lo = (eta(p.kappa, p.n) / xi(p.kappa, p.n)) ** len(LOOP) - 1e-12
-    support = ens.idx.path(LOOP)
-    # the support in set order, as ranked label by label: the same factors in another order
-    edges = list(LOOP.support)
-    by_label = ens.idx.ids(edges), np.array([LOOP.chain.coeffs[e] for e in edges], dtype=np.int16)
     ens.run(100)
     for _ in range(200):
         ens.sweep()
-        vals = ens.normalized_wilson(LOOP)
-        assert (vals >= lo).all()
-        assert np.array_equal(ens.normalized_wilson(support), vals)
-        assert np.allclose(ens.normalized_wilson(by_label), vals, rtol=1e-12, atol=0)
+        assert (ens.normalized_wilson(LOOP) >= lo).all()
 
 
 def test_margin_precondition():
@@ -376,54 +369,7 @@ def test_tilted_ensemble_rejects_kappa_zero():
     assert ens.moves == 0 and ens.validate_cache()
 
 
-# -- the dense sweep, kept as the reference for the sweep that skips quiet plaquettes --
-
-
-def dense_blocks(ens):
-    """Per class: its slice of the sweep's draws and flat ranks into omega, delta."""
-    chains, P = ens.omega.shape
-    E = ens.delta.shape[1]
-    chain = np.arange(chains)[:, None]
-    blocks = []
-    lo = 0
-    for cls in ens.idx.plaq_classes:
-        e = ens.idx.plaq_edges[cls]
-        blocks.append((slice(lo, lo + len(cls)), chain * P + cls, chain[:, :, None] * E + e, ens.tilt[e]))
-        lo += len(cls)
-    return blocks
-
-
-def dense_sweep(ens, blocks, u):
-    """One sweep that updates every member of every class, with draws ``u`` (K, P)."""
-    n = ens.n
-    # the scatters write through flat views, which needs C-contiguous state
-    ens.omega = np.ascontiguousarray(ens.omega)
-    ens.delta = np.ascontiguousarray(ens.delta)
-    om, dl = ens.omega.reshape(-1), ens.delta.reshape(-1)
-    for draws, p_flat, e_flat, tl in blocks:
-        own = om[p_flat]  # (K, C)
-        d = dl[e_flat]  # (K, C, 4)
-        a = _wrap(d + tl, n)
-        key = own.astype(np.int32)  # own n^4 + sum_k a_k n^k, by Horner
-        for k in (3, 2, 1, 0):
-            key *= n
-            key += a[..., k]
-        cum = ens._cum.take(key, axis=0)  # (K, C, n)
-        r = u[:, draws] * cum[..., -1]
-        # u < 1, so r never exceeds cum[..., -1]: the last column never counts
-        new = (cum[..., 0] < r).astype(np.int16)
-        for g in range(1, n - 1):
-            new += cum[..., g] < r
-        om[p_flat] = new
-        # d + (new - own) * PLAQ_SIGNS, shifted by n into [0, 3n) for _wrap
-        change = new - own
-        d += n
-        d[..., 0] += change
-        d[..., 1] -= change
-        d[..., 2] -= change
-        d[..., 3] += change
-        dl[e_flat] = _wrap(_wrap(d, n), n)
-    ens.sweeps += 1
+# -- the dense route, the reference for the sweep that skips quiet plaquettes --
 
 
 def _record_draws(ens, monkeypatch):
@@ -444,7 +390,6 @@ def _record_draws(ens, monkeypatch):
 
         monkeypatch.setattr(ens, "_uniforms", recording_uniforms)
         return sweeps
-    P = ens.omega.shape[1]
     draws, cold = ens._draws, ens._cold
 
     def record(chain, rank, got):
@@ -453,11 +398,12 @@ def _record_draws(ens, monkeypatch):
         return got
 
     def recording_draws():
-        keys, vals = draws()
+        hot = draws()
         sweeps.append(np.full(ens.omega.shape, np.nan))
-        for key, v in zip(keys, vals):
-            record(*divmod(key, P), v)
-        return keys, vals
+        for chain, by_rank in hot.items():
+            for rank, v in by_rank.items():
+                record(chain, rank, v)
+        return hot
 
     monkeypatch.setattr(ens, "_draws", recording_draws)
     monkeypatch.setattr(ens, "_cold", lambda chain, rank: record(chain, rank, cold(chain, rank)))
@@ -472,13 +418,24 @@ def _largest_cold(ens):
     return (kstar - 1) / 2**53
 
 
-def _replay(ref, blocks, recorded):
-    """The dense sweep on the draws of the last recorded sweep, with the largest
-    cold draw of the base row where none was made: a quiet member stays with it,
-    while a member that is not quiet mostly moves, so one that the sweep should
-    have updated and did not shows.  The dense sweep reads its draws in scan order."""
+def _dense(p, tilt, chains, monkeypatch, seed=0):
+    """An ensemble on the dense route, whatever route the couplings pick."""
+    with monkeypatch.context() as dense:
+        dense.setattr(sampler, "_HOT_COST", math.inf)
+        ens = ChainEnsemble(p, tilt=tilt, seed=seed, chains=chains)
+    assert not ens._thin
+    return ens
+
+
+def _replay(ref, recorded):
+    """One ``sweep()`` of the dense-route ensemble ``ref`` on the draws of the
+    last recorded sweep, with the largest cold draw of the base row where none
+    was made: a quiet member stays with it, while a member that is not quiet
+    mostly moves, so one that the sweep should have updated and did not shows.
+    The dense route reads its draws in scan order."""
     u = recorded[-1]
-    dense_sweep(ref, blocks, np.where(np.isnan(u), _largest_cold(ref), u)[:, ref.idx.scan_order])
+    ref._uniforms = lambda: np.where(np.isnan(u), _largest_cold(ref), u)[:, ref.idx.scan_order]
+    ref.sweep()
 
 
 def _skip_always(monkeypatch):
@@ -527,19 +484,18 @@ def test_sweep_matches_dense_reference(p, tilt, chains, sweeps, start, route, mo
     if route == "skip-always":
         _skip_always(monkeypatch)
     ens = ChainEnsemble(p, tilt=tilt, seed=5, chains=chains)
-    ref = ChainEnsemble(p, tilt=tilt, seed=5, chains=chains)
+    ref = _dense(p, tilt, chains, monkeypatch, seed=5)
     if start is not None:
         start(ens)
         start(ref)
     recorded = _record_draws(ens, monkeypatch)
     updates, update = [], ens._update
     monkeypatch.setattr(ens, "_update", lambda *args: updates.append(args) or update(*args))
-    blocks = dense_blocks(ref)
     moves = 0
     for _ in range(sweeps):
         before = ref.omega.copy()
         ens.sweep()
-        _replay(ref, blocks, recorded)
+        _replay(ref, recorded)
         assert np.array_equal(ens.omega, ref.omega)
         assert np.array_equal(ens.delta, ref.delta)
         moves += int(np.count_nonzero(ref.omega != before))
@@ -596,12 +552,12 @@ def _check_hot_boundary(ens, tilt, at, monkeypatch):
     assert np.all(first >= (kstar - 1) / 2**53 * last)
     assert np.all((first < kstar / 2**53 * last)[kstar < 2**53])
     assert kstar[at] < 2**53
-    ref = ChainEnsemble(ens.params, tilt=tilt, chains=2)
+    ref = _dense(ens.params, tilt, 2, monkeypatch)
     steps = _record_steps(ens, monkeypatch)
     recorded = _record_draws(ens, monkeypatch)
     ens.rngs = [_StubDraws(ens), _StubDraws(ens, hot=at)]
     ens.sweep()
-    _replay(ref, dense_blocks(ref), recorded)
+    _replay(ref, recorded)
     # the first class updates the hot draw's member only, and chain 0 draws nothing
     assert [step for step in steps if ens.idx.plaq_class[step[1]] == 0] == [(1, at)]
     assert np.isnan(recorded[-1][0]).all()
@@ -740,8 +696,8 @@ def test_hot_frequency_per_base_row(p, tilt):
     calls = 20_000
     hits = np.zeros(len(base), dtype=np.int64)
     for _ in range(calls):
-        keys, _ = ens._draws()
-        np.add.at(hits, np.asarray(keys, dtype=np.intp) % len(base), 1)
+        for by_rank in ens._draws().values():
+            hits[list(by_rank)] += 1  # a rank is drawn at most once per chain and call
     for row in np.unique(base):
         at = base == row
         q = 1 - ens._cum[row, 0] / ens._cum[row, -1]
@@ -759,7 +715,7 @@ def test_hot_counts_per_call_are_binomial_and_uncorrelated(monkeypatch):
     for g, (_, _, members) in enumerate(ens._groups):
         group[members] = g
     calls = 20_000
-    hot = (np.asarray(ens._draws()[0], dtype=np.intp) for _ in range(calls))  # one chain: keys are ranks
+    hot = (np.fromiter(ens._draws().get(0, ()), dtype=np.intp) for _ in range(calls))
     counts = np.array([np.bincount(group[at], minlength=len(ens._groups)) for at in hot])
     for g, (_, q, members) in enumerate(ens._groups):
         x = counts[:, g]
@@ -802,7 +758,7 @@ def test_skip_ahead_at_the_last_grid_point():
     ens.rngs = [_ClampedGaps()]
     assert list(ens._draws()[0]) == [0, 1]
     for _ in range(1000):
-        assert not len(ens._draws()[0])
+        assert ens._draws() == {}
     assert ens._due == (2**63) // len(everything)
 
 
@@ -866,7 +822,7 @@ def test_quiet_chains_draw_nothing_in_a_busy_sweep(p, tilt, monkeypatch):
 @pytest.mark.parametrize("tilted", [False, True])
 def test_scalar_step_matches_update(n, m, N, tilted, monkeypatch):
     # on the same draws, the per-candidate step of every member of a class gives
-    # _update's new values, delta writes and moved flags, in random states; the
+    # _update's new values, delta writes and moves, in random states; the
     # step belongs to the thinned route, which these couplings would not take
     _skip_always(monkeypatch)
     tilt = _unit_loop(m) if tilted else None
@@ -889,8 +845,9 @@ def test_scalar_step_matches_update(n, m, N, tilted, monkeypatch):
                 draws = dict(zip(cls.tolist(), u.tolist()))
                 moved = [a._step(om, dl, chain, rank, draws) for rank in cls.tolist()]
                 e = b.idx.plaq_edges[cls]
-                want = b._update(chain * P + cls, chain * E + e, b.tilt[e], u)
-                assert moved == want.tolist()
+                before = b.omega[chain, cls].copy()
+                b._update(chain * P + cls, chain * E + e, b.tilt[e], u)
+                assert moved == (b.omega[chain, cls] != before).tolist()
                 assert np.array_equal(a.omega, b.omega)
                 assert np.array_equal(a.delta, b.delta)
         assert a.moves == b.moves > 0
@@ -907,13 +864,12 @@ def test_thinned_and_dense_routes_agree_at_r1(monkeypatch):
         monkeypatch.setattr(sampler, "_HOT_COST", hot_cost)
         ens = ChainEnsemble(R1, seed=31, chains=4)
         assert ens._thin == (route == "thinned")
-        support = ens.idx.path(loop8)
         ens.run(100)
         wilson, moves = np.empty(batches * size), np.empty(batches * size)
         for t in range(batches * size):
             before = ens.moves
             ens.sweep()
-            wilson[t] = ens.normalized_wilson(support).mean()
+            wilson[t] = ens.normalized_wilson(loop8).mean()
             moves[t] = ens.moves - before
         runs[route] = wilson.reshape(batches, size).mean(axis=1), moves.reshape(batches, size).mean(axis=1)
     for route, (_, moves) in runs.items():
@@ -1021,7 +977,6 @@ def _per_sweep_estimate(p, gamma, sweeps, burn_in, seed, chains):
     result and the ensemble."""
     batches = sampler.BATCHES_PER_CHAIN
     ens = ChainEnsemble(p, tilt=None, seed=seed, chains=chains)
-    support = ens.idx.path(gamma)
     keep = sweeps - burn_in
     samples = np.empty((chains, keep))
     seen = None
@@ -1029,7 +984,7 @@ def _per_sweep_estimate(p, gamma, sweeps, burn_in, seed, chains):
         ens.sweep()
         if t >= burn_in:
             if ens.moves != seen:
-                vals, seen = ens.normalized_wilson(support), ens.moves
+                vals, seen = ens.normalized_wilson(gamma), ens.moves
             samples[:, t - burn_in] = vals
     bs = keep // batches
     bmeans = samples[:, : bs * batches].reshape(chains, batches, bs).mean(axis=2).ravel()
@@ -1140,7 +1095,7 @@ def _layout_by_unique(ens):
     ],
     ids=["R1", "R2-tilted", "n3-tilted", "n5-tilted", "m3-tilted", "m3-n3"],
 )
-def test_constructor_matches_unique_construction(p, tilt, monkeypatch):
+def test_constructor_matches_unique_construction(p, tilt):
     # the broadcast table, the bincount over base rows and the skipped unique of
     # an empty tilt build what the per-column loop and np.unique built
     ens = ChainEnsemble(p, tilt=tilt, seed=0, chains=3)
@@ -1152,14 +1107,6 @@ def test_constructor_matches_unique_construction(p, tilt, monkeypatch):
         assert (k, q) == (k_ref, q_ref)
         assert at.dtype == at_ref.dtype and np.array_equal(at, at_ref)
     assert ens._thin == thin
-    # the dense route's per-class blocks
-    monkeypatch.setattr(sampler, "_HOT_COST", math.inf)
-    dense = ChainEnsemble(p, tilt=tilt, seed=0, chains=3)
-    assert not dense._thin
-    for got, want in zip(dense._blocks, dense_blocks(dense), strict=True):
-        assert got[0] == want[0]
-        for a, b in zip(got[1:], want[1:]):
-            assert np.array_equal(a, b)
 
 
 def test_kappa_zero_tilt_raises_before_the_route(monkeypatch):
