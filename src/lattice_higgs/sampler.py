@@ -78,7 +78,15 @@ other sweep, and every sweep of the dense route, is one ``sweep()`` call.
 The Wilson estimator samples only the O(1) normalized observable
 prod_e phi_kappa(delta omega + gamma) / (phi_kappa(delta omega) phi_kappa(1));
 the exponentially small prefactor phi_kappa(1)^{|gamma|} is restored
-analytically by the caller.
+analytically by the caller.  Each edge's factor is read from an (n, n)
+table of these ratios, by its delta and its coefficient mod n.
+
+What depends only on the couplings, the box and the tilt (phi_beta,
+phi_kappa, the tilt residues, the table, the base rows and their groups by
+k*, the draws expected hot per sweep, the ratio table) is built once per
+(couplings, tilt path object) and shared read-only (:func:`_layout`).
+Each ensemble builds its own generator streams, state, route and dense
+blocks, so a construction with a warm layout costs about its seeding.
 """
 
 from __future__ import annotations
@@ -87,6 +95,7 @@ import math
 import numbers
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -175,6 +184,52 @@ def _wrap(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=16)
+def _layout(params: ModelParams, tilt: Optional[LatticePath]):
+    """The seed-free part of a ``ChainEnsemble`` (module docstring): phi_b,
+    phi_k, the tilt residues, the conditional table, the base rows' first
+    and last columns, the groups (k*, q = (2^53 - k*) / 2^53, members in
+    scan order) of the first hot grid points k* < 2^53, the draws expected
+    hot per chain and sweep, and the ratio table, phi_kappa((d + c) mod n)
+    / (phi_kappa(d) phi_kappa(1)) at c n + d.  Cached per (couplings, tilt
+    path object), as ``paths._border`` is; it holds no ``BoxIndex``, and
+    its arrays are read-only.  Raises PreconditionError, uncached, for a
+    base row of total weight 0.
+    """
+    n = params.n
+    idx = box_index(params.m, params.N)
+    P, E = len(idx.plaq_edges), len(idx.edge_verts)
+    phi_b, phi_k = phi_table(params.beta, n), phi_table(params.kappa, n)
+    tl = (idx.gamma_coeffs(tilt).astype(np.int16) % n) if tilt is not None else np.zeros(E, dtype=np.int16)
+    cum = _conditional_table(phi_b, phi_k, n)
+    # each plaquette's base row, the one it reads while its own value and
+    # delta are 0, by its first and last column; row 0 off the plaquettes
+    # on the tilt's edges
+    base = np.zeros(P, dtype=np.intp)
+    on_tilt = tl.nonzero()[0]
+    if len(on_tilt):
+        on = np.unique(idx.edge_plaqs[on_tilt])
+        base[on] = tl[idx.plaq_edges[on]] @ n ** np.arange(4)
+    first, last = cum[base, 0], cum[base, -1]
+    if not last.all():
+        raise PreconditionError(f"a base row next to the tilt has total weight 0 at kappa = {params.kappa}")
+    # base rows are below n^4
+    rows = np.flatnonzero(np.bincount(base, minlength=n**4))
+    row_kstar = [_first_hot(float(cum[r, 0]), float(cum[r, -1])) for r in rows]
+    by_row = np.zeros(n**4, dtype=np.int64)
+    by_row[rows] = row_kstar
+    scan = idx.scan_order
+    kstar = by_row[base[scan]]
+    groups = tuple((k, (_GRID - k) / _GRID, scan[kstar == k]) for k in sorted(set(row_kstar)) if k < _GRID)
+    hot = sum(q * len(at) for _, q, at in groups)
+    c = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # phi_kappa(1) = 0 at kappa = 0
+        ratio = (phi_k[(c[:, None] + c) % n] / (phi_k * phi_k[1])).reshape(-1)
+    for a in (phi_b, phi_k, tl, cum, first, last, ratio, *(at for _, _, at in groups)):
+        a.flags.writeable = False
+    return phi_b, phi_k, tl, cum, first, last, groups, hot, ratio
+
+
 class ChainEnsemble:
     """K independent heat-bath chains advanced in lock step.
 
@@ -182,18 +237,22 @@ class ChainEnsemble:
     arrays ``omega`` (K, P) and ``delta`` (K, E) carry a leading chain axis
     and are kept C-contiguous.  A single chain is the K = 1 case.
 
-    The constructor builds the (n^5, n) conditional table of the module
-    docstring, each base row's first hot grid point, and the sweep's route,
-    and reads the class layout from the shared ``box_index``.  It raises
-    ``PreconditionError`` for a chain count that is not an integer >= 1,
+    The constructor reads the conditional table, the base rows' first hot
+    grid points and the observable's ratio table from the layout cached per
+    (couplings, tilt path object), and the class layout from the shared
+    ``box_index``; it builds the generator streams, the state and the
+    sweep's route (from ``_HOT_COST`` and ``_CLASS_COST`` as they are then)
+    per instance.  It raises ``PreconditionError`` for a chain count
+    that is not an integer >= 1 or a seed that is not an integer >= 0,
     and, before allocating anything, for n^6 > ``errors.STATE_GUARD``
-    (n >= 21), and, before the route's state, for a base row of total
-    weight 0 (a tilt at kappa = 0, where the zero state has weight 0).  A
-    sweep takes the dense or the thinned route of the module docstring: the
-    dense one draws ``rng.random(P)`` per chain and updates every member,
-    the thinned one skips from one hot draw to the next by geometric gaps
-    and gives each chain with a candidate its own pool, whose members take
-    scalar steps class by class; the tilt puts no candidate in a pool.
+    (n >= 21), and, before the state, for a base row of total weight 0 (a
+    tilt at kappa = 0, where the zero state has weight 0), on every such
+    call.  A sweep takes the dense or the thinned route of the module
+    docstring: the dense one draws ``rng.random(P)`` per chain and updates
+    every member, the thinned one skips from one hot draw to the next by
+    geometric gaps and gives each chain with a candidate its own pool,
+    whose members take scalar steps class by class; the tilt puts no
+    candidate in a pool.
     Both routes have the dense sweep's law and are reproducible per seed;
     the thinned route's stream differs from the dense route's.  ``run(k)``
     gives what k calls of ``sweep()`` give, bit for bit, and steps over
@@ -201,7 +260,7 @@ class ChainEnsemble:
     that is not an integer >= 0.  ``moves`` counts the plaquette values
     changed so far, ``sweeps`` the sweeps run.
     ``snapshot`` and ``conditional_weights`` raise ``PreconditionError``
-    for a chain outside [0, K).
+    for a chain that is not an integer in [0, K).
     """
 
     def __init__(
@@ -214,54 +273,29 @@ class ChainEnsemble:
         n = params.n
         if not isinstance(chains, numbers.Integral) or chains < 1:
             raise PreconditionError(f"need an integer number of chains >= 1, got {chains!r}")
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise PreconditionError(f"need an integer seed >= 0, got {seed!r}")
         if n**6 > STATE_GUARD:
             raise PreconditionError(f"the conditional table needs {n}^6 entries; n <= 20 only")
         self.params = params
-        self.idx = box_index(params.m, params.N)
+        self.idx = idx = box_index(params.m, params.N)
+        (
+            self.phi_b, self.phi_k, self.tilt, self._cum, self._base_first, self._base_last,
+            self._groups, hot, self._ratio,
+        ) = _layout(params, tilt)
         self.n = n
         self.k = chains
         self.seed = seed
-        P, E = len(self.idx.plaq_edges), len(self.idx.edge_verts)
+        P, E = len(idx.plaq_edges), len(idx.edge_verts)
         self.omega = np.zeros((chains, P), dtype=np.int16)
         self.delta = np.zeros((chains, E), dtype=np.int16)
         self.sweeps = 0
         ss = np.random.SeedSequence(seed)
         self.rngs = [np.random.Generator(np.random.Philox(c)) for c in ss.spawn(chains)]
-        self.phi_b = phi_table(params.beta, n)
-        self.phi_k = phi_table(params.kappa, n)
-        self.tilt = (
-            (self.idx.gamma_coeffs(tilt).astype(np.int16) % n)
-            if tilt is not None
-            else np.zeros(E, dtype=np.int16)
-        )
-        self._cum = _conditional_table(self.phi_b, self.phi_k, n)
-        idx = self.idx
         classes = idx.plaq_classes
-        # each plaquette's base row, the one it reads while its own value and
-        # delta are 0, by its first and last column; row 0 off the plaquettes
-        # on the tilt's edges
-        base = np.zeros(P, dtype=np.intp)
-        on_tilt = self.tilt.nonzero()[0]
-        if len(on_tilt):
-            on = np.unique(idx.edge_plaqs[on_tilt])
-            base[on] = self.tilt[idx.plaq_edges[on]] @ n ** np.arange(4)
-        self._base_first, self._base_last = self._cum[base, 0], self._cum[base, -1]
-        if not self._base_last.all():
-            raise PreconditionError(f"a base row next to the tilt has total weight 0 at kappa = {params.kappa}")
-        # per first hot grid point k* < 2^53 of some base row: k*, the chance
-        # q = (2^53 - k*) / 2^53 that a draw is hot there, and the plaquettes
-        # whose base row has that k*, in scan order; base rows are below n^4
-        rows = np.flatnonzero(np.bincount(base, minlength=n**4))
-        row_kstar = [_first_hot(float(self._cum[r, 0]), float(self._cum[r, -1])) for r in rows]
-        by_row = np.zeros(n**4, dtype=np.int64)
-        by_row[rows] = row_kstar
-        scan = idx.scan_order
-        kstar = by_row[base[scan]]
-        self._groups = [(k, (_GRID - k) / _GRID, scan[kstar == k]) for k in sorted(set(row_kstar)) if k < _GRID]
         # the route: thinned while the draws expected hot in a sweep, summed
         # over the chains, cost less than the dense sweep they replace
-        hot = chains * sum(q * len(at) for _, q, at in self._groups)
-        self._thin = hot * _HOT_COST * (params.m - 1) < chains * P + _CLASS_COST * len(classes)
+        self._thin = chains * hot * _HOT_COST * (params.m - 1) < chains * P + _CLASS_COST * len(classes)
         if self._thin:
             # the thinned route's _draws calls, the first call with a hot trial, and
             # per chain and group the next hot trial, drawn on the first call
@@ -289,8 +323,9 @@ class ChainEnsemble:
     # -- single-site conditional, exposed for tests and exactness checks ----
 
     def _check_chain(self, chain: int):
-        if not 0 <= chain < self.k:
-            raise PreconditionError(f"chain {chain} outside [0, {self.k})")
+        # int first: the Integral check alone costs about a tenth of a quiet sweep
+        if not isinstance(chain, (int, numbers.Integral)) or not 0 <= chain < self.k:
+            raise PreconditionError(f"need an integer chain in [0, {self.k}), got {chain!r}")
 
     def conditional_weights(self, p_idx: int, chain: int = 0) -> np.ndarray:
         """Normalized conditional distribution of one plaquette value."""
@@ -495,10 +530,7 @@ class ChainEnsemble:
     def normalized_wilson(self, gamma: LatticePath) -> np.ndarray:
         """The O(1) Wilson observable per chain (see module docstring)."""
         g_ids, g_coef = self.idx.path(gamma)
-        d = self.delta[:, g_ids]
-        num = self.phi_k[(d + g_coef[None, :]) % self.n]
-        den = self.phi_k[d] * self.phi_k[1]
-        return (num / den).prod(axis=1)
+        return self._ratio.take(g_coef % self.n * self.n + self.delta[:, g_ids]).prod(axis=1)
 
     def config_ids(self) -> np.ndarray:
         """Mixed-radix id of each chain's configuration (tiny boxes only)."""
@@ -555,13 +587,16 @@ def estimate_wilson(
     normalized observable is undefined), a ``sweeps`` or ``burn_in`` that
     is not an integer, a negative burn-in, fewer than 32 batches in total,
     or fewer kept sweeps than ``BATCHES_PER_CHAIN`` (a batch needs at least
-    one sweep); ``ChainEnsemble`` refuses a non-integer ``chains`` first.
+    one sweep); ``ChainEnsemble`` refuses a non-integer ``chains`` and a
+    ``seed`` that is not an integer >= 0 first.
 
-    The observable is evaluated again only after a sweep that moved some
-    plaquette (``ChainEnsemble.moves``); otherwise delta, and so every
-    sample, is exactly the previous one, which is reused.  A quiet stretch
-    of the thinned route (module docstring) is run in one step, and its kept
-    samples are one slice write; the result, the ensemble and its generator
+    The observable depends on delta on gamma's edges only.  After a sweep
+    that moved some plaquette (``ChainEnsemble.moves``) delta there is read,
+    and the observable is evaluated again only if it differs from where it
+    was last evaluated; otherwise every sample is exactly the previous one,
+    which is reused.  A quiet stretch of the thinned route (module
+    docstring) is run in one step, and its kept samples are one slice
+    write; the result, the ensemble and its generator
     streams are those of one ``sweep()`` per sweep.  ``moves`` reports the
     plaquette values changed over all sweeps, burn-in included.
     """
@@ -584,14 +619,18 @@ def estimate_wilson(
     if keep < BATCHES_PER_CHAIN:
         raise PreconditionError(f"{keep} kept sweeps cannot fill {BATCHES_PER_CHAIN} batches per chain")
     ens = ChainEnsemble(params, tilt=None, seed=seed, chains=chains)
+    g_ids = ens.idx.path(gamma)[0]
     samples = np.empty((chains, keep))
-    seen = None  # ens.moves when the observable was last evaluated
+    moved = None  # ens.moves when delta on gamma's edges was last read
+    seen = None  # delta on gamma's edges when the observable was last evaluated
     t = 0  # sweeps run
     while t < sweeps:
         done = ens._advance(sweeps - t)  # sweeps t .. t + done - 1, each leaving the same state
         if t + done > burn_in:
-            if ens.moves != seen:
-                vals, seen = ens.normalized_wilson(gamma), ens.moves
+            if ens.moves != moved:
+                moved, on_gamma = ens.moves, ens.delta[:, g_ids].tobytes()
+                if on_gamma != seen:
+                    vals, seen = ens.normalized_wilson(gamma), on_gamma
             samples[:, max(t, burn_in) - burn_in : t + done - burn_in] = vals[:, None]
         t += done
     mean = float(samples.mean())

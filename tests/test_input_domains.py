@@ -28,6 +28,13 @@ CASES = {
     "estimate_wilson-fractional-chains": (
         lambda: estimate_wilson(P, LOOP, sweeps=400, chains=4.0), PreconditionError, "integer number of chains"),
     "ensemble-fractional-chains": (lambda: ChainEnsemble(P, chains=2.0), PreconditionError, "integer number of chains"),
+    "ensemble-fractional-seed": (lambda: ChainEnsemble(P, seed=1.5), PreconditionError, "integer seed >= 0"),
+    "ensemble-negative-seed": (lambda: ChainEnsemble(P, seed=-1), PreconditionError, "integer seed >= 0"),
+    "estimate_wilson-negative-seed": (
+        lambda: estimate_wilson(P, LOOP, sweeps=400, seed=-1), PreconditionError, "integer seed >= 0"),
+    "snapshot-fractional-chain": (lambda: ChainEnsemble(P, chains=2).snapshot(1.5), PreconditionError, "integer chain in \\[0, 2\\)"),
+    "conditional_weights-fractional-chain": (
+        lambda: ChainEnsemble(P, chains=2).conditional_weights(0, 0.5), PreconditionError, "integer chain in \\[0, 2\\)"),
     "run-fractional-sweeps": (lambda: ChainEnsemble(P).run(2.5), PreconditionError, "integer number of sweeps"),
     "run-negative-sweeps": (lambda: ChainEnsemble(P).run(-1), PreconditionError, "integer number of sweeps >= 0"),
     "config_ids-large-box": (

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from lattice_higgs.couplings import ModelParams, eta, phi, xi
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, delta, random_form
 from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form
-from lattice_higgs.paths import RectDescriptor, rectangle_loop
+from lattice_higgs.paths import RectDescriptor, rectangle_loop, rectangle_open_path
 from lattice_higgs.sampler import ChainEnsemble, estimate_wilson
 from reference import form_distribution
 
@@ -1142,3 +1144,131 @@ def test_estimate_wilson_reports_moves():
     replay = ChainEnsemble(R1, seed=4, chains=4)
     replay.run(1000)
     assert res.moves == replay.moves > 0
+
+
+# -- the seed-free layout, cached per (couplings, tilt), and the observable read through it;
+# each _unit_loop call is a new path object, so a new key of the layout cache --
+
+
+def test_warm_construction_builds_no_table(monkeypatch):
+    # a second ensemble of the same couplings and tilt object, at another seed and
+    # chain count, builds neither the table nor any k*, and shares the first one's arrays
+    tilt = _unit_loop(2)
+    p = params(0.3, 0.4, n=3, N=2)
+    cold = ChainEnsemble(p, tilt=tilt, seed=1, chains=2)
+
+    def unbuilt(*args):
+        raise AssertionError("layout rebuilt")
+
+    monkeypatch.setattr(sampler, "_conditional_table", unbuilt)
+    monkeypatch.setattr(sampler, "_first_hot", unbuilt)
+    warm = ChainEnsemble(p, tilt=tilt, seed=2, chains=3)
+    assert warm._cum is cold._cum and warm._groups is cold._groups and warm.tilt is cold.tilt
+    warm.run(5)
+    assert warm.moves > 0 and warm.validate_cache()
+
+
+def test_cached_layout_is_read_only():
+    ens = ChainEnsemble(params(0.3, 0.4, n=3, N=2), tilt=_unit_loop(2), seed=0, chains=2)
+    arrays = [ens.phi_b, ens.phi_k, ens.tilt, ens._cum, ens._base_first, ens._base_last, ens._ratio]
+    arrays += [members for _, _, members in ens._groups]
+    assert len(ens._groups) > 0
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.reshape(-1)[0] = 0
+
+
+def test_layout_cache_is_bounded():
+    # each fresh tilt path object is a new key; the oldest keys are dropped
+    p = params(0.3, 0.4, N=2)
+    size = sampler._layout.cache_info().maxsize
+    for _ in range(size + 3):
+        ChainEnsemble(p, tilt=_unit_loop(2))
+    assert sampler._layout.cache_info().currsize == size
+
+
+def test_layout_holds_no_box_index():
+    # the cache keeps no BoxIndex alive: once box_index forgets it and the
+    # ensemble is gone, the index is freed
+    box_index.cache_clear()
+    ens = ChainEnsemble(params(0.3, 0.4, N=3), tilt=_unit_loop(2), seed=0, chains=2)
+    ref = weakref.ref(ens.idx)
+    del ens
+    box_index.cache_clear()
+    gc.collect()
+    assert ref() is None
+
+
+def test_zero_weight_refusal_raises_on_every_call():
+    # the refusal is not cached: the same key raises again, and leaves no entry
+    p, tilt = params(0.3, 0.0, N=2), _unit_loop(2)
+    before = sampler._layout.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(PreconditionError, match="total weight 0"):
+            ChainEnsemble(p, tilt=tilt)
+    assert sampler._layout.cache_info().currsize == before
+
+
+def test_route_is_chosen_per_construction(monkeypatch):
+    # the route reads _HOT_COST at construction, also when the layout is warm
+    assert ChainEnsemble(R1, seed=0, chains=4)._thin
+    monkeypatch.setattr(sampler, "_HOT_COST", math.inf)
+    assert not ChainEnsemble(R1, seed=0, chains=4)._thin
+    monkeypatch.setattr(sampler, "_HOT_COST", 0)
+    assert ChainEnsemble(R1, seed=0, chains=4)._thin
+
+
+def _quotient_wilson(ens, gamma):
+    """The normalized Wilson observable as one quotient per edge: the reference
+    for the gather from the ratio table."""
+    g_ids, g_coef = ens.idx.path(gamma)
+    d = ens.delta[:, g_ids]
+    num = ens.phi_k[(d + g_coef[None, :]) % ens.n]
+    den = ens.phi_k[d] * ens.phi_k[1]
+    return (num / den).prod(axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_normalized_wilson_matches_quotient_formula(n):
+    # bit for bit, on a loop and an open path, on random states at random couplings
+    rect = RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(2, 3))
+    paths = [rectangle_loop(rect), rectangle_open_path(rect, 3, 5), rectangle_open_path(rect, 1, 4, orientation=-1)]
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        p = params(float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.05, 0.5)), n=n, N=3)
+        ens = ChainEnsemble(p, seed=0, chains=3)
+        ens.omega[:] = rng.integers(0, n, size=ens.omega.shape)
+        ens.delta = ens.recompute_delta()
+        for gamma in paths:
+            got, want = ens.normalized_wilson(gamma), _quotient_wilson(ens, gamma)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_estimate_wilson_reads_the_observable_once_per_change(monkeypatch):
+    # at R1 the observable is evaluated exactly when delta on gamma's edges differs
+    # from where it was last evaluated, far less often than a sweep moves something
+    sweeps, burn_in, seed = 2000, 200, 5
+    g_ids = box_index(R1.m, R1.N).path(LOOP8)[0]
+    read = []
+
+    class Recording(ChainEnsemble):
+        def normalized_wilson(self, gamma):
+            read.append(self.delta[:, g_ids].tobytes())
+            return super().normalized_wilson(gamma)
+
+    ref = ChainEnsemble(R1, seed=seed, chains=4)
+    changes, moved = [], 0
+    for t in range(sweeps):
+        before = ref.moves
+        ref.sweep()
+        if t >= burn_in:
+            moved += ref.moves != before
+            on_gamma = ref.delta[:, g_ids].tobytes()
+            if not changes or on_gamma != changes[-1]:
+                changes.append(on_gamma)
+    monkeypatch.setattr(sampler, "ChainEnsemble", Recording)
+    res = estimate_wilson(R1, LOOP8, sweeps=sweeps, burn_in=burn_in, seed=seed)
+    assert read == changes
+    assert res.moves == ref.moves
+    assert 1 < len(read) < moved / 3, (len(read), moved)
