@@ -78,21 +78,23 @@ other sweep, and every sweep of the dense route, is one ``sweep()`` call.
 The Wilson estimator samples only the O(1) normalized observable
 prod_e phi_kappa(delta omega + gamma) / (phi_kappa(delta omega) phi_kappa(1));
 the exponentially small prefactor phi_kappa(1)^{|gamma|} is restored
-analytically by the caller.  Each edge's factor is read from an (n, n)
-table of these ratios, by its delta and its coefficient mod n.
+analytically by the caller.
 
-What depends only on the couplings, the box and the tilt (phi_beta,
-phi_kappa, the tilt residues, the table, the base rows and their groups by
-k*, the draws expected hot per sweep, the ratio table) is built once per
-(couplings, tilt path object) and shared read-only (:func:`_layout`).
-Each ensemble builds its own generator streams, state, route and dense
-blocks, so a construction with a warm layout costs about its seeding.
+What depends only on the couplings (phi_beta, phi_kappa, the table) is kept
+for the last couplings (:func:`_tables`); what depends on the box and the
+tilt too (the tilt residues, the base rows and their groups by k*, the
+draws expected hot per sweep) is kept per box index for the last
+(couplings, tilt path object) built on it, and goes with the index
+(:func:`_layout`).  Both are shared read-only.  Each ensemble builds its
+own generator streams, state, route and dense blocks, so a construction
+that finds both kept costs about its seeding.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -184,24 +186,42 @@ def _wrap(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=16)
-def _layout(params: ModelParams, tilt: Optional[LatticePath]):
-    """The seed-free part of a ``ChainEnsemble`` (module docstring): phi_b,
-    phi_k, the tilt residues, the conditional table, the base rows' first
-    and last columns, the groups (k*, q = (2^53 - k*) / 2^53, members in
-    scan order) of the first hot grid points k* < 2^53, the draws expected
-    hot per chain and sweep, and the ratio table, phi_kappa((d + c) mod n)
-    / (phi_kappa(d) phi_kappa(1)) at c n + d.  Cached per (couplings, tilt
-    path object), as ``paths._border`` is; it holds no ``BoxIndex``, and
-    its arrays are read-only.  Raises PreconditionError, uncached, for a
+@lru_cache(maxsize=1)
+def _tables(beta: float, kappa: float, n: int):
+    """phi_beta, phi_kappa and the conditional table, shared read-only by the
+    ensembles at these couplings.  Cached for the last couplings only: the
+    table holds n^6 floats (512 MB at n = 20), so a scan over couplings keeps
+    at most one beyond those of its live ensembles.
+    """
+    phi_b, phi_k = phi_table(beta, n), phi_table(kappa, n)
+    cum = _conditional_table(phi_b, phi_k, n)
+    for a in (phi_b, phi_k, cum):
+        a.flags.writeable = False
+    return phi_b, phi_k, cum
+
+
+# per box index, the key (couplings, tilt path object) and the layout last
+# built on it; an entry goes with its index
+_layouts = weakref.WeakKeyDictionary()
+
+
+def _layout(params: ModelParams, tilt: Optional[LatticePath], idx: BoxIndex):
+    """The seed-free part of a ``ChainEnsemble`` on ``idx`` that is not in
+    :func:`_tables` (module docstring): the tilt residues, the base rows'
+    first and last columns, the groups (k*, q = (2^53 - k*) / 2^53, members
+    in scan order) of the first hot grid points k* < 2^53, and the draws
+    expected hot per chain and sweep.  Kept for the last key per box index,
+    as long as the index lives; its arrays are read-only and hold neither the
+    table nor the index.  Raises PreconditionError, keeping nothing, for a
     base row of total weight 0.
     """
+    key, layout = _layouts.get(idx, (None, None))
+    if key == (params, tilt):
+        return layout
     n = params.n
-    idx = box_index(params.m, params.N)
     P, E = len(idx.plaq_edges), len(idx.edge_verts)
-    phi_b, phi_k = phi_table(params.beta, n), phi_table(params.kappa, n)
+    cum = _tables(params.beta, params.kappa, n)[2]
     tl = (idx.gamma_coeffs(tilt).astype(np.int16) % n) if tilt is not None else np.zeros(E, dtype=np.int16)
-    cum = _conditional_table(phi_b, phi_k, n)
     # each plaquette's base row, the one it reads while its own value and
     # delta are 0, by its first and last column; row 0 off the plaquettes
     # on the tilt's edges
@@ -222,12 +242,11 @@ def _layout(params: ModelParams, tilt: Optional[LatticePath]):
     kstar = by_row[base[scan]]
     groups = tuple((k, (_GRID - k) / _GRID, scan[kstar == k]) for k in sorted(set(row_kstar)) if k < _GRID)
     hot = sum(q * len(at) for _, q, at in groups)
-    c = np.arange(n)
-    with np.errstate(divide="ignore", invalid="ignore"):  # phi_kappa(1) = 0 at kappa = 0
-        ratio = (phi_k[(c[:, None] + c) % n] / (phi_k * phi_k[1])).reshape(-1)
-    for a in (phi_b, phi_k, tl, cum, first, last, ratio, *(at for _, _, at in groups)):
+    for a in (tl, first, last, *(at for _, _, at in groups)):
         a.flags.writeable = False
-    return phi_b, phi_k, tl, cum, first, last, groups, hot, ratio
+    layout = tl, first, last, groups, hot
+    _layouts[idx] = (params, tilt), layout
+    return layout
 
 
 class ChainEnsemble:
@@ -237,8 +256,8 @@ class ChainEnsemble:
     arrays ``omega`` (K, P) and ``delta`` (K, E) carry a leading chain axis
     and are kept C-contiguous.  A single chain is the K = 1 case.
 
-    The constructor reads the conditional table, the base rows' first hot
-    grid points and the observable's ratio table from the layout cached per
+    The constructor reads the conditional table kept for the last couplings,
+    the base rows' first hot grid points kept per box index for its last
     (couplings, tilt path object), and the class layout from the shared
     ``box_index``; it builds the generator streams, the state and the
     sweep's route (from ``_HOT_COST`` and ``_CLASS_COST`` as they are then)
@@ -279,10 +298,8 @@ class ChainEnsemble:
             raise PreconditionError(f"the conditional table needs {n}^6 entries; n <= 20 only")
         self.params = params
         self.idx = idx = box_index(params.m, params.N)
-        (
-            self.phi_b, self.phi_k, self.tilt, self._cum, self._base_first, self._base_last,
-            self._groups, hot, self._ratio,
-        ) = _layout(params, tilt)
+        self.tilt, self._base_first, self._base_last, self._groups, hot = _layout(params, tilt, idx)
+        self.phi_b, self.phi_k, self._cum = _tables(params.beta, params.kappa, n)
         self.n = n
         self.k = chains
         self.seed = seed
@@ -530,7 +547,10 @@ class ChainEnsemble:
     def normalized_wilson(self, gamma: LatticePath) -> np.ndarray:
         """The O(1) Wilson observable per chain (see module docstring)."""
         g_ids, g_coef = self.idx.path(gamma)
-        return self._ratio.take(g_coef % self.n * self.n + self.delta[:, g_ids]).prod(axis=1)
+        d = self.delta[:, g_ids]
+        num = self.phi_k[(d + g_coef[None, :]) % self.n]
+        den = self.phi_k[d] * self.phi_k[1]
+        return (num / den).prod(axis=1)
 
     def config_ids(self) -> np.ndarray:
         """Mixed-radix id of each chain's configuration (tiny boxes only)."""
@@ -596,9 +616,9 @@ def estimate_wilson(
     was last evaluated; otherwise every sample is exactly the previous one,
     which is reused.  A quiet stretch of the thinned route (module
     docstring) is run in one step, and its kept samples are one slice
-    write; the result, the ensemble and its generator
-    streams are those of one ``sweep()`` per sweep.  ``moves`` reports the
-    plaquette values changed over all sweeps, burn-in included.
+    write; the result, the ensemble and its generator streams are those of
+    one ``sweep()`` per sweep.  ``moves`` reports the plaquette values
+    changed over all sweeps, burn-in included.
     """
     if phi(params.kappa, 1, params.n) == 0:
         raise PreconditionError(f"phi_kappa(1) = 0 at kappa = {params.kappa}: the normalized observable is undefined")

@@ -14,7 +14,7 @@ from lattice_higgs.couplings import ModelParams, eta, phi, xi
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn, delta, random_form
 from lattice_higgs.oracle import STATE_GUARD, box_index, expect_form
-from lattice_higgs.paths import RectDescriptor, rectangle_loop, rectangle_open_path
+from lattice_higgs.paths import RectDescriptor, rectangle_loop
 from lattice_higgs.sampler import ChainEnsemble, estimate_wilson
 from reference import form_distribution
 
@@ -1146,8 +1146,9 @@ def test_estimate_wilson_reports_moves():
     assert res.moves == replay.moves > 0
 
 
-# -- the seed-free layout, cached per (couplings, tilt), and the observable read through it;
-# each _unit_loop call is a new path object, so a new key of the layout cache --
+# -- the seed-free layout, kept per box index for its last (couplings, tilt), the tables
+# kept for the last couplings, and the observable read once per change; each
+# _unit_loop call is a new path object, so a new key of the layout --
 
 
 def test_warm_construction_builds_no_table(monkeypatch):
@@ -1170,7 +1171,7 @@ def test_warm_construction_builds_no_table(monkeypatch):
 
 def test_cached_layout_is_read_only():
     ens = ChainEnsemble(params(0.3, 0.4, n=3, N=2), tilt=_unit_loop(2), seed=0, chains=2)
-    arrays = [ens.phi_b, ens.phi_k, ens.tilt, ens._cum, ens._base_first, ens._base_last, ens._ratio]
+    arrays = [ens.phi_b, ens.phi_k, ens.tilt, ens._cum, ens._base_first, ens._base_last]
     arrays += [members for _, _, members in ens._groups]
     assert len(ens._groups) > 0
     for a in arrays:
@@ -1179,35 +1180,42 @@ def test_cached_layout_is_read_only():
             a.reshape(-1)[0] = 0
 
 
-def test_layout_cache_is_bounded():
-    # each fresh tilt path object is a new key; the oldest keys are dropped
-    p = params(0.3, 0.4, N=2)
-    size = sampler._layout.cache_info().maxsize
-    for _ in range(size + 3):
-        ChainEnsemble(p, tilt=_unit_loop(2))
-    assert sampler._layout.cache_info().currsize == size
+def test_dropped_ensembles_leave_one_table_and_one_layout():
+    # ensembles at distinct couplings on one box, each with a fresh tilt, then
+    # dropped: only the last couplings' table and the last layout stay alive
+    tables, layouts = [], []
+    for beta in (0.1, 0.2, 0.3, 0.4):
+        ens = ChainEnsemble(params(beta, 0.4, N=2), tilt=_unit_loop(2), seed=0, chains=2)
+        tables.append(weakref.ref(ens._cum))
+        layouts.append(weakref.ref(ens._base_first))
+    del ens
+    gc.collect()
+    assert [r() is not None for r in tables] == [False, False, False, True]
+    assert [r() is not None for r in layouts] == [False, False, False, True]
 
 
 def test_layout_holds_no_box_index():
-    # the cache keeps no BoxIndex alive: once box_index forgets it and the
-    # ensemble is gone, the index is freed
+    # the layout keeps no BoxIndex alive, and goes with it: once box_index
+    # forgets the index and the ensemble is gone, both are freed
     box_index.cache_clear()
     ens = ChainEnsemble(params(0.3, 0.4, N=3), tilt=_unit_loop(2), seed=0, chains=2)
-    ref = weakref.ref(ens.idx)
+    ref, layout = weakref.ref(ens.idx), weakref.ref(ens._base_first)
     del ens
     box_index.cache_clear()
     gc.collect()
-    assert ref() is None
+    assert ref() is None and layout() is None
 
 
 def test_zero_weight_refusal_raises_on_every_call():
-    # the refusal is not cached: the same key raises again, and leaves no entry
+    # the refusal is not kept: the same key raises again, and the box's last
+    # layout stays the one before
     p, tilt = params(0.3, 0.0, N=2), _unit_loop(2)
-    before = sampler._layout.cache_info().currsize
+    ens = ChainEnsemble(params(0.3, 0.4, N=2), seed=0)
+    before = sampler._layouts[ens.idx]
     for _ in range(3):
         with pytest.raises(PreconditionError, match="total weight 0"):
             ChainEnsemble(p, tilt=tilt)
-    assert sampler._layout.cache_info().currsize == before
+    assert sampler._layouts[ens.idx] is before
 
 
 def test_route_is_chosen_per_construction(monkeypatch):
@@ -1217,32 +1225,6 @@ def test_route_is_chosen_per_construction(monkeypatch):
     assert not ChainEnsemble(R1, seed=0, chains=4)._thin
     monkeypatch.setattr(sampler, "_HOT_COST", 0)
     assert ChainEnsemble(R1, seed=0, chains=4)._thin
-
-
-def _quotient_wilson(ens, gamma):
-    """The normalized Wilson observable as one quotient per edge: the reference
-    for the gather from the ratio table."""
-    g_ids, g_coef = ens.idx.path(gamma)
-    d = ens.delta[:, g_ids]
-    num = ens.phi_k[(d + g_coef[None, :]) % ens.n]
-    den = ens.phi_k[d] * ens.phi_k[1]
-    return (num / den).prod(axis=1)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_normalized_wilson_matches_quotient_formula(n):
-    # bit for bit, on a loop and an open path, on random states at random couplings
-    rect = RectDescriptor(corner=(-1, -1), axes=(1, 2), lengths=(2, 3))
-    paths = [rectangle_loop(rect), rectangle_open_path(rect, 3, 5), rectangle_open_path(rect, 1, 4, orientation=-1)]
-    rng = np.random.default_rng(n)
-    for _ in range(4):
-        p = params(float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.05, 0.5)), n=n, N=3)
-        ens = ChainEnsemble(p, seed=0, chains=3)
-        ens.omega[:] = rng.integers(0, n, size=ens.omega.shape)
-        ens.delta = ens.recompute_delta()
-        for gamma in paths:
-            got, want = ens.normalized_wilson(gamma), _quotient_wilson(ens, gamma)
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def test_estimate_wilson_reads_the_observable_once_per_change(monkeypatch):
