@@ -122,9 +122,7 @@ class BoundReport:
     c2iii: float
     c2: float
     c0: float
-    strong_coupling: bool
-    small_hopping: bool
-    rigorous: bool
+    small_hopping: bool  # the bound is rigorous where this holds too
 
 
 def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
@@ -137,8 +135,9 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
     denominator 1 - (16m)^2 zeta_beta / xi_kappa being nonpositive, and
     since xi_kappa < 1 it also covers 1 - (16m)^2 zeta_beta <= 0.  Without
     the raise the constants would come out negative or infinite there.  It
-    also raises if xi_kappa rounds to 1 (very large kappa).  A failed
-    small-hopping assumption only clears the ``rigorous`` flag.
+    also raises if xi_kappa rounds to 1 (very large kappa).  So every
+    report holds under strong coupling, and a failed small-hopping
+    assumption only clears ``small_hopping``.
     """
     m, n = params.m, params.n
     zb = zeta(params.beta, n)
@@ -189,9 +188,7 @@ def constants(params: ModelParams, stats: GammaStats) -> BoundReport:
         c2iii=c2iii,
         c2=c2,
         c0=c0,
-        strong_coupling=regime.strong_coupling,
         small_hopping=regime.small_hopping,
-        rigorous=regime.both,
     )
 
 

@@ -249,9 +249,6 @@ class Chain:
     def __eq__(self, other):
         return isinstance(other, Chain) and self._kind() == other._kind() and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs.items())))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

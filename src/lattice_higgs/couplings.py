@@ -201,19 +201,12 @@ class RegimeReport:
 
     strong_coupling: (16m)^2 zeta_beta < xi_kappa, strict.
     small_hopping:   kappa (2 + epsilon_kappa) <= 1.
-    For n = 2 the strong-coupling condition also appears in its
-    (16m)^2 tanh(2 beta) < tanh(2 kappa) form; the two agree exactly.
     """
 
     strong_coupling: bool
     strong_coupling_slack: float
     small_hopping: bool
     small_hopping_slack: float
-    z2_form: bool | None
-
-    @property
-    def both(self) -> bool:
-        return self.strong_coupling and self.small_hopping
 
 
 def assumption_check(params: ModelParams) -> RegimeReport:
@@ -223,13 +216,9 @@ def assumption_check(params: ModelParams) -> RegimeReport:
     slack1 = xk - lhs1
     lhs3 = params.kappa * (2 + epsilon(params.kappa, params.n))
     slack3 = 1.0 - lhs3
-    z2 = None
-    if params.n == 2:
-        z2 = (16 * params.m) ** 2 * math.tanh(2 * params.beta) < math.tanh(2 * params.kappa)
     return RegimeReport(
         strong_coupling=slack1 > 0,
         strong_coupling_slack=slack1,
         small_hopping=slack3 >= 0,
         small_hopping_slack=slack3,
-        z2_form=z2,
     )

@@ -1,9 +1,10 @@
 """Lattice paths (Wilson line supports) and their plaquette geometry.
 
 A path is a 1-chain with coefficients in {-1, 0, 1}, connected support and
-empty boundary (closed) or boundary x2 - x1 (open).  Rectangular paths run
-along the boundary of an axis-parallel rectangle and keep its descriptor,
-whose side lengths enter the bounds.
+empty boundary (closed) or boundary x2 - x1 (open); its kind is read off
+that boundary, never passed in.  Rectangular paths run along the boundary
+of an axis-parallel rectangle and keep its descriptor, whose side lengths
+enter the bounds.
 
 |P_gamma| and the number of corner plaquettes |P_gamma,c| are counted on a
 ``BoxIndex`` of the path's bounding box grown by 1, clipped to the box if
@@ -57,17 +58,19 @@ class RectDescriptor:
 
 
 class LatticePath:
-    """A Wilson-line support path, optionally tagged with its rectangle."""
+    """A Wilson-line support path, optionally tagged with its rectangle.
 
-    def __init__(self, chain: Chain, kind: str, rect: Optional[RectDescriptor] = None):
-        if kind not in ("open", "closed"):
-            raise ValueError("kind must be 'open' or 'closed'")
+    Its ``kind`` is read off the chain's boundary: "closed" where it is
+    empty, "open" where it is x2 - x1; any other boundary raises
+    ``ValueError``.
+    """
+
+    def __init__(self, chain: Chain, rect: Optional[RectDescriptor] = None):
         if chain.dim != 1:
             raise ValueError("paths are 1-chains")
         if any(abs(v) != 1 for v in chain.coeffs.values()):
             raise ValueError("path coefficients must lie in {-1, 0, 1}")
         self.chain = chain
-        self.kind = kind
         self.rect = rect
         self._validate()
 
@@ -76,14 +79,10 @@ class LatticePath:
             raise ValueError("empty path")
         if len(components(self.chain.coeffs)) != 1:
             raise ValueError("path support must be connected")
-        b = boundary_chain(self.chain)
-        if self.kind == "closed":
-            if not b.is_zero():
-                raise ValueError("closed path must have empty boundary")
-        else:
-            vals = sorted(b.coeffs.values())
-            if vals != [-1, 1]:
-                raise ValueError("open path boundary must be x2 - x1")
+        b = sorted(boundary_chain(self.chain).coeffs.values())
+        if b not in ([], [-1, 1]):
+            raise ValueError("path boundary must be empty or x2 - x1")
+        self.kind = "open" if b else "closed"
         if self.rect is not None:
             loop = _loop_chain(self.rect, orientation=1)
             # a connected support on the loop with the boundary above is an arc traversed one way
@@ -171,7 +170,7 @@ def rectangle_loop(rect: RectDescriptor, orientation: int = 1) -> LatticePath:
     orientation +1 traverses axes[0] first from the corner (counter-clockwise
     in the (axes[0], axes[1]) plane); -1 reverses every coefficient.
     """
-    return LatticePath(_loop_chain(rect, orientation), "closed", rect)
+    return LatticePath(_loop_chain(rect, orientation), rect)
 
 
 def rectangle_open_path(
@@ -193,7 +192,7 @@ def rectangle_open_path(
     for i in range(start, start + count):
         e, v = ordered[i % total]
         coeffs[e] = orientation * v
-    return LatticePath(Chain(1, coeffs), "open", rect)
+    return LatticePath(Chain(1, coeffs), rect)
 
 
 # ---------------------------------------------------------------------------

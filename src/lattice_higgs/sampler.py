@@ -48,7 +48,7 @@ without a draw.  A class with no candidate is skipped.
 caller can tell that a sweep left the state exactly as it was.
 
 A sweep takes one of two routes, fixed at construction from the couplings,
-the box and the chain count (``_HOT_COST``, ``_CLASS_COST``).  The *dense*
+the box and the chain count (``_HOT_COST``).  The *dense*
 route, where hot draws are common, draws ``rng.random(P)`` once per chain,
 one draw per position of ``BoxIndex.scan_order``, and updates every member
 of every class, with no pool.  The *thinned* route, where a sweep expects
@@ -108,14 +108,14 @@ from .errors import STATE_GUARD, PreconditionError
 from .forms import FormZn
 from .paths import LatticePath
 
-# the route's costs, in member updates: a dense sweep costs one per member
-# and chain plus _CLASS_COST per class; the thinned route adds about
+# the route's cost constant, in member updates: a dense sweep costs one per
+# member and chain plus _HOT_COST per class; the thinned route adds about
 # _HOT_COST (m - 1) for each draw expected hot in a sweep, as a hot draw's
 # move makes candidates of the 2(m - 1) plaquettes on each of its edges
-# (fitted to break-even points on a 2-core host, 4 chains: 2.1-2.3 expected
-# hot draws per sweep at m=2 N=2, 4, 6.2 at m=2 N=16, 7.1 at m=3 N=4, 21 at
-# m=4 N=3; at m=2 N=1 the thinned route is faster at any beta up to 0.5)
-_CLASS_COST = 900
+# (the two costs were fitted apart and came out equal, to break-even points
+# on a 2-core host, 4 chains: 2.1-2.3 expected hot draws per sweep at m=2
+# N=2, 4, 6.2 at m=2 N=16, 7.1 at m=3 N=4, 21 at m=4 N=3; at m=2 N=1 the
+# thinned route is faster at any beta up to 0.5)
 _HOT_COST = 900
 
 # batch means: each chain's kept sweeps split into this many batches
@@ -127,11 +127,11 @@ _GRID = 2**53
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Batch-means Monte Carlo estimate."""
+    """Batch-means Monte Carlo estimate, from ``chains * BATCHES_PER_CHAIN``
+    batch means."""
 
     mean: float
     std_error: float
-    batches: int
     sweeps: int
     burn_in: int
     seed: int
@@ -168,13 +168,15 @@ def _first_hot(first: float, last: float) -> int:
     ``ChainEnsemble._update``, or 2^53 if there is none: on a base row with
     these first and last columns, the draws k 2^-53 of ``Generator.random``
     that move a quiet member are exactly those with k >= this bound, since
-    rounding is monotone.  The estimate floor(first / last 2^53) is within a
-    few units of it, and unit steps of the same comparison close the gap."""
+    rounding is monotone.  For 0 <= first <= last, as on every row, the
+    estimate k0 = floor(fl(first / last) 2^53) is never above it: with
+    u = 2^-53, fl(first / last) <= first / last (1 + u), so
+    (k0 - 1) 2^-53 last <= first - u (last - first) <= first, and the
+    rounded product stays <= first, as first is a float.  Unit steps up of
+    the same comparison close the gap of a few units."""
     k = min(int(first / last * _GRID), _GRID)
     while k < _GRID and not first < k / _GRID * last:
         k += 1
-    while k > 0 and first < (k - 1) / _GRID * last:
-        k -= 1
     return k
 
 
@@ -260,7 +262,7 @@ class ChainEnsemble:
     the base rows' first hot grid points kept per box index for its last
     (couplings, tilt path object), and the class layout from the shared
     ``box_index``; it builds the generator streams, the state and the
-    sweep's route (from ``_HOT_COST`` and ``_CLASS_COST`` as they are then)
+    sweep's route (from ``_HOT_COST`` as it is then)
     per instance.  It raises ``PreconditionError`` for a chain count
     that is not an integer >= 1 or a seed that is not an integer >= 0,
     and, before allocating anything, for n^6 > ``errors.STATE_GUARD``
@@ -312,7 +314,7 @@ class ChainEnsemble:
         classes = idx.plaq_classes
         # the route: thinned while the draws expected hot in a sweep, summed
         # over the chains, cost less than the dense sweep they replace
-        self._thin = chains * hot * _HOT_COST * (params.m - 1) < chains * P + _CLASS_COST * len(classes)
+        self._thin = chains * hot * _HOT_COST * (params.m - 1) < chains * P + _HOT_COST * len(classes)
         if self._thin:
             # the thinned route's _draws calls, the first call with a hot trial, and
             # per chain and group the next hot trial, drawn on the first call
@@ -657,15 +659,13 @@ def estimate_wilson(
     bs = keep // BATCHES_PER_CHAIN
     trimmed = samples[:, : bs * BATCHES_PER_CHAIN]
     bmeans = trimmed.reshape(chains, BATCHES_PER_CHAIN, bs).mean(axis=2).ravel()
-    nb = len(bmeans)
     if (bmeans == bmeans[0]).all():
         se = 0.0  # constant observable (e.g. beta = 0)
     else:
-        se = float(bmeans.std(ddof=1) / math.sqrt(nb))
+        se = float(bmeans.std(ddof=1) / math.sqrt(len(bmeans)))
     return EstimatorResult(
         mean=mean,
         std_error=se,
-        batches=nb,
         sweeps=sweeps,
         burn_in=burn_in,
         seed=seed,

@@ -122,7 +122,7 @@ def gamma_R(gamma: LatticePath) -> LatticePath:
     # LatticePath made every edge agree with one orientation of the loop
     loop = _loop_chain(gamma.rect)
     e, v = next(iter(gamma.chain.coeffs.items()))
-    return LatticePath(loop if loop[e] == v else -loop, "closed", gamma.rect)
+    return LatticePath(loop if loop[e] == v else -loop, gamma.rect)
 
 
 def u_shaped_path(rect: RectDescriptor, orientation: int = 1) -> LatticePath:

@@ -149,9 +149,8 @@ def test_constants_reject_broken_regime():
 def test_non_rigorous_flagged_when_small_hopping_fails():
     # large kappa keeps the geometric sums convergent but breaks assumption 3
     p = ModelParams(m=2, n=2, N=8, beta=1e-5, kappa=0.9)
-    rep = constants(p, DESK_STATS)
-    assert rep.strong_coupling and not rep.small_hopping
-    assert not rep.rigorous
+    assert assumption_check(p).strong_coupling
+    assert not constants(p, DESK_STATS).small_hopping
 
 
 def test_perimeter_bound_values():
@@ -204,7 +203,7 @@ def test_theorem_holds_against_exact_values(n, beta, kappa):
     value, radius = prediction(p, stats)
     assert abs(exact - value) <= radius
     assert exact >= _pow(eta(kappa, n), stats.length)
-    assert constants(p, stats).rigorous == (kappa == 0.25)
+    assert constants(p, stats).small_hopping == (kappa == 0.25)
     if beta == 1e-5 and kappa == 0.25:
         # the bound is informative at n = 2 (0.419) and just not at n = 3 (1.01)
         assert (radius / exact < 1) == (n == 2), radius / exact

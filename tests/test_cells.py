@@ -91,7 +91,7 @@ def test_chain_sign_rule():
     e = edge((0, 0), 1)
     q = Chain.of(e, 3)
     assert q[e] == 3 and q[-e] == -3
-    assert (q - q).is_zero()
+    assert (q - q).is_zero() and repr(q - q) == "Chain(1, 0)"
     assert (2 * q)[e] == 6
 
 
@@ -116,6 +116,7 @@ def test_box_counts_m2():
     assert len(list(box.cells(0))) == 9
     assert len(list(box.cells(1))) == 12
     assert len(list(box.cells(2))) == 4
+    assert list(box.cells(-1)) == list(box.cells(3)) == []
 
 
 def test_coboundary_duality_by_direct_expansion():

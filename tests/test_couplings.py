@@ -174,20 +174,20 @@ def test_assumption_check_examples():
     m = 4
     beta = math.tanh(0.3) / (16 * m) ** 2 * 0.9
     rep = assumption_check(ModelParams(m=m, n=2, N=1, beta=beta, kappa=0.3))
-    assert rep.strong_coupling and rep.small_hopping and rep.z2_form
+    assert rep.strong_coupling and rep.small_hopping
 
     rep0 = assumption_check(ModelParams(m=2, n=2, N=1, beta=0.0, kappa=0.0))
     assert not rep0.strong_coupling  # 0 < 0 is false
 
     rep2 = assumption_check(ModelParams(m=2, n=2, N=1, beta=1e-4, kappa=0.25))
-    assert rep2.strong_coupling and rep2.small_hopping and rep2.z2_form
+    assert rep2.strong_coupling and rep2.small_hopping
 
 
 def test_z2_theorem_form_agrees_with_general_assumption():
     # for n = 2, zeta_beta = tanh(2 beta) and xi_kappa = tanh(2 kappa)
     for beta, kappa in [(1e-4, 0.25), (1e-3, 0.3), (0.01, 0.1)]:
-        rep = assumption_check(ModelParams(m=2, n=2, N=1, beta=beta, kappa=kappa))
-        assert rep.z2_form == rep.strong_coupling
+        z2_form = (16 * 2) ** 2 * math.tanh(2 * beta) < math.tanh(2 * kappa)
+        assert z2_form == assumption_check(ModelParams(m=2, n=2, N=1, beta=beta, kappa=kappa)).strong_coupling
 
 
 # per n, the grid points that a(1 + epsilon) <= 1 admits, and those of them

@@ -9,10 +9,14 @@ unless it is pinned in ``TEST_ONLY``, and a private top-level name or
 private method that no package module reads.  Importing a name is not
 reading it, so ``__init__.py``'s re-imports and ``__all__`` entries keep
 no name alive: a name that only the tests and the package namespace
-reach is pinned in ``TEST_ONLY`` like any other.  Names are matched bare, so
-a method passes unseen while another of its name is read elsewhere (as
-``Tracer.count`` hid ``LatticeBox.count``).  ``tests/reference.py`` too
-must read every name it imports.
+reach is pinned in ``TEST_ONLY`` like any other.  A bare name read in
+another module counts for a top-level name only where that module imports
+it from the name's own module, so a local ``d`` in one module does not
+hide another module's unread ``d``; attributes and identifier strings
+count wherever they appear.  Methods are matched bare, so a method passes
+unseen while another of its name is read elsewhere (as ``Tracer.count``
+hid ``LatticeBox.count``).  ``tests/reference.py`` too must read every
+name it imports.
 """
 
 import ast
@@ -140,22 +144,38 @@ def _linted(tree):
 
 
 def _reads(tree, skip=None):
-    """Names a tree reads outside the subtree ``skip``: loaded names, attributes,
-    and strings that are identifiers (the tracer looks its targets up by
-    string); an import or an ``__all__`` entry alone reads nothing."""
-    out, todo = set(), [tree]
+    """(bare, other): the names a tree loads bare outside the subtree ``skip``,
+    and its attributes and strings that are identifiers (the tracer looks its
+    targets up by string); an import or an ``__all__`` entry alone reads
+    nothing."""
+    bare, other, todo = set(), set(), [tree]
     while todo:
         n = todo.pop()
         if n is skip or isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets):
             continue
         todo.extend(ast.iter_child_nodes(n))
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
+            bare.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            other.add(n.attr)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
-            out.add(n.value)
-    return out
+            other.add(n.value)
+    return bare, other
+
+
+def _reads_of(tree, module):
+    """(top, any): the top-level names of ``module`` (its file name without
+    ``.py``) that a tree reads, and every name it reads, which methods are
+    matched against.  A bare name counts for ``top`` only where the tree
+    imports it from ``module``."""
+    bare, other = _reads(tree)
+    imported = {
+        a.asname or a.name: a.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == module
+        for a in n.names
+    }
+    return other | {imported[b] for b in bare & imported.keys()}, bare | other
 
 
 def unread_names(modules, others):
@@ -164,14 +184,17 @@ def unread_names(modules, others):
     module and none of the ``others`` sources reads, and private top-level
     names and private methods that no module reads."""
     trees = {k: ast.parse(v) for k, v in modules.items()}
-    outside = set().union(*map(_reads, map(ast.parse, others)))
+    others = [ast.parse(v) for v in others]
     out = set()
     for key, tree in trees.items():
-        seen = set().union(*(_reads(t) for k, t in trees.items() if k != key))
+        module = key.removesuffix(".py")
+        inside = [_reads_of(t, module) for k, t in trees.items() if k != key]
+        outside = [_reads_of(t, module) for t in others]
         for name, reported, node in _linted(tree):
-            if name in seen or (name in outside and not name.startswith("_")):
+            which = int(reported != name)  # 0 for a top-level name, 1 for a method
+            if any(name in r[which] for r in inside + (outside if not name.startswith("_") else [])):
                 continue
-            if name not in _reads(tree, skip=node):
+            if name not in set().union(*_reads(tree, skip=node)):
                 out.add(reported)
     return out
 
@@ -187,6 +210,7 @@ def test_lint_flags_names_nothing_reads():
                 "def used(): return helper()",
                 "def recursive(): return recursive()",
                 "def _private(): pass",
+                "def d(): pass",
                 "def _read(): pass",
                 "def traced(): pass",
                 "class Unread: pass",
@@ -203,10 +227,10 @@ def test_lint_flags_names_nothing_reads():
                 "    def unread_size(self): return self.size",
             ]
         ),
-        "b.py": "from .a import used, Kept\nimport a\nX: int = a.attr(used())\nTABLE = {}",
+        "b.py": "from .a import used, Kept\nimport a\nX: int = a.attr(used(), *[d for d in range(2)])\nTABLE = {}",
     }
     others = ["import a\nb.X\ngetattr(a, 'traced')\na.Kept()._bench_only()\na.Kept().bench_read()"]
-    want = {"listed", "recursive", "Unread", "TABLE", "_private", "Kept._recursive", "Kept._bench_only", "Kept.unread", "Kept.unread_size"}
+    want = {"listed", "recursive", "Unread", "TABLE", "_private", "d", "Kept._recursive", "Kept._bench_only", "Kept.unread", "Kept.unread_size"}
     assert unread_names(modules, others) == want
 
 
@@ -232,6 +256,8 @@ TEST_ONLY = {
     "connected_components", "lhd",
     # seeded random 2-forms, inputs for the property tests
     "random_form",
+    # the exterior derivative, read by the reference action and gauge transform only
+    "d",
 }
 
 

@@ -43,15 +43,13 @@ CASES = {
         lambda: form_distribution(ModelParams(m=2, n=2, N=3, beta=0.1, kappa=0.3)), GuardError, "2\\^16"),
     # paths
     "gamma_stats-no-rectangle": (
-        lambda: gamma_stats(LatticePath(LOOP.chain, "closed"), BOX), PreconditionError, "rectangle descriptor"),
-    "gamma_R-no-rectangle": (lambda: gamma_R(LatticePath(LOOP.chain, "closed")), PreconditionError, "rectangle descriptor"),
+        lambda: gamma_stats(LatticePath(LOOP.chain), BOX), PreconditionError, "rectangle descriptor"),
+    "gamma_R-no-rectangle": (lambda: gamma_R(LatticePath(LOOP.chain)), PreconditionError, "rectangle descriptor"),
     "open-path-no-edge": (lambda: rectangle_open_path(SQUARE, 0, 0), ValueError, "between 1 and perimeter-1"),
     "open-path-every-edge": (lambda: rectangle_open_path(SQUARE, 0, 4), ValueError, "between 1 and perimeter-1"),
-    "path-kind": (lambda: LatticePath(LOOP.chain, "loop"), ValueError, "kind must be"),
-    "path-of-plaquettes": (lambda: LatticePath(Chain.of(plaquette((0, 0), 1, 2)), "closed"), ValueError, "1-chains"),
-    "path-empty": (lambda: LatticePath(Chain(1), "open"), ValueError, "empty path"),
-    "open-path-without-ends": (lambda: LatticePath(LOOP.chain, "open"), ValueError, "x2 - x1"),
-    "path-off-its-rectangle": (lambda: LatticePath(Chain.of(edge((0, 1), 2)), "open", SQUARE), ValueError, "rectangle boundary"),
+    "path-of-plaquettes": (lambda: LatticePath(Chain.of(plaquette((0, 0), 1, 2))), ValueError, "1-chains"),
+    "path-empty": (lambda: LatticePath(Chain(1)), ValueError, "empty path"),
+    "path-off-its-rectangle": (lambda: LatticePath(Chain.of(edge((0, 1), 2)), SQUARE), ValueError, "rectangle boundary"),
     "rectangle-axes": (lambda: RectDescriptor(corner=(0, 0), axes=(2, 1), lengths=(1, 1)), ValueError, "a1 < a2"),
     "rectangle-side-0": (lambda: RectDescriptor(corner=(0, 0), axes=(1, 2), lengths=(0, 1)), ValueError, ">= 1"),
     "rectangle-axis-beyond-the-corner": (lambda: rectangle_loop(RectDescriptor((0, 0), (1, 3), (1, 1))), ValueError, "dimension 2"),

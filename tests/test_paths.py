@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lattice_higgs import paths
-from lattice_higgs.cells import BoxIndex, Chain, LatticeBox, OrientedCell, boundary, edge, plaquette
+from lattice_higgs.cells import BoxIndex, Chain, LatticeBox, OrientedCell, boundary, boundary_chain, edge, plaquette
 from lattice_higgs.couplings import ModelParams
 from lattice_higgs.errors import PreconditionError
 from lattice_higgs.forms import FormZn
@@ -31,7 +31,7 @@ RECT44 = RectDescriptor(corner=(-2, -2), axes=(1, 2), lengths=(4, 4))
 
 def straight_path(y=0, x0=-2, length=4, m=2):
     coeffs = {edge((x0 + t, y), 1): 1 for t in range(length)}
-    return LatticePath(Chain(1, coeffs), "open")
+    return LatticePath(Chain(1, coeffs))
 
 
 def test_rectangle_loop_shape():
@@ -60,38 +60,45 @@ def test_ends_are_built_once_and_read_only():
 
 def test_path_validation_rejects_bad_coefficients():
     with pytest.raises(ValueError):
-        LatticePath(Chain(1, {edge((0, 0), 1): 2}), "open")
+        LatticePath(Chain(1, {edge((0, 0), 1): 2}))
     # disconnected support
     with pytest.raises(ValueError):
-        LatticePath(Chain(1, {edge((0, 0), 1): 1, edge((5, 5), 1): 1}), "open")
-    # wrong boundary tag
-    with pytest.raises(ValueError):
-        LatticePath(Chain(1, {edge((0, 0), 1): 1}), "closed")
+        LatticePath(Chain(1, {edge((0, 0), 1): 1, edge((5, 5), 1): 1}))
+    # two edges into one vertex: boundary 2 (1, 0) - (0, 0) - (2, 0)
+    with pytest.raises(ValueError, match=r"^path boundary must be empty or x2 - x1$"):
+        LatticePath(Chain(1, {edge((0, 0), 1): 1, edge((1, 0), 1): -1}))
+
+
+def test_rectangle_paths_report_the_kind_their_boundary_gives():
+    for rect in (RECT44, RectDescriptor(corner=(0, 1, 0), axes=(1, 3), lengths=(2, 3))):
+        total = 2 * sum(rect.lengths)
+        for orientation in (1, -1):
+            built = [rectangle_loop(rect, orientation)] + [
+                rectangle_open_path(rect, start, count, orientation) for start in range(total) for count in range(1, total)
+            ]
+            for path in built:
+                assert path.kind == ("closed" if boundary_chain(path.chain).is_zero() else "open")
+            assert [p.kind for p in built] == ["closed"] + ["open"] * (total * (total - 1))
 
 
 LOOP44 = paths._loop_edges(RECT44)  # (edge, coefficient) pairs in traversal order
 
 
 # a support on the rectangle that is connected and passes the boundary check is an arc or the
-# whole loop traversed one way, so these inputs, which aim at a mixed orientation or a partial
-# closed loop, are refused by the boundary checks first
+# whole loop traversed one way, so these inputs, which aim at a mixed orientation or at a cycle
+# off the rectangle, are refused by the boundary check or the rectangle check
 @pytest.mark.parametrize(
-    "pairs, kind, message",
+    "pairs, message",
     [
-        ([LOOP44[0], (LOOP44[1][0], -LOOP44[1][1]), LOOP44[2]], "open", "open path boundary must be x2 - x1"),
-        (LOOP44[:5] + [(LOOP44[5][0], -LOOP44[5][1])] + LOOP44[6:], "closed", "closed path must have empty boundary"),
-        (LOOP44[:6], "closed", "closed path must have empty boundary"),
-        (
-            list(boundary(plaquette((-2, -2), 1, 2)).coeffs.items()),
-            "closed",
-            "path edges must lie on the rectangle boundary",
-        ),
+        ([LOOP44[0], (LOOP44[1][0], -LOOP44[1][1]), LOOP44[2]], "path boundary must be empty or x2 - x1"),
+        (LOOP44[:5] + [(LOOP44[5][0], -LOOP44[5][1])] + LOOP44[6:], "path boundary must be empty or x2 - x1"),
+        (list(boundary(plaquette((-2, -2), 1, 2)).coeffs.items()), "path edges must lie on the rectangle boundary"),
     ],
-    ids=["arc-one-edge-reversed", "loop-one-edge-reversed", "closed-part-of-rectangle", "cycle-not-the-rectangle"],
+    ids=["arc-one-edge-reversed", "loop-one-edge-reversed", "cycle-not-the-rectangle"],
 )
-def test_rectangle_path_validation_refuses_by_an_earlier_check(pairs, kind, message):
+def test_rectangle_path_validation_refuses_by_an_earlier_check(pairs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        LatticePath(Chain(1, dict(pairs)), kind, RECT44)
+        LatticePath(Chain(1, dict(pairs)), RECT44)
 
 
 def test_gamma_r_for_open_paths():

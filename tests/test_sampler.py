@@ -175,7 +175,7 @@ def test_estimator_beta_zero_is_exactly_one():
     res = estimate_wilson(p, LOOP, sweeps=2000, seed=1, chains=4)
     assert res.mean == 1.0
     assert res.std_error == 0.0
-    assert res.batches >= 32
+    assert res.chains * sampler.BATCHES_PER_CHAIN >= 32
 
 
 def test_estimator_matches_oracle_small_box():
@@ -995,7 +995,7 @@ def _per_sweep_estimate(p, gamma, sweeps, burn_in, seed, chains):
     else:
         se = float(bmeans.std(ddof=1) / math.sqrt(len(bmeans)))
     res = sampler.EstimatorResult(
-        mean=float(samples.mean()), std_error=se, batches=len(bmeans), sweeps=sweeps,
+        mean=float(samples.mean()), std_error=se, sweeps=sweeps,
         burn_in=burn_in, seed=seed, chains=chains, moves=ens.moves,
     )
     return res, ens
@@ -1081,7 +1081,7 @@ def _layout_by_unique(ens):
     order = np.concatenate(idx.plaq_classes)
     groups = [(k, (2**53 - k) / 2**53, order[kstar[order] == k]) for k in np.unique(kstar) if k < 2**53]
     hot = ens.k * sum(q * len(at) for _, q, at in groups)
-    thin = hot * sampler._HOT_COST * (ens.params.m - 1) < ens.k * P + sampler._CLASS_COST * len(idx.plaq_classes)
+    thin = hot * sampler._HOT_COST * (ens.params.m - 1) < ens.k * P + sampler._HOT_COST * len(idx.plaq_classes)
     return cum, cum[base, 0], cum[base, -1], groups, thin
 
 
@@ -1135,7 +1135,7 @@ def test_constant_observable_has_exactly_zero_error(monkeypatch):
     # spread of about 1e-17 by the standard deviation; the constant check gives 0
     monkeypatch.setattr(ChainEnsemble, "normalized_wilson", lambda self, gamma: np.full(self.k, 0.1))
     res = estimate_wilson(R1, LOOP8, sweeps=320, seed=2, chains=4)
-    assert res.batches == 64 and res.std_error == 0.0
+    assert res.chains * sampler.BATCHES_PER_CHAIN == 64 and res.std_error == 0.0
 
 
 def test_estimate_wilson_reports_moves():
